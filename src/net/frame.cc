@@ -25,17 +25,15 @@ int PollTimeoutMs(Deadline deadline) {
   return static_cast<int>(std::min<int64_t>(ms, INT32_MAX));
 }
 
-/// Block until `fd` is ready for `events` or the deadline expires.
+/// Block until `fd` is ready for `events` or the deadline expires. An
+/// expired deadline still gets one non-blocking poll: bytes the peer has
+/// already delivered are read, only waiting for more is refused — which
+/// is what lets a caller drain a reply that arrived in time.
 Status WaitReady(int fd, short events, Deadline deadline,
                  const char* what) {
   for (;;) {
     pollfd pfd{fd, events, 0};
-    const int timeout = PollTimeoutMs(deadline);
-    if (timeout == 0) {
-      return Status::DeadlineExceeded(std::string(what) +
-                                      " hit the RPC deadline");
-    }
-    const int ready = poll(&pfd, 1, timeout);
+    const int ready = poll(&pfd, 1, PollTimeoutMs(deadline));
     if (ready < 0) {
       if (errno == EINTR) continue;
       return Status::IOError(Errno(std::string("poll(") + what + ")"));

@@ -32,7 +32,8 @@ constexpr uint32_t kMaxFrameBytes = 256u << 20;
 Status SendFrame(int fd, const std::string& payload, Deadline deadline);
 
 /// \brief Read one length-prefixed frame into `*payload`, waiting at most
-/// until `deadline`. A clean EOF before any byte of a frame is reported as
+/// until `deadline`. A frame already buffered is read even past an expired
+/// deadline. A clean EOF before any byte of a frame is reported as
 /// IOError("connection closed...") — the caller decides whether that peer
 /// death was expected.
 Status RecvFrame(int fd, std::string* payload, Deadline deadline);

@@ -274,47 +274,62 @@ void WorkerSupervisor::BroadcastUpdate(const std::string& graph,
   }
 }
 
-Status WorkerSupervisor::WaveRpc(uint32_t index, const WaveSpec& spec,
-                                 const std::vector<uint32_t>& stripes,
-                                 RawSampleDelta* delta, bool* worker_fault) {
+Status WorkerSupervisor::WaveRpcSend(uint32_t index, const WaveSpec& spec,
+                                     const std::vector<uint32_t>& stripes,
+                                     InFlightRpc* rpc, bool* worker_fault) {
   *worker_fault = true;  // transport errors default to "the worker's fault"
   Worker* w = workers_[index].get();
-  std::lock_guard<std::mutex> lock(w->mu);
+  rpc->index = index;
+  rpc->lock = std::unique_lock<std::mutex>(w->mu);
   Status st = EnsureAliveLocked(index, w, /*first_launch=*/false);
   if (!st.ok()) return st;
 
-  const Deadline deadline = RpcDeadline(spec.cancel, options_.rpc_timeout_ms);
+  rpc->deadline = RpcDeadline(spec.cancel, options_.rpc_timeout_ms);
   std::string msg = "{\"type\":\"wave\",\"graph\":" + JsonQuote(spec.graph) +
                     ",\"fingerprint\":" + std::to_string(spec.fingerprint) +
                     ",\"ordinal\":" + std::to_string(spec.ordinal) +
                     ",\"num_stripes\":" + std::to_string(spec.num_stripes) +
                     ",\"from\":" + std::to_string(spec.from) +
                     ",\"to\":" + std::to_string(spec.to) +
-                    ",\"budget_ms\":" + std::to_string(BudgetMillis(deadline)) +
+                    ",\"budget_ms\":" +
+                    std::to_string(BudgetMillis(rpc->deadline)) +
                     ",\"stripes\":";
   std::vector<uint64_t> wide(stripes.begin(), stripes.end());
   AppendUintArray(wide, &msg);
   msg += ",\"query\":" + JsonQuote(spec.query_json) + "}";
 
-  st = net::SendFrame(w->conn.get(), msg, deadline);
+  st = net::SendFrame(w->conn.get(), msg, rpc->deadline);
+  // A partly written frame leaves the stream unusable either way.
+  if (!st.ok()) return DropFailedRpcLocked(w, spec, st, worker_fault);
+  return Status::OK();
+}
+
+Status WorkerSupervisor::DropFailedRpcLocked(Worker* w, const WaveSpec& spec,
+                                             const Status& st,
+                                             bool* worker_fault) {
+  MarkDeadLocked(w);
+  if (!IsQueryLevel(st, spec.cancel)) return st;
+  // The query ran out of time mid-RPC; the worker may well be fine. The
+  // connection goes anyway — its next frame would be the stale wave
+  // reply, which no one is going to read.
+  *worker_fault = false;
+  w->consecutive_failures = 0;  // not the worker's fault
+  StatusCode why = spec.cancel != nullptr ? spec.cancel->Poll()
+                                          : StatusCode::kDeadlineExceeded;
+  if (why == StatusCode::kOk) why = StatusCode::kDeadlineExceeded;
+  return CancelToken::ToStatus(why, "shard wave RPC");
+}
+
+Status WorkerSupervisor::WaveRpcRecv(const InFlightRpc& rpc,
+                                     const WaveSpec& spec,
+                                     RawSampleDelta* delta,
+                                     bool* worker_fault) {
+  *worker_fault = true;
+  const uint32_t index = rpc.index;
+  Worker* w = workers_[index].get();
   std::string reply;
-  if (st.ok()) st = net::RecvFrame(w->conn.get(), &reply, deadline);
-  if (!st.ok()) {
-    if (IsQueryLevel(st, spec.cancel)) {
-      // The query ran out of time mid-RPC; the worker may well be fine.
-      // Drop the connection anyway — its next frame would be the stale
-      // wave reply, which no one is going to read.
-      *worker_fault = false;
-      MarkDeadLocked(w);
-      w->consecutive_failures = 0;  // not the worker's fault
-      StatusCode why = spec.cancel != nullptr ? spec.cancel->Poll()
-                                              : StatusCode::kDeadlineExceeded;
-      if (why == StatusCode::kOk) why = StatusCode::kDeadlineExceeded;
-      return CancelToken::ToStatus(why, "shard wave RPC");
-    }
-    MarkDeadLocked(w);
-    return st;
-  }
+  Status st = net::RecvFrame(w->conn.get(), &reply, rpc.deadline);
+  if (!st.ok()) return DropFailedRpcLocked(w, spec, st, worker_fault);
 
   JsonValue doc;
   st = ParseJson(reply, &doc);
@@ -420,24 +435,17 @@ Status WorkerSupervisor::ExecuteWave(const WaveSpec& spec,
 
     std::vector<uint32_t> next_remaining;
     bool any_fault = false;
-    for (uint32_t i = 0; i < n; ++i) {
-      if (assigned[i].empty()) continue;
-      uint64_t inherited = 0;
-      for (uint32_t s : assigned[i]) {
-        if (failed_once[s]) ++inherited;
+    // The first query-level or deterministic error of the round. Once
+    // set, no further slice is sent and the replies still in flight are
+    // drained (or their connections dropped) without being merged.
+    Status stop = Status::OK();
+    // A worker fault sends the slice to the next round; any other failure
+    // stops this one.
+    auto fail_slice = [&](uint32_t i, const Status& st, bool worker_fault) {
+      if (!worker_fault) {
+        stop = st;
+        return;
       }
-      RawSampleDelta part;
-      bool worker_fault = false;
-      Status st = WaveRpc(i, spec, assigned[i], &part, &worker_fault);
-      if (st.ok()) {
-        SAPHYRA_RETURN_NOT_OK(MergeDelta(part, out));
-        if (inherited > 0) {
-          workers_[i]->stripes_reassigned.fetch_add(
-              inherited, std::memory_order_relaxed);
-        }
-        continue;
-      }
-      if (!worker_fault) return st;  // query-level or deterministic error
       any_fault = true;
       last_fault = st;
       workers_[i]->retries.fetch_add(1, std::memory_order_relaxed);
@@ -445,7 +453,54 @@ Status WorkerSupervisor::ExecuteWave(const WaveSpec& spec,
         failed_once[s] = true;
         next_remaining.push_back(s);
       }
+    };
+
+    // Scatter: lock (ascending index order — the deadlock-freedom rule
+    // between concurrent queries) and send every slice before waiting on
+    // any reply, so the workers draw at the same time.
+    std::vector<InFlightRpc> in_flight;
+    in_flight.reserve(n);
+    for (uint32_t i = 0; i < n && stop.ok(); ++i) {
+      if (assigned[i].empty()) continue;
+      InFlightRpc rpc;
+      bool worker_fault = false;
+      Status st = WaveRpcSend(i, spec, assigned[i], &rpc, &worker_fault);
+      if (st.ok()) {
+        in_flight.push_back(std::move(rpc));
+      } else {
+        fail_slice(i, st, worker_fault);
+      }
     }
+
+    // Gather in index order. Merge order is irrelevant to the integer
+    // sums; a fixed order just keeps the failure bookkeeping reproducible.
+    for (InFlightRpc& rpc : in_flight) {
+      const uint32_t i = rpc.index;
+      RawSampleDelta part;
+      bool worker_fault = false;
+      Status st = WaveRpcRecv(rpc, spec, &part, &worker_fault);
+      rpc.lock.unlock();
+      if (!stop.ok()) continue;  // drained or dropped; nothing to merge
+      if (!st.ok()) {
+        fail_slice(i, st, worker_fault);
+        continue;
+      }
+      st = MergeDelta(part, out);
+      if (!st.ok()) {
+        stop = st;
+        continue;
+      }
+      uint64_t inherited = 0;
+      for (uint32_t s : assigned[i]) {
+        if (failed_once[s]) ++inherited;
+      }
+      if (inherited > 0) {
+        workers_[i]->stripes_reassigned.fetch_add(inherited,
+                                                  std::memory_order_relaxed);
+      }
+    }
+    if (!stop.ok()) return stop;
+
     remaining = std::move(next_remaining);
     if (remaining.empty()) break;
     SAPHYRA_CHECK(any_fault);

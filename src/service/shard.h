@@ -35,9 +35,17 @@
 ///
 /// Ownership/threading: one WorkerSupervisor per server, shared by every
 /// concurrent query; a per-worker mutex serializes RPCs on each
-/// connection (a wave execution holds at most one worker lock at a time,
-/// so concurrent queries interleave without deadlock). ShardedQuery /
-/// its executors are per-query, single-driver objects.
+/// connection. A wave round scatters its slices to all its workers before
+/// gathering any reply, so it holds several worker locks at once and
+/// always acquires them in ascending worker index order — two concurrent
+/// queries can therefore never wait on each other in a cycle. Every other
+/// locker holds at most one worker lock (BroadcastUpdate, Start,
+/// Shutdown) or only try_locks (the heartbeat). Drain-or-drop: before
+/// ExecuteWave returns — on success, a query deadline or cancellation, a
+/// deterministic worker error, or a merge failure — every frame it sent
+/// has had its reply read or its connection dropped, so no later RPC on
+/// that connection can read a stale reply. ShardedQuery / its executors
+/// are per-query, single-driver objects.
 
 #include <atomic>
 #include <condition_variable>
@@ -139,8 +147,9 @@ class WorkerSupervisor {
   /// the destructor calls it.
   void Shutdown();
 
-  /// \brief Execute one wave: partition its stripes, farm them out,
-  /// merge the deltas into *out. On worker faults, retries with
+  /// \brief Execute one wave: partition its stripes, send every worker
+  /// its slice before reading any reply, then gather and merge the deltas
+  /// into *out in worker index order. On worker faults, retries with
   /// reassignment/restarts up to the budget; returns UNAVAILABLE when
   /// the budget is exhausted, or the query's own DEADLINE_EXCEEDED /
   /// CANCELLED when that fires first. Thread-safe.
@@ -167,8 +176,8 @@ class WorkerSupervisor {
 
  private:
   struct Worker {
-    /// Serializes RPCs on this worker's connection; a wave execution
-    /// holds at most one worker's lock at a time.
+    /// Serializes RPCs on this worker's connection. Holders of several
+    /// workers' locks acquire them in ascending index order.
     std::mutex mu;
     net::UniqueFd conn;
     bool alive = false;
@@ -201,13 +210,35 @@ class WorkerSupervisor {
   Status EnsureAliveLocked(uint32_t index, Worker* w, bool first_launch);
   /// Drop the connection and arm the restart backoff. Caller holds w->mu.
   void MarkDeadLocked(Worker* w);
-  /// One wave RPC against worker `index` for the given stripes. Returns
-  /// the worker's delta in *delta. A non-OK status is either the query's
+  /// A wave RPC between its two halves: the worker's lock stays held
+  /// from the send until the reply is read or the connection dropped.
+  struct InFlightRpc {
+    uint32_t index = 0;
+    std::unique_lock<std::mutex> lock;
+    Deadline deadline;  ///< min(query deadline, now + rpc_timeout_ms)
+  };
+  /// Send half of one wave RPC against worker `index` for the given
+  /// stripes: lock the worker into rpc->lock, restart it if needed, and
+  /// send the wave frame. On OK the lock stays held for WaveRpcRecv; on
+  /// failure nothing is in flight (a partly sent frame drops the
+  /// connection). A non-OK status is either the query's
   /// deadline/cancellation (`*worker_fault` = false) or a worker fault
   /// the caller should retry elsewhere (`*worker_fault` = true).
-  Status WaveRpc(uint32_t index, const WaveSpec& spec,
-                 const std::vector<uint32_t>& stripes, RawSampleDelta* delta,
-                 bool* worker_fault);
+  Status WaveRpcSend(uint32_t index, const WaveSpec& spec,
+                     const std::vector<uint32_t>& stripes, InFlightRpc* rpc,
+                     bool* worker_fault);
+  /// Receive half (caller holds rpc.lock and releases it afterwards):
+  /// read and parse the reply into *delta. Any failure leaves the
+  /// connection either past the reply or dropped. `*worker_fault` as in
+  /// WaveRpcSend; a worker-reported error (deterministic, or the query's
+  /// budget) is not a fault.
+  Status WaveRpcRecv(const InFlightRpc& rpc, const WaveSpec& spec,
+                     RawSampleDelta* delta, bool* worker_fault);
+  /// Drop `w`'s connection after a failed send/recv and classify `st`:
+  /// the query's own deadline/cancellation (returned as such, no fault,
+  /// no backoff growth) or a worker fault (returned as-is).
+  Status DropFailedRpcLocked(Worker* w, const WaveSpec& spec,
+                             const Status& st, bool* worker_fault);
   /// One update RPC on `w`'s connection (caller holds w->mu and has a
   /// live connection). Verifies the worker landed on the expected
   /// fingerprint; any failure is the caller's cue to MarkDeadLocked.

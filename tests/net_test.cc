@@ -83,6 +83,23 @@ TEST(FrameTest, RecvHonorsDeadlineOnSilentPeer) {
   EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded) << st.ToString();
 }
 
+TEST(FrameTest, ExpiredDeadlineStillReadsABufferedFrame) {
+  // The shard supervisor drains replies that arrived before a query's
+  // deadline after that deadline has passed: an expired deadline refuses
+  // to wait, not to read what is already there.
+  net::UniqueFd a, b;
+  ASSERT_TRUE(net::SocketPair(&a, &b).ok());
+  ASSERT_TRUE(
+      net::SendFrame(a.get(), "reply", Deadline::AfterMillis(5000)).ok());
+  const Deadline expired = Deadline::AtSteadyNanos(Deadline::NowNanos() - 1);
+  std::string got;
+  Status st = net::RecvFrame(b.get(), &got, expired);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(got, "reply");
+  st = net::RecvFrame(b.get(), &got, expired);
+  EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded) << st.ToString();
+}
+
 TEST(FrameTest, PeerCloseIsIOErrorNotCrash) {
   net::UniqueFd a, b;
   ASSERT_TRUE(net::SocketPair(&a, &b).ok());

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -25,7 +26,9 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/abra.h"
 #include "bicomp/isp.h"
+#include "core/sample_engine.h"
 #include "graph/binary_io.h"
 #include "graph/io.h"
 #include "net/frame.h"
@@ -38,6 +41,7 @@
 #include "service/shard_worker.h"
 #include "test_util.h"
 #include "util/failpoint.h"
+#include "util/rng.h"
 
 namespace saphyra {
 namespace {
@@ -499,6 +503,125 @@ TEST_F(ShardTest, MidWaveCrashReplaysStripesBitwise) {
   EXPECT_GE(retries, 1u);
   EXPECT_GE(reassigned, 1u);
   fail::ClearAll();
+  supervisor.Shutdown();
+}
+
+void ExpectDeltaEqual(const RawSampleDelta& expected,
+                      const RawSampleDelta& got, const std::string& what) {
+  EXPECT_EQ(expected.counts, got.counts) << what;
+  EXPECT_EQ(expected.fp_sums, got.fp_sums) << what;
+  EXPECT_EQ(expected.fp_sum_squares, got.fp_sum_squares) << what;
+}
+
+TEST_F(ShardTest, WaveRpcsOverlapAcrossWorkers) {
+  ThreadLauncher launcher(files_.sgr_path);
+  WorkerSupervisor supervisor(&launcher, FastOptions(2));
+  ASSERT_TRUE(supervisor.Start().ok());
+
+  // ABRA draws one progressive run straight off the query's base stream
+  // (ordinal 0), so the local reference is a plain SampleEngine.
+  QueryRequest req = ShardWorkload()[3];
+  ASSERT_TRUE(CanonicalizeQuery(session_->graph().num_nodes(), &req).ok());
+  constexpr size_t kStripes = 4;
+  WaveSpec spec;
+  spec.fingerprint = session_->fingerprint();
+  spec.query_json = SerializeQueryRequest(req);
+  spec.num_stripes = kStripes;
+
+  Rng rng(req.seed);
+  const auto problem = MakeAbraSamplingProblem(session_->graph());
+  SampleEngine local(problem.get(), kStripes, &rng, /*pool=*/nullptr);
+  ASSERT_EQ(local.num_workers(), kStripes);
+  auto draw_local = [&](uint64_t from, uint64_t to, RawSampleDelta* out) {
+    for (size_t s = 0; s < kStripes; ++s) {
+      local.DrawStripe(s, StripeSamplesBelow(to, s, kStripes) -
+                              StripeSamplesBelow(from, s, kStripes));
+    }
+    local.HarvestDelta(out);
+  };
+
+  // An untimed first wave warms both workers (session open, engine build).
+  RawSampleDelta expected, sharded;
+  draw_local(0, 400, &expected);
+  spec.from = 0;
+  spec.to = 400;
+  ASSERT_TRUE(supervisor.ExecuteWave(spec, &sharded).ok());
+  ExpectDeltaEqual(expected, sharded, "warm-up wave");
+
+  // Every slice now stalls 150 ms on its worker. Scattered to both
+  // workers before either reply is read, the wave pays the stall once;
+  // one RPC after another would pay it twice (>= 300 ms).
+  ASSERT_TRUE(fail::Inject("worker.wave", "sleep(150)"));
+  draw_local(400, 800, &expected);
+  spec.from = 400;
+  spec.to = 800;
+  const auto start = std::chrono::steady_clock::now();
+  const Status st = supervisor.ExecuteWave(spec, &sharded);
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  fail::ClearAll();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ExpectDeltaEqual(expected, sharded, "stalled wave");
+  EXPECT_LT(wall_ms, 1.6 * 150) << "wave RPCs did not overlap";
+  for (const ShardWorkerStats& w : supervisor.stats()) {
+    EXPECT_EQ(w.waves, 2u) << "worker " << w.index;
+    EXPECT_EQ(w.retries, 0u) << "worker " << w.index;
+  }
+  supervisor.Shutdown();
+}
+
+TEST_F(ShardTest, QueryDeadlineMidGatherLeavesConnectionsClean) {
+  const std::vector<QueryRequest> workload = ShardWorkload();
+  const std::vector<QueryResult>& baseline = Baseline();
+
+  ThreadLauncher launcher(files_.sgr_path);
+  WorkerSupervisor supervisor(&launcher, FastOptions(2));
+  ASSERT_TRUE(supervisor.Start().ok());
+  SchedulerOptions opts;
+  opts.memo_capacity = 0;
+  opts.supervisor = &supervisor;
+  BatchScheduler scheduler(session_.get(), opts);
+
+  // Warm both workers so the unstalled slice answers well in time.
+  std::vector<QueryResult> results = scheduler.RunBatch(workload);
+  for (size_t i = 0; i < results.size(); ++i) {
+    ExpectBitwiseEqual(baseline[i], results[i], "warm-up " + workload[i].id);
+  }
+
+  // The first slice to reach a worker stalls past the query's deadline.
+  // The coordinator gives up on that worker (drop), but the other one's
+  // reply has arrived and must be read off its connection (drain) — left
+  // unread, the next wave on that connection would merge a stale delta.
+  ASSERT_TRUE(fail::Inject("worker.wave", "1*sleep(300)"));
+  QueryRequest late = workload[0];
+  late.deadline_ms = 100;
+  const QueryResult res = scheduler.Run(late);
+  fail::ClearAll();
+  ASSERT_TRUE(res.status.ok()) << res.status.ToString();
+  EXPECT_TRUE(res.degraded);
+  EXPECT_EQ(res.degrade_reason, StatusCode::kDeadlineExceeded);
+
+  std::vector<ShardWorkerStats> stats = supervisor.stats();
+  uint32_t alive = 0, in_time = 0;
+  for (const ShardWorkerStats& w : stats) {
+    EXPECT_EQ(w.retries, 0u) << "a query deadline is not a worker fault";
+    EXPECT_EQ(w.restarts, 0u);
+    if (w.alive) {
+      ++alive;
+      in_time = w.index;
+    }
+  }
+  ASSERT_EQ(alive, 1u) << "exactly the stalled worker is dropped";
+
+  results = scheduler.RunBatch(workload);
+  for (size_t i = 0; i < results.size(); ++i) {
+    ExpectBitwiseEqual(baseline[i], results[i],
+                       "post-deadline " + workload[i].id);
+  }
+  stats = supervisor.stats();
+  EXPECT_EQ(stats[in_time].restarts, 0u);
+  EXPECT_EQ(stats[1 - in_time].restarts, 1u);
   supervisor.Shutdown();
 }
 #endif  // SAPHYRA_FAILPOINTS
