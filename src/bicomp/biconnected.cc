@@ -30,6 +30,33 @@ std::vector<EdgeIndex> ComputeReverseArcs(const Graph& g) {
   return rev;
 }
 
+NodeComponentIndex::NodeComponentIndex(const BiconnectedComponents& bcc)
+    : first_(bcc.node_component.size() + 1, 0) {
+  const NodeId n = static_cast<NodeId>(bcc.node_component.size());
+  for (NodeId v = 0; v < n; ++v) {
+    first_[v + 1] = first_[v] + bcc.NumComponentsOf(v);
+  }
+  comp_.resize(first_[n]);
+  local_.resize(first_[n]);
+  std::vector<uint64_t> fill(first_.begin(), first_.end() - 1);
+  for (uint32_t c = 0; c < bcc.num_components; ++c) {
+    const auto& members = bcc.component_nodes[c];
+    for (size_t i = 0; i < members.size(); ++i) {
+      const uint64_t at = fill[members[i]]++;
+      SAPHYRA_CHECK(at < first_[members[i] + 1]);
+      comp_[at] = c;
+      local_[at] = static_cast<NodeId>(i);
+    }
+  }
+}
+
+NodeId NodeComponentIndex::LocalId(NodeId v, uint32_t c) const {
+  const auto comps = Components(v);
+  const auto it = std::lower_bound(comps.begin(), comps.end(), c);
+  SAPHYRA_CHECK(it != comps.end() && *it == c);
+  return local_[first_[v] + static_cast<uint64_t>(it - comps.begin())];
+}
+
 namespace {
 
 /// Explicit DFS frame for the iterative Hopcroft–Tarjan algorithm.
@@ -164,7 +191,10 @@ void FinalizeBicompFields(const Graph& g, uint32_t label_space,
     out.num_components = next;
   }
 
-  // Collect member nodes per component from the arc labels.
+  // Collect member nodes per component from the arc labels. Scanning u
+  // ascending appends to every list in ascending order, and all of u's
+  // appends come before u+1's, so each list comes out sorted and a
+  // repeat of u can only sit at its back.
   out.component_nodes.assign(out.num_components, {});
   for (NodeId u = 0; u < n; ++u) {
     uint32_t prev = kInvalidComp;
@@ -172,15 +202,11 @@ void FinalizeBicompFields(const Graph& g, uint32_t label_space,
     for (NodeId i = 0; i < g.degree(u); ++i) {
       uint32_t c = out.arc_component[base + i];
       SAPHYRA_CHECK(c != kInvalidComp);
-      if (c != prev) {  // adjacency runs often share a component; cheap skip
-        out.component_nodes[c].push_back(u);
-        prev = c;
-      }
+      if (c == prev) continue;  // adjacency runs often share a component
+      prev = c;
+      auto& nodes = out.component_nodes[c];
+      if (nodes.empty() || nodes.back() != u) nodes.push_back(u);
     }
-  }
-  for (auto& nodes : out.component_nodes) {
-    std::sort(nodes.begin(), nodes.end());
-    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
   }
   // node_component + cutpoint multiplicities.
   out.node_component.assign(n, kInvalidComp);

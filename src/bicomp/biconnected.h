@@ -2,6 +2,7 @@
 #define SAPHYRA_BICOMP_BICONNECTED_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -61,6 +62,29 @@ struct BiconnectedComponents {
 
   // Internal: per-node component multiplicity for cutpoints.
   std::vector<uint32_t> cutpoint_comp_count_;
+};
+
+/// \brief Every node's components, with the node's local id in each (its
+/// index in component_nodes[c]), in flat arrays. Built by one pass over
+/// component_nodes, O(n + Σ|C_i|); a node's components come out ascending
+/// because components are visited in id order.
+class NodeComponentIndex {
+ public:
+  explicit NodeComponentIndex(const BiconnectedComponents& bcc);
+
+  /// \brief Components node v belongs to, ascending (empty if isolated).
+  std::span<const uint32_t> Components(NodeId v) const {
+    return {comp_.data() + first_[v], comp_.data() + first_[v + 1]};
+  }
+
+  /// \brief Local id of v in component c, which v must belong to. A binary
+  /// search over Components(v): one entry unless v is a cutpoint.
+  NodeId LocalId(NodeId v, uint32_t c) const;
+
+ private:
+  std::vector<uint64_t> first_;  // size n+1, into comp_ / local_
+  std::vector<uint32_t> comp_;   // size Σ|C_i|
+  std::vector<NodeId> local_;    // size Σ|C_i|
 };
 
 /// \brief Run the serial decomposition. O(n + m).

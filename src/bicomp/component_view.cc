@@ -1,23 +1,11 @@
 #include "bicomp/component_view.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "util/logging.h"
 
 namespace saphyra {
-
-namespace {
-
-/// Local id of `v` in the sorted member list `members`. The caller
-/// guarantees membership (every arc endpoint belongs to the arc's
-/// component).
-NodeId LocalIndex(std::span<const NodeId> members, NodeId v) {
-  auto it = std::lower_bound(members.begin(), members.end(), v);
-  SAPHYRA_CHECK(it != members.end() && *it == v);
-  return static_cast<NodeId>(it - members.begin());
-}
-
-}  // namespace
 
 ComponentViews::ComponentViews(const Graph& g,
                                const BiconnectedComponents& bcc) {
@@ -35,50 +23,48 @@ ComponentViews::ComponentViews(const Graph& g,
     nodes.insert(nodes.end(), bcc.component_nodes[c].begin(),
                  bcc.component_nodes[c].end());
   }
-  auto members_of = [&](uint32_t c) {
-    return std::span<const NodeId>(nodes.data() + node_begin[c],
-                                   nodes.data() + node_begin[c + 1]);
-  };
 
-  // Pass 1: per-local-node degrees, accumulated into offsets[slot+1] so the
-  // prefix sum below turns them into absolute adjacency offsets.
+  // Pass 1: the local id of every arc's source in the arc's component,
+  // looked up once per run of same-component arcs, and per-local-node
+  // degrees, accumulated into offsets[slot+1] so the prefix sum below
+  // turns them into absolute adjacency offsets.
+  const NodeComponentIndex index(bcc);
+  std::vector<NodeId> src_local(g.num_arcs());
   std::vector<EdgeIndex> offsets(total_nodes + 1, 0);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     const EdgeIndex base = g.offset(u);
     const NodeId deg = g.degree(u);
     uint32_t last_c = kInvalidComp;
-    size_t last_slot = 0;
+    NodeId local = 0;
+    size_t slot = 0;
     for (NodeId i = 0; i < deg; ++i) {
       const uint32_t c = bcc.arc_component[base + i];
       SAPHYRA_CHECK(c != kInvalidComp);
       if (c != last_c) {
         last_c = c;
-        last_slot = node_begin[c] + LocalIndex(members_of(c), u);
+        local = index.LocalId(u, c);
+        slot = node_begin[c] + local;
       }
-      ++offsets[last_slot + 1];
+      src_local[base + i] = local;
+      ++offsets[slot + 1];
     }
   }
   for (size_t i = 1; i <= total_nodes; ++i) offsets[i] += offsets[i - 1];
   SAPHYRA_CHECK(offsets[total_nodes] == g.num_arcs());
 
-  // Pass 2: scatter each arc into its component slot. Scanning u ascending
-  // and its (sorted) global adjacency in order writes each local list sorted
-  // by global — hence by local — neighbor id.
+  // Pass 2: scatter each arc into its component slot. An arc's neighbor
+  // has, in the same component, the local id its reverse arc's source
+  // got in pass 1 — no search. Scanning u ascending and its (sorted)
+  // global adjacency in order writes each local list sorted by global —
+  // hence by local — neighbor id.
+  SAPHYRA_CHECK(bcc.rev_arc.size() == g.num_arcs());
   std::vector<NodeId> adj(g.num_arcs(), 0);
   std::vector<EdgeIndex> cursor(offsets.begin(), offsets.end() - 1);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const EdgeIndex base = g.offset(u);
-    const auto nbr = g.neighbors(u);
-    uint32_t last_c = kInvalidComp;
-    size_t last_slot = 0;
-    for (size_t i = 0; i < nbr.size(); ++i) {
-      const uint32_t c = bcc.arc_component[base + i];
-      if (c != last_c) {
-        last_c = c;
-        last_slot = node_begin[c] + LocalIndex(members_of(c), u);
-      }
-      adj[cursor[last_slot]++] = LocalIndex(members_of(c), nbr[i]);
-    }
+  for (EdgeIndex e = 0; e < g.num_arcs(); ++e) {
+    const uint32_t c = bcc.arc_component[e];
+    const EdgeIndex rev = bcc.rev_arc[e];
+    SAPHYRA_CHECK(bcc.arc_component[rev] == c);  // neighbor is a member
+    adj[cursor[node_begin[c] + src_local[e]]++] = src_local[rev];
   }
 
   node_begin_ = std::move(node_begin);

@@ -44,7 +44,10 @@ class ComponentViews {
  public:
   ComponentViews() = default;
 
-  /// \brief Materialize every component of `bcc`. O(m log max|C_i|).
+  /// \brief Materialize every component of `bcc`. O(n + m + Σ|C_i|):
+  /// a source's local id is looked up in a NodeComponentIndex once per run
+  /// of same-component arcs (a binary search only for a cutpoint), and a
+  /// neighbor's is the one its reverse arc (`bcc.rev_arc`) recorded.
   ComponentViews(const Graph& g, const BiconnectedComponents& bcc);
 
   /// \brief Number of components ℓ.

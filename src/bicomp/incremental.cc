@@ -28,32 +28,18 @@ bool BlockCutPath(const Graph& g, const BiconnectedComponents& bcc,
                   NodeId u, NodeId v, std::vector<uint32_t>* path) {
   path->clear();
   if (g.degree(u) == 0 || g.degree(v) == 0) return false;
-  // Per-cutpoint incident-block lists (non-cutpoints have exactly
-  // node_component); built once per repair, O(Σ|C_i|).
-  std::vector<std::vector<uint32_t>> cut_blocks(g.num_nodes());
-  for (uint32_t c = 0; c < bcc.num_components; ++c) {
-    for (NodeId w : bcc.component_nodes[c]) {
-      if (bcc.is_cutpoint[w]) cut_blocks[w].push_back(c);
-    }
-  }
-  auto blocks_of = [&](NodeId x) -> std::vector<uint32_t> {
-    if (bcc.is_cutpoint[x]) return cut_blocks[x];
-    return {bcc.node_component[x]};
-  };
-  auto contains_v = [&](uint32_t c) {
-    if (!bcc.is_cutpoint[v]) return bcc.node_component[v] == c;
-    const auto& bs = cut_blocks[v];
-    return std::find(bs.begin(), bs.end(), c) != bs.end();
-  };
+  const NodeComponentIndex index(bcc);  // O(n + Σ|C_i|) per repair
+  std::vector<uint8_t> has_v(bcc.num_components, 0);
+  for (uint32_t c : index.Components(v)) has_v[c] = 1;
   constexpr uint32_t kRoot = kInvalidComp;
   std::vector<uint32_t> parent(bcc.num_components, kInvalidComp);
   std::vector<uint8_t> visited(bcc.num_components, 0);
   std::deque<uint32_t> queue;
   uint32_t goal = kInvalidComp;
-  for (uint32_t c : blocks_of(u)) {
+  for (uint32_t c : index.Components(u)) {
     visited[c] = 1;
     parent[c] = kRoot;
-    if (contains_v(c)) {
+    if (has_v[c]) {
       goal = c;  // u and v share a block (kRoot parent ends the walk)
       break;
     }
@@ -64,11 +50,11 @@ bool BlockCutPath(const Graph& g, const BiconnectedComponents& bcc,
     queue.pop_front();
     for (NodeId w : bcc.component_nodes[c]) {
       if (!bcc.is_cutpoint[w]) continue;
-      for (uint32_t c2 : cut_blocks[w]) {
+      for (uint32_t c2 : index.Components(w)) {
         if (visited[c2]) continue;
         visited[c2] = 1;
         parent[c2] = c;
-        if (contains_v(c2)) {
+        if (has_v[c2]) {
           goal = c2;
           break;
         }
@@ -103,7 +89,7 @@ BiconnectedComponents RepairBiconnectedComponents(
   // marking the new arcs dirty) or erased.
   std::vector<uint32_t> labels(old_bcc.arc_component.begin(),
                                old_bcc.arc_component.end());
-  std::vector<uint32_t> dirty;  // old block labels to recompute
+  std::vector<uint32_t> dirty;  // old blocks the mutation touches
   if (insert) {
     EdgeIndex p1 = ArcIndexOf(new_graph, mut.u, mut.v);
     EdgeIndex p2 = ArcIndexOf(new_graph, mut.v, mut.u);
@@ -121,9 +107,8 @@ BiconnectedComponents RepairBiconnectedComponents(
   }
   stats->dirty_blocks = static_cast<uint32_t>(dirty.size());
 
-  // 2. Measure the dirty region (old dirty-block arcs that survive, plus
-  // the inserted arcs) and route: past the budget a full pass is cheaper,
-  // and the canonicalization contract makes it emit the same bytes.
+  // 2. Measure the dirty region: the old dirty-block arcs that survive,
+  // plus the inserted arcs.
   std::vector<uint8_t> is_dirty(old_bcc.num_components, 0);
   for (uint32_t c : dirty) is_dirty[c] = 1;
   uint64_t dirty_arcs = 0;
@@ -131,26 +116,37 @@ BiconnectedComponents RepairBiconnectedComponents(
     if (c == kInvalidComp || is_dirty[c]) ++dirty_arcs;
   }
   stats->dirty_arcs = dirty_arcs;
-  if (static_cast<double>(dirty_arcs) >
-      opts.max_dirty_fraction * static_cast<double>(new_graph.num_arcs())) {
+
+  uint32_t label_space = old_bcc.num_components;
+  if (insert) {
+    // 3a. Insert, closed form: the blocks on the block-cut-tree path and
+    // the new edge become exactly one block (with an empty path, the new
+    // edge alone — a bridge block). One fresh label, no recomputation.
+    for (uint32_t& c : labels) {
+      if (c == kInvalidComp || is_dirty[c]) c = label_space;
+    }
+    ++label_space;
+  } else if (static_cast<double>(dirty_arcs) >
+             opts.max_dirty_fraction *
+                 static_cast<double>(new_graph.num_arcs())) {
+    // Past the budget a full pass is cheaper than recomputing the split
+    // block, and the canonicalization contract makes it emit the same
+    // bytes.
     stats->fell_back = true;
     return ComputeBiconnectedComponentsParallel(new_graph,
                                                 opts.fallback_threads);
-  }
-
-  uint32_t label_space = old_bcc.num_components;
-  if (dirty_arcs != 0) {
-    // 3. Recompute the decomposition of the dirty edge set on a compact
-    // subgraph. Local ids are order-preserving (sorted dirty vertex
-    // list), so sub adjacency order matches the global CSR order and the
-    // graft below is a per-vertex two-pointer walk.
+  } else if (dirty_arcs != 0) {
+    // 3b. Delete: recompute the decomposition of the surviving arcs of the
+    // block that lost the edge, on a compact subgraph. Local ids are
+    // order-preserving (sorted dirty vertex list), so sub adjacency order
+    // matches the global CSR order and the graft below is a per-vertex
+    // two-pointer walk.
     std::vector<NodeId> dirty_nodes;
     for (NodeId x = 0; x < n; ++x) {
       const EdgeIndex base = new_graph.offset(x);
       const NodeId deg = new_graph.degree(x);
       for (NodeId i = 0; i < deg; ++i) {
-        const uint32_t c = labels[base + i];
-        if (c == kInvalidComp || is_dirty[c]) {
+        if (is_dirty[labels[base + i]]) {
           dirty_nodes.push_back(x);
           break;
         }
@@ -165,8 +161,7 @@ BiconnectedComponents RepairBiconnectedComponents(
       const EdgeIndex base = new_graph.offset(x);
       const auto nbr = new_graph.neighbors(x);
       for (size_t i = 0; i < nbr.size(); ++i) {
-        const uint32_t c = labels[base + i];
-        if ((c == kInvalidComp || is_dirty[c]) && x < nbr[i]) {
+        if (is_dirty[labels[base + i]] && x < nbr[i]) {
           builder.AddEdge(local_id[x], local_id[nbr[i]]);
         }
       }
@@ -193,8 +188,6 @@ BiconnectedComponents RepairBiconnectedComponents(
     }
     label_space += sub_bcc.num_components;
   }
-  // Inserts always land here with dirty_arcs >= 2 (the new arcs carry
-  // kInvalidComp): a bridge insert recomputes just the one-edge subgraph.
   // Deleting a bridge leaves dirty_arcs == 0 with no new labels: its old
   // label simply disappears and the renumber closes the gap.
 

@@ -15,15 +15,20 @@
 ///     new edge as its own bridge block and touches nothing else.
 ///   - deleting an edge can only split the block that contained it; all
 ///     other blocks are untouched.
-/// So the repair transfers the old per-arc labels onto the new CSR,
-/// recomputes the serial decomposition on the small "dirty" edge set
-/// (path-union on insert, the containing block on delete), grafts the
-/// sub-labels back, and reruns the shared canonical finalization
-/// (FinalizeBicompFields). Because every derived field is a pure function
-/// of the arc partition and the finalization is shared, the repaired
-/// struct is BITWISE identical to ComputeBiconnectedComponents(new_graph)
-/// — the property tests/incremental_bicomp_test.cc and the mutation
-/// differential harness pin.
+/// So the repair transfers the old per-arc labels onto the new CSR and
+/// relabels only the "dirty" edge set:
+///   - an insert is a closed-form relabel: the path blocks' arcs and the
+///     two new arcs take one fresh label (the new edge alone when the path
+///     is empty). Nothing is recomputed, and inserts never fall back.
+///   - a delete recomputes the serial decomposition of the containing
+///     block's surviving arcs and grafts the sub-labels back.
+/// Either way the shared canonical finalization (FinalizeBicompFields)
+/// then rebuilds every derived field. Because every derived field is a
+/// pure function of the arc partition and the finalization is shared, the
+/// repaired struct is BITWISE identical to
+/// ComputeBiconnectedComponents(new_graph) — the property
+/// tests/incremental_bicomp_test.cc and the mutation differential harness
+/// pin.
 ///
 /// One mutation per call, by design: the dirty-region computation is
 /// exact for a single edge change, whereas batching mutations can route
@@ -31,9 +36,9 @@
 /// describes. The serving tier applies one update request at a time
 /// anyway, so the decomposition is exact after every apply.
 ///
-/// When the dirty region exceeds `max_dirty_fraction` of the graph's
-/// arcs (a mutation bridging two huge blocks), repairing costs about as
-/// much as recomputing — the repair falls back to the parallel pass,
+/// When a delete's dirty region exceeds `max_dirty_fraction` of the
+/// graph's arcs (an edge of a huge block), recomputing it costs about as
+/// much as a full pass — the repair falls back to the parallel pass,
 /// which honors the same canonicalization contract, so the fallback is
 /// invisible in the output bytes.
 
@@ -54,8 +59,9 @@ struct EdgeMutation {
 };
 
 struct IncrementalBicompOptions {
-  /// Fall back to the full parallel pass when the dirty region exceeds
-  /// this fraction of the new graph's arcs.
+  /// Fall back to the full parallel pass when a delete's dirty region
+  /// exceeds this fraction of the new graph's arcs (inserts never fall
+  /// back).
   double max_dirty_fraction = 0.25;
   /// Thread count for the fallback pass (0 = shared pool width, 1 =
   /// serial). Any value produces the same bytes (canonicalization
@@ -66,7 +72,7 @@ struct IncrementalBicompOptions {
 /// \brief Observability of one repair (tests pin the routing decisions).
 struct IncrementalBicompStats {
   bool fell_back = false;      ///< full parallel pass ran instead
-  uint64_t dirty_arcs = 0;     ///< arcs of the recomputed region
+  uint64_t dirty_arcs = 0;     ///< arcs of the relabeled region
   uint32_t dirty_blocks = 0;   ///< old components in the dirty set
 };
 

@@ -1,9 +1,12 @@
 #include "bicomp/component_view.h"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -75,13 +78,67 @@ TEST(ComponentViews, PaperFig2Invariants) {
   CheckViewsAgainstBcc(g, bcc, views);
 }
 
+/// `g` with an isolated node inserted after every `stride` - 1 of its
+/// nodes, so isolated ids interleave with the connected ones.
+Graph WithIsolatedNodes(const Graph& g, NodeId stride) {
+  auto spread = [stride](NodeId v) { return v + v / (stride - 1); };
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (const auto& [u, v] : g.UndirectedEdges()) {
+    edges.emplace_back(spread(u), spread(v));
+  }
+  return MakeGraph(spread(g.num_nodes()) + 1, edges);
+}
+
+/// Two disjoint copies of `g` on the even and the odd ids.
+Graph TwoInterleavedCopies(const Graph& g) {
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (const auto& [u, v] : g.UndirectedEdges()) {
+    edges.emplace_back(2 * u, 2 * v);
+    edges.emplace_back(2 * u + 1, 2 * v + 1);
+  }
+  return MakeGraph(2 * g.num_nodes(), edges);
+}
+
 TEST(ComponentViews, RandomGraphInvariants) {
+  std::vector<std::pair<std::string, Graph>> cases;
   for (uint64_t seed = 0; seed < 6; ++seed) {
-    Graph g = RandomConnectedGraph(60, 0.05, seed);
+    cases.emplace_back("random/" + std::to_string(seed),
+                       RandomConnectedGraph(60, 0.05, seed));
+  }
+  // Hub cutpoints in hundreds of bridge blocks: long per-cutpoint
+  // (component, local id) lists, one lookup per arc run.
+  cases.emplace_back("ba+leaves", testing::BaCoreWithLeaves(40, 3000, 7));
+  // Many small blocks plus isolated nodes (no component at all).
+  cases.emplace_back("road+isolated",
+                     WithIsolatedNodes(RoadGrid(20, 20, 0.75, 3).graph, 8));
+  // Two connected components: component ids interleave across them.
+  cases.emplace_back("two components",
+                     TwoInterleavedCopies(RandomConnectedGraph(40, 0.06, 9)));
+  size_t max_cut_blocks = 0;
+  for (const auto& [name, g] : cases) {
+    SCOPED_TRACE(name);
     auto bcc = ComputeBiconnectedComponents(g);
     ComponentViews views(g, bcc);
     CheckViewsAgainstBcc(g, bcc, views);
+    // The index the build looks local ids up in: each node's components,
+    // ascending, and its rank in each member list.
+    const NodeComponentIndex index(bcc);
+    std::vector<std::vector<uint32_t>> comps_of(g.num_nodes());
+    for (uint32_t c = 0; c < bcc.num_components; ++c) {
+      const auto& members = bcc.component_nodes[c];
+      for (size_t i = 0; i < members.size(); ++i) {
+        comps_of[members[i]].push_back(c);
+        EXPECT_EQ(index.LocalId(members[i], c), i);
+      }
+    }
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      const auto comps = index.Components(v);
+      EXPECT_EQ(std::vector<uint32_t>(comps.begin(), comps.end()),
+                comps_of[v]);
+      max_cut_blocks = std::max(max_cut_blocks, comps.size());
+    }
   }
+  EXPECT_GE(max_cut_blocks, 150u);  // the hub case really is one
 }
 
 TEST(ComponentViews, LeafHeavyHubGraph) {

@@ -5,7 +5,7 @@
 // insert across cutpoints, bridge insert across components, isolated
 // endpoints, block-splitting delete, bridge delete — and random mutation
 // streams over the generator sweep chain repairs for hundreds of steps,
-// including the forced-fallback route.
+// including the forced-fallback route for deletes.
 
 #include <set>
 #include <string>
@@ -142,13 +142,69 @@ TEST(IncrementalBicompTest, FallbackRouteIsBitwiseInvisible) {
   Graph g = WattsStrogatz(60, 4, 0.1, 31);
   BiconnectedComponents bcc = ComputeBiconnectedComponents(g);
   // max_dirty_fraction = 0 forces the parallel-pass fallback on every
-  // mutation; the output must not change.
+  // delete that splits a block (inserts never fall back); the output must
+  // not change.
+  const NodeId u = 0;
+  const NodeId v = g.neighbors(u)[0];
+  ASSERT_GT(bcc.component_nodes[bcc.arc_component[g.offset(u)]].size(), 2u)
+      << "the deleted edge must not be a bridge";
   IncrementalBicompOptions always_fall{/*max_dirty_fraction=*/0.0,
                                        /*fallback_threads=*/8};
   IncrementalBicompStats stats;
-  ApplyAndCheck(g, bcc, EdgeMutationKind::kInsert, 0, 30, always_fall,
+  ApplyAndCheck(g, bcc, EdgeMutationKind::kDelete, u, v, always_fall,
                 "forced fallback", &stats);
   EXPECT_TRUE(stats.fell_back);
+}
+
+// Inserts are a closed-form relabel under the default options: even when
+// the merged region is most of the graph (an edge inside the giant block,
+// or a leaf joined to the core, which merges its bridge block into the
+// giant one), the repair never falls back to a full pass.
+TEST(IncrementalBicompTest, InsertsNeverFallBack) {
+  const NodeId core = 1400;
+  Graph cur = testing::BaCoreWithLeaves(core, 600, 61);
+  BiconnectedComponents bcc = ComputeBiconnectedComponents(cur);
+  uint32_t giant = 0;
+  for (uint32_t c = 1; c < bcc.num_components; ++c) {
+    if (bcc.component_nodes[c].size() > bcc.component_nodes[giant].size()) {
+      giant = c;
+    }
+  }
+  const std::vector<NodeId> members = bcc.component_nodes[giant];
+  Rng rng(67);
+  int inside = 0;
+  int merges = 0;
+  for (int step = 0; step < 40; ++step) {
+    // Even steps: two giant-block members; odd steps: a leaf (degree 1,
+    // id >= core) and a giant-block member.
+    const bool merge = step % 2 == 1;
+    NodeId u = merge ? core + static_cast<NodeId>(rng.UniformInt(600))
+                     : members[rng.UniformInt(members.size())];
+    NodeId v = members[rng.UniformInt(members.size())];
+    if (u == v || cur.HasEdge(u, v) || (merge && cur.degree(u) != 1)) {
+      continue;
+    }
+    IncrementalBicompStats stats;
+    Applied next = ApplyAndCheck(cur, bcc, EdgeMutationKind::kInsert, u, v,
+                                 IncrementalBicompOptions{},
+                                 "step " + std::to_string(step), &stats);
+    EXPECT_FALSE(stats.fell_back) << "step " << step;
+    // The relabeled region is past the default dirty budget: a route that
+    // recomputed it would have fallen back.
+    EXPECT_GT(static_cast<double>(stats.dirty_arcs),
+              0.25 * static_cast<double>(next.graph.num_arcs()))
+        << "step " << step;
+    if (merge) {
+      EXPECT_GE(stats.dirty_blocks, 2u) << "step " << step;
+    } else {
+      EXPECT_EQ(stats.dirty_blocks, 1u) << "step " << step;
+    }
+    ++(merge ? merges : inside);
+    cur = std::move(next.graph);
+    bcc = std::move(next.bcc);
+  }
+  EXPECT_GE(inside, 10);
+  EXPECT_GE(merges, 10);
 }
 
 // Random mutation streams over the generator sweep: repairs chain (each

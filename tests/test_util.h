@@ -5,9 +5,11 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "graph/bfs.h"
+#include "graph/generators.h"
 #include "graph/graph.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -207,6 +209,23 @@ inline Graph RandomConnectedGraph(NodeId n, double extra_edge_prob,
   Status st = b.Build(n, &g);
   SAPHYRA_CHECK(st.ok());
   return g;
+}
+
+/// Barabási–Albert core (3 edges per node) plus `leaves` degree-1 nodes.
+/// Each leaf attaches to a uniform endpoint of a uniform edge placed so
+/// far, stepping off to the core end when that endpoint is a leaf — so a
+/// core node's pull grows with the leaves it already holds. Hubs collect
+/// leaves and become cutpoints of many bridge blocks, the social-graph
+/// regime.
+inline Graph BaCoreWithLeaves(NodeId core, NodeId leaves, uint64_t seed) {
+  auto edges = BarabasiAlbert(core, 3, seed).UndirectedEdges();
+  Rng rng(seed ^ 0x1eafULL);
+  for (NodeId leaf = core; leaf < core + leaves; ++leaf) {
+    auto [a, b] = edges[rng.UniformInt(edges.size())];
+    if (rng.UniformInt(2) == 0) std::swap(a, b);
+    edges.emplace_back(leaf, a < core ? a : b);
+  }
+  return MakeGraph(core + leaves, edges);
 }
 
 }  // namespace testing
