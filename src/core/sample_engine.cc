@@ -137,7 +137,9 @@ uint64_t SampleEngine::DrawAccumulate(uint64_t current, uint64_t target) {
       agg_fp_sum_squares_.assign(k, 0);
     }
   }
-  last_wave_status_ = Status::OK();
+  // A failed delegated wave may have advanced stripes the executor drew
+  // on this engine, so every later wave is refused with the same status.
+  if (!last_wave_status_.ok()) return current;
   if (executor_ != nullptr && target > current) {
     // Delegated wave: the executor returns the raw integer delta of
     // samples [current, target) over this engine's stripes; summing it in
@@ -146,7 +148,8 @@ uint64_t SampleEngine::DrawAccumulate(uint64_t current, uint64_t target) {
     // the caller sees the unchanged sample count plus last_wave_status().
     RawSampleDelta delta;
     last_wave_status_ =
-        executor_->ExecuteWave(current, target, workers_.size(), &delta);
+        executor_->ExecuteWaveOn(this, current, target, workers_.size(),
+                                 &delta);
     if (!last_wave_status_.ok()) return current;
     if (delta.counts.size() != k ||
         (weighted_ && (delta.fp_sums.size() != k ||

@@ -46,6 +46,8 @@ struct RawSampleDelta {
   std::vector<uint64_t> fp_sum_squares;
 };
 
+class SampleEngine;
+
 /// \brief Pluggable wave execution: when installed on a SampleEngine, each
 /// DrawAccumulate wave is delegated here instead of being drawn locally.
 /// The executor must return the exact integer delta the engine would have
@@ -56,11 +58,28 @@ class WaveExecutor {
  public:
   virtual ~WaveExecutor() = default;
   /// On success fills *out (counts sized to the hypothesis count; the
-  /// fixed-point arrays too for weighted problems). On failure the wave
-  /// must have contributed nothing observable; the engine reports the
-  /// status via last_wave_status() and keeps its pre-wave accumulation.
+  /// fixed-point arrays too for weighted problems). On failure *out is
+  /// ignored; the engine reports the status via last_wave_status(), keeps
+  /// its pre-wave accumulation and refuses every later wave (see
+  /// ExecuteWaveOn: a failed wave may have advanced stripes on it).
   virtual Status ExecuteWave(uint64_t current, uint64_t target,
                              size_t num_stripes, RawSampleDelta* out) = 0;
+
+  /// \brief The call the engine makes: ExecuteWave, plus the calling
+  /// engine, on which the executor may draw some stripes itself through
+  /// DrawStripe/HarvestDelta. A stripe's RNG stream only advances when it
+  /// is drawn there, so an executor that draws stripe s on the engine
+  /// must draw s's share of every wave of that engine, and leave its
+  /// locals harvested (or discarded) before returning. A failed wave may
+  /// leave such stripes advanced, which is why the engine refuses every
+  /// wave after a failed one. The default ignores the engine and
+  /// delegates the whole wave.
+  virtual Status ExecuteWaveOn(SampleEngine* engine, uint64_t current,
+                               uint64_t target, size_t num_stripes,
+                               RawSampleDelta* out) {
+    (void)engine;
+    return ExecuteWave(current, target, num_stripes, out);
+  }
 };
 
 /// \brief Merged sampling statistics after `n` i.i.d. draws.
@@ -126,15 +145,18 @@ class SampleEngine {
   size_t num_workers() const { return workers_.size(); }
 
   /// \brief Delegate every DrawAccumulate wave to `executor` (borrowed;
-  /// nullptr restores local drawing). Only the DrawAccumulate path — the
-  /// one the progressive sampler uses — supports delegation.
+  /// nullptr restores local drawing) through WaveExecutor::ExecuteWaveOn.
+  /// Only the DrawAccumulate path — the one the progressive sampler uses —
+  /// supports delegation.
   void set_wave_executor(WaveExecutor* executor) { executor_ = executor; }
 
   /// \brief Status of the most recent DrawAccumulate wave. Non-OK only
   /// when a wave executor failed (local draws cannot fail); the failed
   /// wave contributed nothing and DrawAccumulate returned `current`
   /// unchanged, so the caller can finalize a degraded result from the
-  /// completed waves.
+  /// completed waves. The failure latches: the executor may have drawn
+  /// some stripes on this engine, so every later DrawAccumulate returns
+  /// `current` and keeps this status.
   const Status& last_wave_status() const { return last_wave_status_; }
 
   /// \brief Draw `target - current` samples into *counts; returns `target`.

@@ -1,5 +1,6 @@
 #include "service/shard.h"
 
+#include <sched.h>
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -7,15 +8,28 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 #include <utility>
 
 #include "net/frame.h"
 #include "service/json_util.h"
+#include "util/failpoint.h"
 #include "util/logging.h"
 
 namespace saphyra {
 
 namespace {
+
+/// Cores this process may run on: its CPU affinity mask, which also
+/// reflects taskset/cpuset limits.
+uint32_t AvailableCores() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<uint32_t>(CPU_COUNT(&set));
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 /// The RPC deadline of one worker exchange: the query's effective
 /// deadline, capped by the per-RPC timeout that distinguishes a hung
@@ -109,6 +123,8 @@ WorkerSupervisor::WorkerSupervisor(WorkerLauncher* launcher,
       options_(options),
       backoff_rng_(0x5eedu) {
   SAPHYRA_CHECK(options_.num_workers >= 1);
+  coordinator_draws_ =
+      CoordinatorDrawsShare(options_.num_workers, AvailableCores());
   workers_.reserve(options_.num_workers);
   for (uint32_t i = 0; i < options_.num_workers; ++i) {
     workers_.push_back(std::make_unique<Worker>());
@@ -402,12 +418,16 @@ Status WorkerSupervisor::ExecuteWave(const WaveSpec& spec,
 
   // Stripes with a non-zero quota in [from, to). Stripe deltas are pure
   // functions of (query, stripe, range), so WHERE each one runs is
-  // irrelevant to the merged bits — the whole point of this tier.
-  std::vector<uint32_t> remaining;
+  // irrelevant to the merged bits — the whole point of this tier. Given
+  // the query's engine and a core to spare, the coordinator keeps
+  // s ≡ 0 (mod N+1): the largest share, since it pays no RPC.
+  const uint32_t n = options_.num_workers;
+  const bool local = spec.local != nullptr && coordinator_draws_;
+  std::vector<uint32_t> remaining, coordinator;
   for (uint32_t s = 0; s < spec.num_stripes; ++s) {
     if (StripeSamplesBelow(spec.to, s, spec.num_stripes) >
         StripeSamplesBelow(spec.from, s, spec.num_stripes)) {
-      remaining.push_back(s);
+      (local && s % (n + 1) == 0 ? coordinator : remaining).push_back(s);
     }
   }
   // Stripes that were part of a failed RPC; landing on any worker now
@@ -416,7 +436,7 @@ Status WorkerSupervisor::ExecuteWave(const WaveSpec& spec,
 
   uint32_t failed_rounds = 0;
   Status last_fault = Status::OK();
-  while (!remaining.empty()) {
+  while (!remaining.empty() || !coordinator.empty()) {
     if (spec.cancel != nullptr) {
       const StatusCode why = spec.cancel->Poll();
       if (why != StatusCode::kOk) {
@@ -427,7 +447,6 @@ Status WorkerSupervisor::ExecuteWave(const WaveSpec& spec,
     // Round-robin the remaining stripes over every worker index; workers
     // that turn out dead (and unrestartable) fail their slice into the
     // next round.
-    const uint32_t n = options_.num_workers;
     std::vector<std::vector<uint32_t>> assigned(n);
     for (size_t i = 0; i < remaining.size(); ++i) {
       assigned[i % n].push_back(remaining[i]);
@@ -471,6 +490,18 @@ Status WorkerSupervisor::ExecuteWave(const WaveSpec& spec,
         fail_slice(i, st, worker_fault);
       }
     }
+
+    // The coordinator's own share, drawn while the workers draw theirs —
+    // in the first round only: it never fails over to a retry round.
+    if (!coordinator.empty() && stop.ok()) {
+      stop = DrawCoordinatorShare(spec, coordinator, out);
+      // A worker's hang timeout runs from here: the coordinator's own
+      // draw time is not the worker's.
+      for (InFlightRpc& rpc : in_flight) {
+        rpc.deadline = RpcDeadline(spec.cancel, options_.rpc_timeout_ms);
+      }
+    }
+    coordinator.clear();
 
     // Gather in index order. Merge order is irrelevant to the integer
     // sums; a fixed order just keeps the failure bookkeeping reproducible.
@@ -536,6 +567,34 @@ Status WorkerSupervisor::ExecuteWave(const WaveSpec& spec,
     }
   }
   return Status::OK();
+}
+
+Status WorkerSupervisor::DrawCoordinatorShare(
+    const WaveSpec& spec, const std::vector<uint32_t>& stripes,
+    RawSampleDelta* out) {
+  for (uint32_t s : stripes) {
+    Status st = fail::FaultStatus("shard.coordinator_stripe");
+    if (st.ok() && spec.cancel != nullptr) {
+      const StatusCode why = spec.cancel->Poll();
+      if (why != StatusCode::kOk) {
+        st = CancelToken::ToStatus(why, "shard wave (coordinator share)");
+      }
+    }
+    if (!st.ok()) {
+      // The drawn stripes' streams have advanced, but a failed wave ends
+      // the engine's run, so nothing will read them again.
+      RawSampleDelta discard;
+      spec.local->HarvestDelta(&discard);
+      return st;
+    }
+    spec.local->DrawStripe(
+        s, StripeSamplesBelow(spec.to, s, spec.num_stripes) -
+               StripeSamplesBelow(spec.from, s, spec.num_stripes));
+  }
+  RawSampleDelta part;
+  spec.local->HarvestDelta(&part);
+  coordinator_stripes_.fetch_add(stripes.size(), std::memory_order_relaxed);
+  return MergeDelta(part, out);
 }
 
 std::vector<ShardWorkerStats> WorkerSupervisor::stats() const {
@@ -696,9 +755,10 @@ WaveExecutor* ShardedQuery::ExecutorFor(uint32_t ordinal) {
   return engines_[ordinal].get();
 }
 
-Status ShardedQuery::Engine::ExecuteWave(uint64_t current, uint64_t target,
-                                         size_t num_stripes,
-                                         RawSampleDelta* out) {
+Status ShardedQuery::Engine::ExecuteWaveOn(SampleEngine* engine,
+                                           uint64_t current, uint64_t target,
+                                           size_t num_stripes,
+                                           RawSampleDelta* out) {
   WaveSpec spec;
   spec.graph = query_->graph_;
   spec.fingerprint = query_->fingerprint_;
@@ -708,6 +768,7 @@ Status ShardedQuery::Engine::ExecuteWave(uint64_t current, uint64_t target,
   spec.from = current;
   spec.to = target;
   spec.cancel = query_->cancel_;
+  spec.local = engine;
   return query_->supervisor_->ExecuteWave(spec, out);
 }
 

@@ -18,13 +18,24 @@
 /// a worker mid-wave and replaying its stripes elsewhere cannot change a
 /// single result bit; tests/shard_test.cc pins exactly that.
 ///
+/// The coordinator is one more participant. When a wave comes with the
+/// query's own engine (WaveSpec::local) and the process may run on at
+/// least N+1 cores, the coordinator owns stripes s ≡ 0 (mod N+1) for N
+/// workers and draws them itself, on the query's thread, between scatter
+/// and gather; the workers share the rest. With fewer cores the workers
+/// already fill them, and a coordinator share would only slow them down,
+/// so every stripe goes to the workers. Its stripes are never sent to a
+/// worker and never redrawn in a retry round, so a lost tier still fails
+/// the wave (shard_lost) instead of falling back onto the coordinator.
+///
 /// Failure model (docs/serving.md, "Sharded serving" failure matrix):
 ///   - crash (connection drops, send/recv fails): mark the worker dead,
 ///     reassign its stripes to survivors, restart it lazily under
 ///     exponential backoff with jitter;
 ///   - hang/slow (RPC exceeds `rpc_timeout_ms` while the query deadline
 ///     still has room): same as a crash — the stuck incarnation is
-///     killed on its next launch;
+///     killed on its next launch. The clock restarts after the
+///     coordinator's own draw, which is never counted as a worker hang;
 ///   - lost past the budget (`retry_budget` failed rounds, or no worker
 ///     restartable): the wave fails with UNAVAILABLE, which the
 ///     progressive sampler surfaces as a degraded result
@@ -38,7 +49,9 @@
 /// connection. A wave round scatters its slices to all its workers before
 /// gathering any reply, so it holds several worker locks at once and
 /// always acquires them in ascending worker index order — two concurrent
-/// queries can therefore never wait on each other in a cycle. Every other
+/// queries can therefore never wait on each other in a cycle. Those locks
+/// stay held across the coordinator's own draw, which takes no lock of
+/// its own (it touches only the query's engine). Every other
 /// locker holds at most one worker lock (BroadcastUpdate, Start,
 /// Shutdown) or only try_locks (the heartbeat). Drain-or-drop: before
 /// ExecuteWave returns — on success, a query deadline or cancellation, a
@@ -121,8 +134,14 @@ struct WaveSpec {
   uint64_t from = 0;
   uint64_t to = 0;
   /// The query's cancel token: its effective deadline caps every RPC and
-  /// is polled between retry rounds. May be null (unbounded query).
+  /// is polled between retry rounds and between the coordinator's own
+  /// stripes. May be null (unbounded query).
   const CancelToken* cancel = nullptr;
+  /// The query's engine (borrowed; its stripe count is `num_stripes`).
+  /// Non-null: the coordinator draws the stripes it owns on it, if the
+  /// supervisor's coordinator_draws(). Null: every stripe goes to the
+  /// workers.
+  SampleEngine* local = nullptr;
 };
 
 /// \brief The supervised worker pool: launches workers, partitions wave
@@ -148,11 +167,12 @@ class WorkerSupervisor {
   void Shutdown();
 
   /// \brief Execute one wave: partition its stripes, send every worker
-  /// its slice before reading any reply, then gather and merge the deltas
-  /// into *out in worker index order. On worker faults, retries with
-  /// reassignment/restarts up to the budget; returns UNAVAILABLE when
-  /// the budget is exhausted, or the query's own DEADLINE_EXCEEDED /
-  /// CANCELLED when that fires first. Thread-safe.
+  /// its slice before reading any reply, draw the coordinator's own
+  /// stripes when `spec.local` is set and coordinator_draws(), then
+  /// gather and merge the deltas into *out in worker index order. On
+  /// worker faults, retries with reassignment/restarts up to the budget;
+  /// returns UNAVAILABLE when the budget is exhausted, or the query's own
+  /// DEADLINE_EXCEEDED / CANCELLED when that fires first. Thread-safe.
   Status ExecuteWave(const WaveSpec& spec, RawSampleDelta* out);
 
   /// \brief Propagate one applied graph mutation to the worker tier.
@@ -173,6 +193,21 @@ class WorkerSupervisor {
 
   uint32_t num_workers() const { return options_.num_workers; }
   std::vector<ShardWorkerStats> stats() const;
+  /// \brief Stripes the coordinator drew itself (on a wave's
+  /// `spec.local` engine) since startup.
+  uint64_t coordinator_stripes() const {
+    return coordinator_stripes_.load(std::memory_order_relaxed);
+  }
+  /// \brief Whether the coordinator draws its own share of waves that
+  /// come with the query's engine: CoordinatorDrawsShare(num_workers,
+  /// the cores in this process's CPU affinity mask).
+  bool coordinator_draws() const { return coordinator_draws_; }
+  /// \brief The rule: N workers plus the coordinator need N+1 cores.
+  /// Measured on a 4-core host, a coordinator share sped 1 and 2 workers
+  /// up and slowed 4 workers down (docs/serving.md).
+  static bool CoordinatorDrawsShare(uint32_t num_workers, uint32_t cores) {
+    return num_workers + 1 <= cores;
+  }
 
  private:
   struct Worker {
@@ -215,7 +250,9 @@ class WorkerSupervisor {
   struct InFlightRpc {
     uint32_t index = 0;
     std::unique_lock<std::mutex> lock;
-    Deadline deadline;  ///< min(query deadline, now + rpc_timeout_ms)
+    /// min(query deadline, now + rpc_timeout_ms), taken at send and
+    /// again after the coordinator's own draw.
+    Deadline deadline;
   };
   /// Send half of one wave RPC against worker `index` for the given
   /// stripes: lock the worker into rpc->lock, restart it if needed, and
@@ -239,6 +276,13 @@ class WorkerSupervisor {
   /// no backoff growth) or a worker fault (returned as-is).
   Status DropFailedRpcLocked(Worker* w, const WaveSpec& spec,
                              const Status& st, bool* worker_fault);
+  /// Draw `stripes` of the wave on spec.local and merge their delta into
+  /// *out. Polls the query's cancel token between stripes; on expiry the
+  /// engine's pending locals are discarded and the query's
+  /// DEADLINE_EXCEEDED/CANCELLED returned.
+  Status DrawCoordinatorShare(const WaveSpec& spec,
+                              const std::vector<uint32_t>& stripes,
+                              RawSampleDelta* out);
   /// One update RPC on `w`'s connection (caller holds w->mu and has a
   /// live connection). Verifies the worker landed on the expected
   /// fingerprint; any failure is the caller's cue to MarkDeadLocked.
@@ -248,6 +292,8 @@ class WorkerSupervisor {
   WorkerLauncher* launcher_;
   ShardOptions options_;
   std::vector<std::unique_ptr<Worker>> workers_;
+  bool coordinator_draws_ = false;
+  std::atomic<uint64_t> coordinator_stripes_{0};
 
   std::mutex backoff_mu_;
   Rng backoff_rng_;  ///< fixed-seed jitter source (guarded by backoff_mu_)
@@ -307,8 +353,11 @@ class ProcessWorkerLauncher : public WorkerLauncher {
 /// \brief Per-query adapter handing the estimator frontends their
 /// WaveExecutors (ordinal 0 = pilot run, 1 = main run), each of which
 /// routes waves to the shared supervisor with this query's canonical
-/// JSON, graph routing and cancel token attached. Single-driver: lives
-/// on the query's scheduler thread for the duration of RunCanonical.
+/// JSON, graph routing and cancel token attached. Called through
+/// ExecuteWaveOn, an executor also passes the calling engine along, so
+/// the coordinator draws its share of the wave; a direct ExecuteWave
+/// call sends every stripe to the workers. Single-driver: lives on the
+/// query's scheduler thread for the duration of RunCanonical.
 class ShardedQuery {
  public:
   ShardedQuery(WorkerSupervisor* supervisor, std::string graph,
@@ -325,7 +374,12 @@ class ShardedQuery {
     Engine(ShardedQuery* query, uint32_t ordinal)
         : query_(query), ordinal_(ordinal) {}
     Status ExecuteWave(uint64_t current, uint64_t target, size_t num_stripes,
-                       RawSampleDelta* out) override;
+                       RawSampleDelta* out) override {
+      return ExecuteWaveOn(nullptr, current, target, num_stripes, out);
+    }
+    Status ExecuteWaveOn(SampleEngine* engine, uint64_t current,
+                         uint64_t target, size_t num_stripes,
+                         RawSampleDelta* out) override;
 
    private:
     ShardedQuery* query_;

@@ -28,6 +28,11 @@ namespace {
 /// Replies never block the loop forever behind a wedged coordinator.
 constexpr uint64_t kReplyTimeoutMs = 30000;
 
+/// Largest stripe count a wave may name. Far above the engine's default
+/// (kDefaultSampleStripes = 16); it only bounds what a hostile frame can
+/// make BuildOrdinal allocate (one RNG stream and count vector per stripe).
+constexpr uint64_t kMaxWaveStripes = 4096;
+
 std::vector<NodeId> AllNodes(NodeId n) {
   std::vector<NodeId> all(n);
   for (NodeId v = 0; v < n; ++v) all[v] = v;
@@ -236,16 +241,24 @@ Status HandleWave(const JsonValue& doc, SessionPool* pool, StateCache* cache,
   SAPHYRA_RETURN_NOT_OK(GetUintField(doc, "from", &from));
   SAPHYRA_RETURN_NOT_OK(GetUintField(doc, "to", &to));
   SAPHYRA_RETURN_NOT_OK(GetUintField(doc, "budget_ms", &budget_ms));
-  if (ordinal >= 2 || num_stripes == 0 || to <= from) {
+  if (ordinal >= 2 || num_stripes == 0 || num_stripes > kMaxWaveStripes ||
+      to <= from) {
     return Status::InvalidArgument("wave message parameters out of range");
   }
   std::vector<uint32_t> stripes;
   stripes.reserve(stripes_v->array.size());
+  // A repeated stripe would be drawn twice: double-counted, and its
+  // pos[] left behind the stream's real position.
+  std::vector<bool> seen(num_stripes, false);
   for (const JsonValue& e : stripes_v->array) {
     if (e.type != JsonValue::Type::kNumber || !e.is_uint ||
         e.uint_value >= num_stripes) {
       return Status::InvalidArgument("wave stripe index out of range");
     }
+    if (seen[e.uint_value]) {
+      return Status::InvalidArgument("wave stripe index repeated");
+    }
+    seen[e.uint_value] = true;
     stripes.push_back(static_cast<uint32_t>(e.uint_value));
   }
 

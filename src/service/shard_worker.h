@@ -22,7 +22,9 @@
 /// LRU; per-ordinal stripe positions track how far each stream has been
 /// consumed. A request for samples *behind* a stripe's position (the
 /// coordinator retried a wave this worker half-drew) rebuilds that
-/// ordinal's engine from the seed — streams only run forward.
+/// ordinal's engine from the seed — streams only run forward. A wave
+/// frame naming a stripe twice, or more than 4096 stripes, is rejected
+/// with INVALID_ARGUMENT before any state changes.
 ///
 /// Failure injection: the wave handler honors the `worker.wave`
 /// failpoint site; a `throw` there simulates a mid-wave crash (the loop

@@ -20,6 +20,9 @@
 ///   - "worker.wave"      in the shard worker's wave handler; a throw
 ///                        simulates a mid-wave crash (no reply, the
 ///                        connection drops)
+///   - "shard.coordinator_stripe"  before each stripe the coordinator
+///                        draws itself in a sharded wave (may sleep or
+///                        return Status)
 ///
 /// Activation, in priority order:
 ///   1. Programmatic: `fail::Inject("sampler.wave", "1*throw")` from a

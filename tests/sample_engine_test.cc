@@ -118,5 +118,46 @@ TEST(SampleEngine, ZeroNeedIsANoop) {
   for (uint64_t c : counts) EXPECT_EQ(c, 0u);
 }
 
+/// Draws stripe 0 of the wave on the calling engine, as the sharded
+/// coordinator does with its own share, then fails the wave.
+class FailingPartlyLocalExecutor : public WaveExecutor {
+ public:
+  Status ExecuteWave(uint64_t, uint64_t, size_t, RawSampleDelta*) override {
+    return Status::Internal("called without the engine");
+  }
+  Status ExecuteWaveOn(SampleEngine* engine, uint64_t current,
+                       uint64_t target, size_t num_stripes,
+                       RawSampleDelta*) override {
+    ++calls;
+    engine->DrawStripe(0, StripeSamplesBelow(target, 0, num_stripes) -
+                              StripeSamplesBelow(current, 0, num_stripes));
+    RawSampleDelta discard;
+    engine->HarvestDelta(&discard);
+    return Status::Unavailable("tier lost");
+  }
+  int calls = 0;
+};
+
+TEST(SampleEngine, FailedDelegatedWaveRefusesLaterWaves) {
+  CountingProblem p(4);
+  Rng rng(3);
+  SampleEngine engine(&p, 2, &rng, nullptr);
+  FailingPartlyLocalExecutor executor;
+  engine.set_wave_executor(&executor);
+  EXPECT_EQ(engine.DrawAccumulate(0, 100), 0u);
+  EXPECT_EQ(engine.last_wave_status().code(), StatusCode::kUnavailable);
+
+  // Stripe 0's stream has moved past samples nobody merged: no later
+  // wave, delegated or local, may run on this engine.
+  EXPECT_EQ(engine.DrawAccumulate(0, 100), 0u);
+  engine.set_wave_executor(nullptr);
+  EXPECT_EQ(engine.DrawAccumulate(0, 100), 0u);
+  EXPECT_EQ(engine.last_wave_status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(executor.calls, 1);
+  SampleStats stats;
+  engine.SnapshotStats(0, &stats);
+  for (uint64_t c : stats.counts) EXPECT_EQ(c, 0u);
+}
+
 }  // namespace
 }  // namespace saphyra

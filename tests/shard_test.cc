@@ -28,11 +28,13 @@
 
 #include "baselines/abra.h"
 #include "bicomp/isp.h"
+#include "core/progressive_sampler.h"
 #include "core/sample_engine.h"
 #include "graph/binary_io.h"
 #include "graph/io.h"
 #include "net/frame.h"
 #include "net/socket.h"
+#include "service/json_util.h"
 #include "service/query.h"
 #include "service/scheduler.h"
 #include "service/session.h"
@@ -56,7 +58,8 @@ struct GraphFiles {
   std::string text_path;
   std::string sgr_path;
 
-  explicit GraphFiles(const Graph& g) : text_path(TempPath("graph.txt")) {
+  explicit GraphFiles(const Graph& g, const std::string& stem = "graph.txt")
+      : text_path(TempPath(stem)) {
     sgr_path = SgrCachePathFor(text_path);
     SAPHYRA_CHECK(SaveSnapEdgeList(g, text_path).ok());
     Graph parsed;
@@ -105,6 +108,10 @@ class ThreadLauncher : public WorkerLauncher {
     auto inc = std::make_unique<Incarnation>();
     Status st = net::SocketPair(&coord_side, &inc->fd);
     if (!st.ok()) return st;
+    if (send_buffer_ > 0) {
+      SAPHYRA_CHECK(setsockopt(inc->fd.get(), SOL_SOCKET, SO_SNDBUF,
+                               &send_buffer_, sizeof(send_buffer_)) == 0);
+    }
     Incarnation* raw = inc.get();
     SessionPool* pool = &pool_;
     inc->thread = std::thread([raw, pool, index] {
@@ -138,6 +145,12 @@ class ThreadLauncher : public WorkerLauncher {
     }
   }
 
+  /// Shrink each later incarnation's socket send buffer, so that a wave
+  /// reply of more than a few KiB cannot sit in the socket whole.
+  void set_send_buffer(int bytes) {
+    std::lock_guard<std::mutex> lock(mu_);
+    send_buffer_ = bytes;
+  }
   void set_refuse_relaunch(bool refuse) {
     std::lock_guard<std::mutex> lock(mu_);
     refuse_relaunch_ = refuse;
@@ -161,6 +174,7 @@ class ThreadLauncher : public WorkerLauncher {
   mutable std::mutex mu_;
   std::map<uint32_t, std::unique_ptr<Incarnation>> incarnations_;
   bool refuse_relaunch_ = false;
+  int send_buffer_ = 0;
   uint64_t launches_ = 0;
 };
 
@@ -227,6 +241,13 @@ void ExpectBitwiseEqual(const QueryResult& a, const QueryResult& b,
             0)
       << what << ": estimates differ bitwise";
   EXPECT_EQ(a.samples_used, b.samples_used) << what;
+}
+
+void ExpectDeltaEqual(const RawSampleDelta& expected,
+                      const RawSampleDelta& got, const std::string& what) {
+  EXPECT_EQ(expected.counts, got.counts) << what;
+  EXPECT_EQ(expected.fp_sums, got.fp_sums) << what;
+  EXPECT_EQ(expected.fp_sum_squares, got.fp_sum_squares) << what;
 }
 
 class ShardTest : public ::testing::Test {
@@ -435,7 +456,9 @@ TEST_F(ShardTest, RetryBudgetExhaustionDegradesInsteadOfErroring) {
   ASSERT_TRUE(supervisor.Start().ok());
 
   // Lose the whole tier, permanently: every wave round fails until the
-  // budget runs out.
+  // budget runs out. The coordinator still draws its own share of each
+  // failed wave (where it has the cores to), but never the workers'
+  // stripes.
   launcher.set_refuse_relaunch(true);
   launcher.KillWorker(0);
   launcher.KillWorker(1);
@@ -467,7 +490,145 @@ TEST_F(ShardTest, RetryBudgetExhaustionDegradesInsteadOfErroring) {
   EXPECT_EQ(stats.memo_hits, 0u);
   EXPECT_EQ(stats.degraded, 2u);
   EXPECT_EQ(stats.errors, 0u);
+  // Each run failed on its first wave, of which the coordinator owns
+  // stripes 0, 3, ..., 15: six.
+  const uint64_t share = supervisor.coordinator_draws() ? 6 : 0;
+  EXPECT_EQ(supervisor.coordinator_stripes(), 2 * share);
+
+  // A bc query: the pilot (ordinal 0) fails its first wave and the main
+  // run (ordinal 1) still starts, so the coordinator draws a share on
+  // both ordinals — and the query still degrades with shard_lost.
+  const QueryResult bc = scheduler.Run(ShardWorkload()[0]);
+  ASSERT_TRUE(bc.status.ok()) << bc.status.ToString();
+  EXPECT_TRUE(bc.degraded);
+  EXPECT_EQ(bc.degrade_reason, StatusCode::kUnavailable);
+  EXPECT_NE(SerializeQueryResult(bc).find(
+                "\"degrade_reason\":\"shard_lost\""),
+            std::string::npos);
+  EXPECT_EQ(supervisor.coordinator_stripes(), 4 * share);
   supervisor.Shutdown();
+}
+
+TEST_F(ShardTest, CoordinatorDrawsItsShareOfEveryWave) {
+  // With N workers the coordinator owns stripes s ≡ 0 (mod N+1) of the
+  // 16: 8 at one worker (an 8/8 split), 6 at two (5 per worker), 4 at
+  // four (3 per worker). Every wave of this workload spans at least 16
+  // samples, so every stripe has a quota in every wave: each worker
+  // answers one RPC per wave and the coordinator draws its full share —
+  // when the host has the N+1 cores for it; otherwise none.
+  // (ShardedMatchesLocalBitwise pins the bytes of these splits.)
+  EXPECT_TRUE(WorkerSupervisor::CoordinatorDrawsShare(1, 2));
+  EXPECT_TRUE(WorkerSupervisor::CoordinatorDrawsShare(2, 4));
+  EXPECT_FALSE(WorkerSupervisor::CoordinatorDrawsShare(1, 1));
+  EXPECT_FALSE(WorkerSupervisor::CoordinatorDrawsShare(2, 2));
+  EXPECT_FALSE(WorkerSupervisor::CoordinatorDrawsShare(4, 4));
+  for (uint32_t workers : {1u, 2u, 4u}) {
+    ThreadLauncher launcher(files_.sgr_path);
+    WorkerSupervisor supervisor(&launcher, FastOptions(workers));
+    ASSERT_TRUE(supervisor.Start().ok());
+    SchedulerOptions opts;
+    opts.memo_capacity = 0;
+    opts.supervisor = &supervisor;
+    BatchScheduler scheduler(session_.get(), opts);
+    for (const QueryResult& r : scheduler.RunBatch(ShardWorkload())) {
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      EXPECT_FALSE(r.degraded);
+    }
+    const std::vector<ShardWorkerStats> stats = supervisor.stats();
+    const uint64_t waves = stats[0].waves;
+    EXPECT_GT(waves, 0u);
+    for (const ShardWorkerStats& w : stats) {
+      EXPECT_EQ(w.waves, waves) << "workers=" << workers;
+      EXPECT_EQ(w.retries, 0u);
+    }
+    const uint64_t owned =
+        supervisor.coordinator_draws()
+            ? (kDefaultSampleStripes + workers) / (workers + 1)
+            : 0;
+    EXPECT_EQ(supervisor.coordinator_stripes(), owned * waves)
+        << "workers=" << workers;
+    supervisor.Shutdown();
+  }
+}
+
+/// A delta reply frame ({"ok":true,"counts":[...],...}) as RawSampleDelta.
+RawSampleDelta ParseDeltaReply(const std::string& reply) {
+  RawSampleDelta delta;
+  JsonValue doc;
+  EXPECT_TRUE(ParseJson(reply, &doc).ok()) << reply;
+  const JsonValue* ok = doc.Find("ok");
+  EXPECT_TRUE(ok != nullptr && ok->bool_value) << reply;
+  auto read = [&doc](const char* key, std::vector<uint64_t>* out) {
+    const JsonValue* v = doc.Find(key);
+    if (v == nullptr) return;
+    for (const JsonValue& e : v->array) out->push_back(e.uint_value);
+  };
+  read("counts", &delta.counts);
+  read("fp_sums", &delta.fp_sums);
+  read("fp_sum_squares", &delta.fp_sum_squares);
+  return delta;
+}
+
+TEST_F(ShardTest, HostileWaveFramesAreRejectedAndLeaveStateIntact) {
+  // A worker must answer a wave frame that repeats a stripe, or names an
+  // absurd stripe count, with INVALID_ARGUMENT — not double-count the
+  // repeat (which would also leave its stream position behind) and not
+  // allocate one RNG stream per named stripe — and must stay usable.
+  ThreadLauncher launcher(files_.sgr_path);
+  net::UniqueFd conn;
+  ASSERT_TRUE(launcher.Launch(0, &conn).ok());
+
+  QueryRequest req = ShardWorkload()[3];  // abra: weighted, ordinal 0
+  ASSERT_TRUE(CanonicalizeQuery(session_->graph().num_nodes(), &req).ok());
+  const std::string query_json = SerializeQueryRequest(req);
+  auto exchange = [&](const std::string& num_stripes,
+                      const std::string& stripes, uint64_t from,
+                      uint64_t to) {
+    const std::string frame =
+        "{\"type\":\"wave\",\"graph\":\"\",\"fingerprint\":" +
+        std::to_string(session_->fingerprint()) +
+        ",\"ordinal\":0,\"num_stripes\":" + num_stripes +
+        ",\"from\":" + std::to_string(from) +
+        ",\"to\":" + std::to_string(to) +
+        ",\"budget_ms\":0,\"stripes\":" + stripes +
+        ",\"query\":" + JsonQuote(query_json) + "}";
+    std::string reply;
+    EXPECT_TRUE(
+        net::SendFrame(conn.get(), frame, Deadline::AfterMillis(5000)).ok());
+    EXPECT_TRUE(
+        net::RecvFrame(conn.get(), &reply, Deadline::AfterMillis(5000)).ok());
+    return reply;
+  };
+  auto expect_invalid = [](const std::string& reply, const char* what) {
+    EXPECT_NE(reply.find("\"ok\":false"), std::string::npos) << what;
+    EXPECT_NE(reply.find("\"code\":\"INVALID_ARGUMENT\""), std::string::npos)
+        << what << ": " << reply;
+  };
+
+  constexpr size_t kStripes = 4;
+  Rng rng(req.seed);
+  const auto problem = MakeAbraSamplingProblem(session_->graph());
+  SampleEngine local(problem.get(), kStripes, &rng, /*pool=*/nullptr);
+  auto draw_local = [&](uint64_t from, uint64_t to) {
+    for (size_t s = 0; s < kStripes; ++s) {
+      local.DrawStripe(s, StripeSamplesBelow(to, s, kStripes) -
+                              StripeSamplesBelow(from, s, kStripes));
+    }
+    RawSampleDelta out;
+    local.HarvestDelta(&out);
+    return out;
+  };
+
+  ExpectDeltaEqual(draw_local(0, 400),
+                   ParseDeltaReply(exchange("4", "[0,1,2,3]", 0, 400)),
+                   "first wave");
+  expect_invalid(exchange("4", "[0,1,1,2,3]", 400, 800), "repeated stripe");
+  expect_invalid(exchange("100000000", "[0]", 400, 800), "1e8 stripes");
+  expect_invalid(exchange("4294967300", "[0,1,2,3]", 400, 800),
+                 "2^32 + 4 stripes");
+  ExpectDeltaEqual(draw_local(400, 800),
+                   ParseDeltaReply(exchange("4", "[0,1,2,3]", 400, 800)),
+                   "wave after the hostile frames");
 }
 
 #ifdef SAPHYRA_FAILPOINTS
@@ -504,13 +665,6 @@ TEST_F(ShardTest, MidWaveCrashReplaysStripesBitwise) {
   EXPECT_GE(reassigned, 1u);
   fail::ClearAll();
   supervisor.Shutdown();
-}
-
-void ExpectDeltaEqual(const RawSampleDelta& expected,
-                      const RawSampleDelta& got, const std::string& what) {
-  EXPECT_EQ(expected.counts, got.counts) << what;
-  EXPECT_EQ(expected.fp_sums, got.fp_sums) << what;
-  EXPECT_EQ(expected.fp_sum_squares, got.fp_sum_squares) << what;
 }
 
 TEST_F(ShardTest, WaveRpcsOverlapAcrossWorkers) {
@@ -622,6 +776,105 @@ TEST_F(ShardTest, QueryDeadlineMidGatherLeavesConnectionsClean) {
   stats = supervisor.stats();
   EXPECT_EQ(stats[in_time].restarts, 0u);
   EXPECT_EQ(stats[1 - in_time].restarts, 1u);
+  supervisor.Shutdown();
+}
+
+TEST_F(ShardTest, QueryDeadlineDuringCoordinatorShare) {
+  const std::vector<QueryRequest> workload = ShardWorkload();
+  const std::vector<QueryResult>& baseline = Baseline();
+
+  ThreadLauncher launcher(files_.sgr_path);
+  // One worker: the coordinator draws half of every wave wherever the
+  // process has 2 cores.
+  WorkerSupervisor supervisor(&launcher, FastOptions(1));
+  if (!supervisor.coordinator_draws()) {
+    GTEST_SKIP() << "one core: the coordinator draws no share";
+  }
+  ASSERT_TRUE(supervisor.Start().ok());
+  SchedulerOptions opts;
+  opts.memo_capacity = 0;
+  opts.supervisor = &supervisor;
+  BatchScheduler scheduler(session_.get(), opts);
+
+  std::vector<QueryResult> results = scheduler.RunBatch(workload);
+  for (size_t i = 0; i < results.size(); ++i) {
+    ExpectBitwiseEqual(baseline[i], results[i], "warm-up " + workload[i].id);
+  }
+  const uint64_t drawn = supervisor.coordinator_stripes();
+  EXPECT_GT(drawn, 0u);
+
+  // The coordinator stalls before its first own stripe, past the query's
+  // deadline, while the worker answers its slice in time. It must give
+  // up on its share (nothing merged, nothing counted), fail the wave
+  // with the query's DEADLINE_EXCEEDED, and still read the reply off the
+  // connection.
+  ASSERT_TRUE(fail::Inject("shard.coordinator_stripe", "1*sleep(300)"));
+  QueryRequest late = workload[0];
+  late.deadline_ms = 100;
+  const QueryResult res = scheduler.Run(late);
+  fail::ClearAll();
+  ASSERT_TRUE(res.status.ok()) << res.status.ToString();
+  EXPECT_TRUE(res.degraded);
+  EXPECT_EQ(res.degrade_reason, StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(supervisor.coordinator_stripes(), drawn);
+  for (const ShardWorkerStats& w : supervisor.stats()) {
+    EXPECT_EQ(w.retries, 0u) << "a query deadline is not a worker fault";
+    EXPECT_EQ(w.restarts, 0u);
+    EXPECT_TRUE(w.alive) << "worker " << w.index << " reply not drained";
+  }
+
+  results = scheduler.RunBatch(workload);
+  for (size_t i = 0; i < results.size(); ++i) {
+    ExpectBitwiseEqual(baseline[i], results[i],
+                       "post-deadline " + workload[i].id);
+  }
+  EXPECT_EQ(supervisor.coordinator_stripes(), 2 * drawn);
+  for (const ShardWorkerStats& w : supervisor.stats()) {
+    EXPECT_EQ(w.restarts, 0u);
+  }
+  supervisor.Shutdown();
+}
+
+TEST_F(ShardTest, CoordinatorShareDoesNotCountTowardRpcTimeout) {
+  // ABRA's delta carries a count for every node: on 3000 nodes each
+  // reply is several times the worker's shrunk send buffer, so it can
+  // only be read while the worker keeps writing — not in one poll on an
+  // expired deadline.
+  GraphFiles files(RandomConnectedGraph(3000, 0.001, 41), "big.txt");
+  std::unique_ptr<QuerySession> session;
+  ASSERT_TRUE(
+      QuerySession::Open(files.sgr_path, SessionOptions(), &session).ok());
+  QueryRequest req = ShardWorkload()[3];
+  ASSERT_EQ(req.estimator, EstimatorKind::kAbra);
+  SchedulerOptions opts;
+  opts.memo_capacity = 0;
+  BatchScheduler local(session.get(), opts);
+  const QueryResult expected = local.Run(req);
+
+  ThreadLauncher launcher(files.sgr_path);
+  launcher.set_send_buffer(4096);
+  ShardOptions sopts = FastOptions(1);
+  sopts.rpc_timeout_ms = 1000;
+  WorkerSupervisor supervisor(&launcher, sopts);
+  if (!supervisor.coordinator_draws()) {
+    GTEST_SKIP() << "one core: the coordinator draws no share";
+  }
+  ASSERT_TRUE(supervisor.Start().ok());
+  opts.supervisor = &supervisor;
+  BatchScheduler scheduler(session.get(), opts);
+  ExpectBitwiseEqual(expected, scheduler.Run(req), "warm-up");
+
+  // The coordinator's own share outlasts rpc_timeout_ms on an unbounded
+  // query. The worker answered in time; it must not be taken for hung.
+  ASSERT_TRUE(fail::Inject("shard.coordinator_stripe", "1*sleep(1500)"));
+  const QueryResult res = scheduler.Run(req);
+  fail::ClearAll();
+  ExpectBitwiseEqual(expected, res, "slow coordinator share");
+  for (const ShardWorkerStats& w : supervisor.stats()) {
+    EXPECT_EQ(w.retries, 0u) << "worker " << w.index;
+    EXPECT_EQ(w.restarts, 0u) << "worker " << w.index;
+    EXPECT_TRUE(w.alive) << "worker " << w.index;
+  }
   supervisor.Shutdown();
 }
 #endif  // SAPHYRA_FAILPOINTS

@@ -541,7 +541,11 @@ int main(int argc, char** argv) {
   }
   std::vector<ShardWorkerStats> worker_stats;
   uint64_t worker_restarts = 0;
+  uint64_t coordinator_stripes = 0;
   if (supervisor != nullptr) {
+    coordinator_stripes = supervisor->coordinator_stripes();
+    std::fprintf(stderr, "coordinator: %llu stripes drawn in-process\n",
+                 static_cast<unsigned long long>(coordinator_stripes));
     worker_stats = supervisor->stats();
     for (const ShardWorkerStats& w : worker_stats) {
       worker_restarts += w.restarts;
@@ -575,6 +579,7 @@ int main(int argc, char** argv) {
        << ",\"drained\":" << (g_shutdown.load() ? "true" : "false")
        << ",\"output_closed\":" << (output_closed ? "true" : "false")
        << ",\"worker_restarts\":" << worker_restarts
+       << ",\"coordinator_stripes\":" << coordinator_stripes
        << ",\"load_seconds\":" << load_seconds
        << ",\"serve_seconds\":" << serve_seconds
        << ",\"queries_per_second\":" << qps
