@@ -281,13 +281,14 @@ double TimePooled(int rounds, uint64_t per_round, uint32_t workers) {
   EngineBenchProblem problem;
   Rng base(77);
   SampleEngine engine(&problem, workers, &base, &SharedThreadPool());
-  std::vector<uint64_t> counts(16, 0);
   Timer timer;
   uint64_t n = 0;
   for (int r = 0; r < rounds; ++r) {
-    n = engine.Draw(n, n + per_round, &counts);
+    n = engine.DrawAccumulate(n, n + per_round);
   }
-  benchmark::DoNotOptimize(counts);
+  SampleStats stats;
+  engine.SnapshotStats(n, &stats);
+  benchmark::DoNotOptimize(stats.counts);
   return timer.ElapsedSeconds();
 }
 

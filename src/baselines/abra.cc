@@ -225,7 +225,7 @@ AbraResult RunAbra(const Graph& g, const AbraOptions& options) {
   result.bc.assign(n, 0.0);
   if (n < 2) return result;
 
-  Rng rng(options.seed);
+  Rng rng = ProgressiveRunStream(options.seed, 0, 1);
   const double eps = options.epsilon;
   const double vc = RiondatoVcBound(g);  // two BFS sweeps — compute once
   AbraProblem problem(g, vc);
@@ -234,10 +234,6 @@ AbraResult RunAbra(const Graph& g, const AbraOptions& options) {
                            options.max_wave, options.num_threads);
   schedule.cancel = options.cancel;
   if (options.wave_executor) schedule.executor = options.wave_executor(0);
-  if (options.cancel != nullptr && options.cancel->CanExpire() &&
-      schedule.max_wave == 0) {
-    schedule.max_wave = 1024;  // poll often enough for the deadline to bite
-  }
 
   ProgressiveSampler sampler(&problem, schedule, &rng);
   ProgressiveResult run;

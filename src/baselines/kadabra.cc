@@ -81,7 +81,7 @@ KadabraResult RunKadabra(const Graph& g, const KadabraOptions& options) {
   result.bc.assign(n, 0.0);
   if (n < 2) return result;
 
-  Rng rng(options.seed);
+  Rng rng = ProgressiveRunStream(options.seed, 0, 1);
   const double eps = options.epsilon;
   const double vc = RiondatoVcBound(g);  // two BFS sweeps — compute once
   KadabraProblem problem(g, options.strategy, options.traversal, vc);
@@ -90,10 +90,6 @@ KadabraResult RunKadabra(const Graph& g, const KadabraOptions& options) {
                            options.max_wave, options.num_threads);
   schedule.cancel = options.cancel;
   if (options.wave_executor) schedule.executor = options.wave_executor(0);
-  if (options.cancel != nullptr && options.cancel->CanExpire() &&
-      schedule.max_wave == 0) {
-    schedule.max_wave = 1024;  // poll often enough for the deadline to bite
-  }
 
   // The adaptive scheme of [12] with its union-bound bookkeeping
   // simplified to uniform weights: δ split over n nodes, two tails, and

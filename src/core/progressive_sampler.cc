@@ -45,6 +45,15 @@ uint32_t PlannedChecks(uint64_t initial_samples, uint64_t max_samples,
   return checks;
 }
 
+Rng ProgressiveRunStream(uint64_t seed, uint32_t ordinal,
+                         uint32_t num_runs) {
+  SAPHYRA_CHECK(ordinal < num_runs && num_runs <= 2);
+  Rng rng(seed);
+  if (num_runs == 1) return rng;
+  Rng pilot = rng.Split();
+  return ordinal == 0 ? pilot : rng;
+}
+
 ProgressiveOptions MakeVcCappedSchedule(double epsilon, double delta,
                                         double vc_dimension,
                                         double vc_constant,
@@ -224,6 +233,12 @@ ProgressiveSampler::ProgressiveSampler(HypothesisRankingProblem* problem,
               options.num_threads > 1 ? &SharedThreadPool() : nullptr) {
   SAPHYRA_CHECK(options_.max_samples >= 2);
   SAPHYRA_CHECK(options_.growth > 1.0);
+  // A bounded run must reach wave boundaries often enough for the poll to
+  // matter; an unbounded wave would only notice expiry at the checkpoint.
+  if (options_.cancel != nullptr && options_.cancel->CanExpire() &&
+      options_.max_wave == 0) {
+    options_.max_wave = 1024;
+  }
   engine_.set_wave_executor(options_.executor);
 }
 

@@ -55,7 +55,8 @@ struct ProgressiveOptions {
   uint64_t max_samples = 0;
   /// Geometric growth factor between checkpoints (> 1; 2 = doubling).
   double growth = 2.0;
-  /// Cap on samples per engine wave (0 = one wave per checkpoint).
+  /// Cap on samples per engine wave (0 = one wave per checkpoint; the
+  /// sampler caps it at 1024 when `cancel` can expire, so the poll bites).
   /// Execution granularity only — never affects results.
   uint64_t max_wave = 0;
   /// Worker threads (1 = inline on the caller's thread; >1 executes on the
@@ -80,6 +81,15 @@ struct ProgressiveOptions {
   /// the run. Never affects result bytes while waves succeed.
   WaveExecutor* executor = nullptr;
 };
+
+/// \brief The base RNG stream of a frontend's `ordinal`-th progressive run
+/// out of `num_runs`, derived from the query seed: the one stream plan
+/// that every frontend and the shard worker (service/shard_worker.h)
+/// share. A one-run estimator (ABRA, KADABRA, RunDirectEstimation) uses
+/// Rng(seed) itself; RunSaphyra's pilot (ordinal 0 of 2) uses
+/// Rng(seed).Split(), and its main loop (ordinal 1) what remains of
+/// Rng(seed).
+Rng ProgressiveRunStream(uint64_t seed, uint32_t ordinal, uint32_t num_runs);
 
 /// \brief Number of stopping-rule checkpoints the schedule will evaluate:
 /// the length of the sequence n0, ⌈n0·g⌉, … truncated at Nmax (inclusive).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "util/logging.h"
 
@@ -25,11 +26,40 @@ double FromFixedPoint(uint64_t fp) {
   return static_cast<double>(fp) / kFixedPointScale;
 }
 
+void ZeroDelta(RawSampleDelta* delta) {
+  std::fill(delta->counts.begin(), delta->counts.end(), 0);
+  std::fill(delta->fp_sums.begin(), delta->fp_sums.end(), 0);
+  std::fill(delta->fp_sum_squares.begin(), delta->fp_sum_squares.end(), 0);
+}
+
+/// sum[i] += part[i]; the caller has checked the lengths agree.
+void AddArray(const std::vector<uint64_t>& part, std::vector<uint64_t>* sum) {
+  for (size_t i = 0; i < part.size(); ++i) (*sum)[i] += part[i];
+}
+
 }  // namespace
 
 uint64_t StripeSamplesBelow(uint64_t n, size_t w, size_t num_stripes) {
   if (n <= w) return 0;
   return (n - w - 1) / num_stripes + 1;
+}
+
+Status AddDelta(const RawSampleDelta& part, RawSampleDelta* sum) {
+  if (sum->counts.empty() && sum->fp_sums.empty() &&
+      sum->fp_sum_squares.empty()) {
+    *sum = part;
+    return Status::OK();
+  }
+  if (part.counts.size() != sum->counts.size() ||
+      part.fp_sums.size() != sum->fp_sums.size() ||
+      part.fp_sum_squares.size() != sum->fp_sum_squares.size()) {
+    return Status::Internal(
+        "sample deltas disagree on shape (hypothesis count or weighting)");
+  }
+  AddArray(part.counts, &sum->counts);
+  AddArray(part.fp_sums, &sum->fp_sums);
+  AddArray(part.fp_sum_squares, &sum->fp_sum_squares);
+  return Status::OK();
 }
 
 double SampleStats::mean(size_t i) const {
@@ -85,177 +115,112 @@ SampleEngine::SampleEngine(HypothesisRankingProblem* problem,
     }
   }
   const size_t k = problem->num_hypotheses();
+  agg_.counts.assign(k, 0);
+  if (weighted_) {
+    agg_.fp_sums.assign(k, 0);
+    agg_.fp_sum_squares.assign(k, 0);
+  }
   for (size_t w = 0; w < workers_.size(); ++w) {
     rngs_.push_back(base_rng->Split());
-    local_counts_.emplace_back(k, 0);
-    if (weighted_) {
-      local_fp_sums_.emplace_back(k, 0);
-      local_fp_sum_squares_.emplace_back(k, 0);
-      weighted_scratch_.emplace_back();
-    }
+    locals_.push_back(agg_);
+    all_stripes_.push_back(static_cast<uint32_t>(w));
+    if (weighted_) weighted_scratch_.emplace_back();
   }
+  drawn_.assign(workers_.size(), 0);
 }
 
-void SampleEngine::DrawStriped(uint64_t current, uint64_t target) {
+Status SampleEngine::DrawStripes(const std::vector<uint32_t>& stripes,
+                                 uint64_t from, uint64_t to,
+                                 const CancelToken* cancel,
+                                 RawSampleDelta* out) {
+  SAPHYRA_CHECK(to >= from);
   const size_t nw = workers_.size();
-  // Sample j belongs to worker j mod W: each worker's quota — and therefore
-  // its RNG stream consumption — is a pure function of (current, target,
-  // num_workers), no matter how a run batches its Draw calls.
-  auto quota_of = [&](size_t w) {
-    return StripeSamplesBelow(target, w, nw) -
-           StripeSamplesBelow(current, w, nw);
-  };
-  if (nw == 1 || pool_ == nullptr) {
-    for (size_t w = 0; w < nw; ++w) RunWorker(w, quota_of(w));
-  } else {
-    pool_->ParallelFor(0, nw,
-                       [&](size_t w) { RunWorker(w, quota_of(w)); });
-  }
-}
-
-uint64_t SampleEngine::Draw(uint64_t current, uint64_t target,
-                            std::vector<uint64_t>* counts) {
-  SAPHYRA_CHECK(target >= current);
-  if (target == current) return target;
-  DrawStriped(current, target);
-  for (auto& local : local_counts_) {
-    for (size_t i = 0; i < counts->size(); ++i) {
-      (*counts)[i] += local[i];
-      local[i] = 0;
+  std::vector<bool> seen(nw, false);
+  for (uint32_t s : stripes) {
+    if (s >= nw || seen[s]) {
+      return Status::InvalidArgument("stripe " + std::to_string(s) +
+                                     " is out of range or repeated");
+    }
+    seen[s] = true;
+    if (drawn_[s] > StripeSamplesBelow(from, s, nw)) {
+      return Status::FailedPrecondition(
+          "stripe " + std::to_string(s) + " has drawn past sample " +
+          std::to_string(from));
     }
   }
-  return target;
+  // Sample j belongs to stripe j mod W, so a stripe's share of [from, to)
+  // — and with it its RNG stream use — is a pure function of (from, to,
+  // W), however the run batches its waves and wherever a stripe is drawn.
+  std::vector<StatusCode> polled(stripes.size(), StatusCode::kOk);
+  auto draw = [&](size_t i) {
+    if (cancel != nullptr) {
+      polled[i] = cancel->Poll();
+      if (polled[i] != StatusCode::kOk) return;
+    }
+    const uint32_t s = stripes[i];
+    const uint64_t below_from = StripeSamplesBelow(from, s, nw);
+    if (drawn_[s] < below_from) {
+      // Another engine or process drew [drawn_, below_from) of this
+      // stripe: replay it with identical RNG use and discard the losses.
+      RunWorker(s, below_from - drawn_[s]);
+      ZeroDelta(&locals_[s]);
+    }
+    const uint64_t below_to = StripeSamplesBelow(to, s, nw);
+    RunWorker(s, below_to - below_from);
+    drawn_[s] = below_to;
+  };
+  if (pool_ == nullptr || stripes.size() <= 1) {
+    for (size_t i = 0; i < stripes.size(); ++i) draw(i);
+  } else {
+    pool_->ParallelFor(0, stripes.size(), draw);
+  }
+  Status st = Status::OK();
+  for (StatusCode why : polled) {
+    if (why != StatusCode::kOk) {
+      st = CancelToken::ToStatus(why, "sample wave");
+      break;
+    }
+  }
+  for (uint32_t s : stripes) {
+    if (st.ok()) st = AddDelta(locals_[s], out);
+    ZeroDelta(&locals_[s]);
+  }
+  return st;
 }
 
 uint64_t SampleEngine::DrawAccumulate(uint64_t current, uint64_t target) {
   SAPHYRA_CHECK(target >= current);
-  const size_t k = workers_[0]->num_hypotheses();
-  if (agg_counts_.empty()) {
-    agg_counts_.assign(k, 0);
-    if (weighted_) {
-      agg_fp_sums_.assign(k, 0);
-      agg_fp_sum_squares_.assign(k, 0);
-    }
-  }
-  // A failed delegated wave may have advanced stripes the executor drew
-  // on this engine, so every later wave is refused with the same status.
+  // A failed wave's samples were never merged, and the stripes it drew
+  // have moved on, so every later wave is refused with the same status.
   if (!last_wave_status_.ok()) return current;
-  if (executor_ != nullptr && target > current) {
+  if (target == current) return target;
+  if (executor_ == nullptr) {
+    last_wave_status_ =
+        DrawStripes(all_stripes_, current, target, nullptr, &agg_);
+  } else {
     // Delegated wave: the executor returns the raw integer delta of
     // samples [current, target) over this engine's stripes; summing it in
     // is bitwise-identical to having drawn locally because the integer
-    // accumulators are associative. A failed wave contributes nothing —
-    // the caller sees the unchanged sample count plus last_wave_status().
+    // accumulators are associative.
     RawSampleDelta delta;
-    last_wave_status_ =
-        executor_->ExecuteWaveOn(this, current, target, workers_.size(),
-                                 &delta);
-    if (!last_wave_status_.ok()) return current;
-    if (delta.counts.size() != k ||
-        (weighted_ && (delta.fp_sums.size() != k ||
-                       delta.fp_sum_squares.size() != k))) {
-      last_wave_status_ = Status::Internal(
-          "wave executor returned a malformed delta (hypothesis count "
-          "mismatch)");
-      return current;
-    }
-    for (size_t i = 0; i < k; ++i) agg_counts_[i] += delta.counts[i];
-    if (weighted_) {
-      for (size_t i = 0; i < k; ++i) {
-        agg_fp_sums_[i] += delta.fp_sums[i];
-        agg_fp_sum_squares_[i] += delta.fp_sum_squares[i];
-      }
-    }
-    return target;
+    last_wave_status_ = executor_->ExecuteWaveOn(this, current, target,
+                                                 workers_.size(), &delta);
+    if (last_wave_status_.ok()) last_wave_status_ = AddDelta(delta, &agg_);
   }
-  if (target > current) {
-    DrawStriped(current, target);
-    for (size_t w = 0; w < workers_.size(); ++w) {
-      for (size_t i = 0; i < k; ++i) {
-        agg_counts_[i] += local_counts_[w][i];
-        local_counts_[w][i] = 0;
-      }
-      if (weighted_) {
-        for (size_t i = 0; i < k; ++i) {
-          agg_fp_sums_[i] += local_fp_sums_[w][i];
-          agg_fp_sum_squares_[i] += local_fp_sum_squares_[w][i];
-          local_fp_sums_[w][i] = 0;
-          local_fp_sum_squares_[w][i] = 0;
-        }
-      }
-    }
-  }
-  return target;
+  return last_wave_status_.ok() ? target : current;
 }
 
 void SampleEngine::SnapshotStats(uint64_t n, SampleStats* stats) const {
-  const size_t k = workers_[0]->num_hypotheses();
   stats->n = n;
   stats->weighted = weighted_;
-  stats->counts = agg_counts_;
-  stats->counts.resize(k, 0);  // agg may be untouched when n == 0
+  stats->counts = agg_.counts;
   if (weighted_) {
+    const size_t k = agg_.counts.size();
     stats->sums.resize(k);
     stats->sum_squares.resize(k);
     for (size_t i = 0; i < k; ++i) {
-      stats->sums[i] = i < agg_fp_sums_.size()
-                           ? FromFixedPoint(agg_fp_sums_[i])
-                           : 0.0;
-      stats->sum_squares[i] = i < agg_fp_sum_squares_.size()
-                                  ? FromFixedPoint(agg_fp_sum_squares_[i])
-                                  : 0.0;
-    }
-  }
-}
-
-uint64_t SampleEngine::Draw(uint64_t current, uint64_t target,
-                            SampleStats* stats) {
-  DrawAccumulate(current, target);
-  SnapshotStats(target, stats);
-  return target;
-}
-
-void SampleEngine::AdvanceStripe(size_t w, uint64_t count) {
-  SAPHYRA_CHECK(w < workers_.size());
-  // Draw-and-discard: RunWorker consumes exactly the same RNG stream as an
-  // accumulated draw (accumulation never touches the RNG), so zeroing the
-  // stripe's locals afterwards leaves the stream positioned as if another
-  // process had drawn these samples.
-  RunWorker(w, count);
-  std::fill(local_counts_[w].begin(), local_counts_[w].end(), 0);
-  if (weighted_) {
-    std::fill(local_fp_sums_[w].begin(), local_fp_sums_[w].end(), 0);
-    std::fill(local_fp_sum_squares_[w].begin(),
-              local_fp_sum_squares_[w].end(), 0);
-  }
-}
-
-void SampleEngine::DrawStripe(size_t w, uint64_t count) {
-  SAPHYRA_CHECK(w < workers_.size());
-  RunWorker(w, count);
-}
-
-void SampleEngine::HarvestDelta(RawSampleDelta* out) {
-  const size_t k = workers_[0]->num_hypotheses();
-  out->counts.assign(k, 0);
-  out->fp_sums.clear();
-  out->fp_sum_squares.clear();
-  if (weighted_) {
-    out->fp_sums.assign(k, 0);
-    out->fp_sum_squares.assign(k, 0);
-  }
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    for (size_t i = 0; i < k; ++i) {
-      out->counts[i] += local_counts_[w][i];
-      local_counts_[w][i] = 0;
-    }
-    if (weighted_) {
-      for (size_t i = 0; i < k; ++i) {
-        out->fp_sums[i] += local_fp_sums_[w][i];
-        out->fp_sum_squares[i] += local_fp_sum_squares_[w][i];
-        local_fp_sums_[w][i] = 0;
-        local_fp_sum_squares_[w][i] = 0;
-      }
+      stats->sums[i] = FromFixedPoint(agg_.fp_sums[i]);
+      stats->sum_squares[i] = FromFixedPoint(agg_.fp_sum_squares[i]);
     }
   }
 }
@@ -263,9 +228,9 @@ void SampleEngine::HarvestDelta(RawSampleDelta* out) {
 void SampleEngine::RunWorker(size_t w, uint64_t quota) {
   if (weighted_) {
     auto& hits = weighted_scratch_[w];
-    auto& counts = local_counts_[w];
-    auto& sums = local_fp_sums_[w];
-    auto& squares = local_fp_sum_squares_[w];
+    auto& counts = locals_[w].counts;
+    auto& sums = locals_[w].fp_sums;
+    auto& squares = locals_[w].fp_sum_squares;
     for (uint64_t j = 0; j < quota; ++j) {
       hits.clear();
       workers_[w]->SampleWeightedLosses(&rngs_[w], &hits);
@@ -280,7 +245,7 @@ void SampleEngine::RunWorker(size_t w, uint64_t quota) {
     return;
   }
   std::vector<uint32_t> hits;
-  auto& local = local_counts_[w];
+  auto& local = locals_[w].counts;
   for (uint64_t j = 0; j < quota; ++j) {
     hits.clear();
     workers_[w]->SampleApproxLosses(&rngs_[w], &hits);

@@ -11,17 +11,19 @@
 ///
 /// Ownership/threading: an engine borrows the problem, base RNG and pool
 /// (all must outlive it) and owns its clones and accumulators. One
-/// engine serves one driver thread — its Draw calls must not be made
-/// concurrently — but independent engines may share one ThreadPool from
-/// different driver threads: pool completion is tracked per task group
-/// (util/thread_pool.h), which is what lets the serving layer
-/// (src/service/) run concurrent queries on the shared pool.
+/// engine serves one driver thread — its DrawAccumulate/DrawStripes
+/// calls must not be made concurrently — but independent engines may
+/// share one ThreadPool from different driver threads: pool completion
+/// is tracked per task group (util/thread_pool.h), which is what lets the
+/// serving layer (src/service/) run concurrent queries on the shared
+/// pool.
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "core/saphyra.h"
+#include "util/cancel.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -46,6 +48,12 @@ struct RawSampleDelta {
   std::vector<uint64_t> fp_sum_squares;
 };
 
+/// \brief Add `part` into *sum element-wise. An empty *sum (no counts, no
+/// fixed-point arrays) first takes part's shape. Otherwise each of the
+/// three arrays must have its counterpart's length, or INTERNAL is
+/// returned and *sum is left untouched.
+Status AddDelta(const RawSampleDelta& part, RawSampleDelta* sum);
+
 class SampleEngine;
 
 /// \brief Pluggable wave execution: when installed on a SampleEngine, each
@@ -60,20 +68,17 @@ class WaveExecutor {
   /// On success fills *out (counts sized to the hypothesis count; the
   /// fixed-point arrays too for weighted problems). On failure *out is
   /// ignored; the engine reports the status via last_wave_status(), keeps
-  /// its pre-wave accumulation and refuses every later wave (see
-  /// ExecuteWaveOn: a failed wave may have advanced stripes on it).
+  /// its pre-wave accumulation and refuses every later wave.
   virtual Status ExecuteWave(uint64_t current, uint64_t target,
                              size_t num_stripes, RawSampleDelta* out) = 0;
 
   /// \brief The call the engine makes: ExecuteWave, plus the calling
-  /// engine, on which the executor may draw some stripes itself through
-  /// DrawStripe/HarvestDelta. A stripe's RNG stream only advances when it
-  /// is drawn there, so an executor that draws stripe s on the engine
-  /// must draw s's share of every wave of that engine, and leave its
-  /// locals harvested (or discarded) before returning. A failed wave may
-  /// leave such stripes advanced, which is why the engine refuses every
-  /// wave after a failed one. The default ignores the engine and
-  /// delegates the whole wave.
+  /// engine, on which the executor may draw any subset of the wave's
+  /// stripes itself through DrawStripes. The engine tracks how far each
+  /// stripe's stream has been drawn, so whichever stripes it is handed
+  /// are drawn from the right stream position, and a stripe drawn twice
+  /// is refused. The default ignores the engine and delegates the whole
+  /// wave.
   virtual Status ExecuteWaveOn(SampleEngine* engine, uint64_t current,
                                uint64_t target, size_t num_stripes,
                                RawSampleDelta* out) {
@@ -109,28 +114,29 @@ struct SampleStats {
 /// \brief Draws batches of i.i.d. samples for the adaptive estimation loop,
 /// serially or across a persistent thread pool.
 ///
-/// The engine decomposes work into `num_workers` *logical* workers, each
-/// with an independently split RNG stream. Pooled execution materializes
-/// one CloneForSampling copy per extra worker (workers may run
-/// concurrently); inline execution serves every logical worker from the
-/// caller's instance, since a worker's output is a pure function of its
-/// stream (one probe clone is still made, so clonability fixes the same
-/// logical worker count in both modes). Sample j (globally indexed over
-/// the whole run) always belongs to worker j mod W, so worker w's slice of
-/// its own RNG stream is a pure function of how many samples have been
-/// requested in total — never of how the request was batched:
+/// The engine decomposes work into `num_workers` *logical* workers
+/// (stripes), each with an independently split RNG stream. Pooled
+/// execution materializes one CloneForSampling copy per extra worker
+/// (workers may run concurrently); inline execution serves every logical
+/// worker from the caller's instance, since a worker's output is a pure
+/// function of its stream (one probe clone is still made, so clonability
+/// fixes the same logical worker count in both modes). Sample j (globally
+/// indexed over the whole run) always belongs to worker j mod W, so
+/// worker w's slice of its own RNG stream is a pure function of how many
+/// samples have been requested in total — never of how the request was
+/// batched:
 ///
 ///   **Determinism contract.** For a fixed (base_rng seed, num_workers),
 ///   the merged statistics after N total samples are bitwise identical
 ///   across runs, across pool sizes, against inline execution
-///   (pool == nullptr), and across any partitioning of the N samples into
-///   Draw calls. They do differ from a run with another num_workers, which
-///   partitions the streams differently.
+///   (pool == nullptr), across any partitioning of the N samples into
+///   waves, and across any partition of the stripes over DrawStripes
+///   calls, engines and processes. They do differ from a run with another
+///   num_workers, which partitions the streams differently.
 ///
 /// Execution goes through the ThreadPool passed at construction (typically
 /// SharedThreadPool()) — the workers persist across the adaptive rounds
-/// instead of being spawned and joined per round. Per-worker accumulators
-/// are merged after every batch.
+/// instead of being spawned and joined per round.
 class SampleEngine {
  public:
   /// \brief `pool` may be null to force inline execution on the caller's
@@ -146,78 +152,60 @@ class SampleEngine {
 
   /// \brief Delegate every DrawAccumulate wave to `executor` (borrowed;
   /// nullptr restores local drawing) through WaveExecutor::ExecuteWaveOn.
-  /// Only the DrawAccumulate path — the one the progressive sampler uses —
-  /// supports delegation.
   void set_wave_executor(WaveExecutor* executor) { executor_ = executor; }
 
-  /// \brief Status of the most recent DrawAccumulate wave. Non-OK only
-  /// when a wave executor failed (local draws cannot fail); the failed
-  /// wave contributed nothing and DrawAccumulate returned `current`
+  /// \brief Status of the most recent DrawAccumulate wave. Non-OK when a
+  /// wave executor failed or returned a delta of the wrong shape; the
+  /// failed wave contributed nothing and DrawAccumulate returned `current`
   /// unchanged, so the caller can finalize a degraded result from the
-  /// completed waves. The failure latches: the executor may have drawn
-  /// some stripes on this engine, so every later DrawAccumulate returns
-  /// `current` and keeps this status.
+  /// completed waves. The failure latches: every later DrawAccumulate
+  /// returns `current` and keeps this status.
   const Status& last_wave_status() const { return last_wave_status_; }
 
-  /// \brief Draw `target - current` samples into *counts; returns `target`.
-  /// Hit counts only — for weighted problems and moment statistics use the
-  /// SampleStats overload. Do not mix the two overloads on one engine.
-  uint64_t Draw(uint64_t current, uint64_t target,
-                std::vector<uint64_t>* counts);
-
-  /// \brief Draw `target - current` samples and refresh *stats with the
-  /// merged statistics of all `target` samples drawn through this overload.
-  /// The engine owns the running accumulation; *stats is overwritten.
-  uint64_t Draw(uint64_t current, uint64_t target, SampleStats* stats);
-
-  /// \brief Draw `target - current` samples into the engine's running
-  /// accumulators without materializing a SampleStats — the cheap per-wave
-  /// path; call SnapshotStats at the checkpoints that actually evaluate a
-  /// stopping rule. Shares the accumulation with the stats Draw overload.
+  /// \brief Draw samples [current, target) into the engine's running
+  /// accumulators — locally through DrawStripes, or through the wave
+  /// executor — and return `target` (`current` if the wave failed). Call
+  /// SnapshotStats at the checkpoints that evaluate a stopping rule.
   uint64_t DrawAccumulate(uint64_t current, uint64_t target);
 
-  /// \brief Materialize the running accumulation of DrawAccumulate /
-  /// Draw(stats) into *stats, as of `n` total samples drawn.
+  /// \brief Materialize the running accumulation into *stats, as of `n`
+  /// total samples drawn.
   void SnapshotStats(uint64_t n, SampleStats* stats) const;
 
-  // --- worker-side stripe primitives (sharded serving tier) -------------
-  // A shard worker drives the engine stripe by stripe instead of wave by
-  // wave: it advances a stripe's RNG stream past samples another process
-  // already drew, draws its assigned quota, and harvests the raw integer
-  // delta to ship back. These touch only the per-stripe locals, never the
-  // running aggregation, so a worker-side engine is a pure delta producer.
-
-  /// \brief Draw `count` samples on stripe `w` and *discard* them: the RNG
-  /// stream consumption is identical to DrawStripe (accumulation never
-  /// touches the RNG), which is what makes replay-based recovery after a
-  /// worker restart transparent.
-  void AdvanceStripe(size_t w, uint64_t count);
-
-  /// \brief Draw `count` samples on stripe `w` into the stripe's local
-  /// accumulators (harvested later by HarvestDelta).
-  void DrawStripe(size_t w, uint64_t count);
-
-  /// \brief Sum all stripes' local accumulators into *out and zero them.
-  void HarvestDelta(RawSampleDelta* out);
+  /// \brief Add samples [from, to) of each listed stripe into *out, which
+  /// is sized on first use (see AddDelta). The only routine that draws:
+  /// local waves, the sharded coordinator's share and shard workers all
+  /// come here. Runs on the engine's pool when it has one.
+  ///
+  /// The engine records how far each stripe's stream has been drawn. A
+  /// stripe behind `from` is first advanced past the samples another
+  /// engine or process drew, by draw-and-discard (identical RNG use, so a
+  /// replay is transparent). Before anything is drawn, a stripe already
+  /// past `from` returns FAILED_PRECONDITION (streams only run forward),
+  /// and a repeated or out-of-range stripe INVALID_ARGUMENT. `cancel` may
+  /// be null; it is polled before each stripe, and on expiry every pending
+  /// local is discarded, *out is left untouched and the token's status
+  /// returned (the drawn stripes' positions stay advanced).
+  Status DrawStripes(const std::vector<uint32_t>& stripes, uint64_t from,
+                     uint64_t to, const CancelToken* cancel,
+                     RawSampleDelta* out);
 
  private:
+  /// Draw `quota` samples of stripe `w` into locals_[w].
   void RunWorker(size_t w, uint64_t quota);
-  void DrawStriped(uint64_t current, uint64_t target);
 
   std::vector<HypothesisRankingProblem*> workers_;
   std::vector<std::unique_ptr<HypothesisRankingProblem>> clones_;
   std::vector<Rng> rngs_;
   bool weighted_ = false;
-  /// Per-worker locals, zeroed after each merge. For 0/1 problems only
-  /// local_counts_ is used; weighted problems also fill the fixed-point
-  /// moment accumulators.
-  std::vector<std::vector<uint64_t>> local_counts_;
-  std::vector<std::vector<uint64_t>> local_fp_sums_;
-  std::vector<std::vector<uint64_t>> local_fp_sum_squares_;
-  /// Running merged accumulators of the SampleStats overload.
-  std::vector<uint64_t> agg_counts_;
-  std::vector<uint64_t> agg_fp_sums_;
-  std::vector<uint64_t> agg_fp_sum_squares_;
+  /// Per-stripe locals, zero between DrawStripes calls. The fixed-point
+  /// arrays are sized for weighted problems only.
+  std::vector<RawSampleDelta> locals_;
+  /// Samples of each stripe's stream drawn (or discarded) so far.
+  std::vector<uint64_t> drawn_;
+  /// Running accumulation of DrawAccumulate, shaped like a local.
+  RawSampleDelta agg_;
+  std::vector<uint32_t> all_stripes_;
   std::vector<std::vector<WeightedHit>> weighted_scratch_;
   ThreadPool* pool_;
   WaveExecutor* executor_ = nullptr;

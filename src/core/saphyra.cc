@@ -36,12 +36,6 @@ ProgressiveOptions ScheduleFor(const SaphyraOptions& options, uint64_t n0,
   if (options.wave_executor) {
     schedule.executor = options.wave_executor(ordinal);
   }
-  // A bounded run must reach wave boundaries often enough for the poll to
-  // matter; an unbounded wave would only notice expiry at the checkpoint.
-  if (options.cancel != nullptr && options.cancel->CanExpire() &&
-      schedule.max_wave == 0) {
-    schedule.max_wave = 1024;
-  }
   return schedule;
 }
 
@@ -73,8 +67,9 @@ SaphyraResult RunSaphyra(HypothesisRankingProblem* problem,
   const double eps_prime = options.epsilon / lambda;
   result.epsilon_prime = eps_prime;
 
-  Rng rng(options.seed);
-  Rng pilot_rng = rng.Split();  // independent stream for the pilot
+  // Pilot and main loop sample independent streams (ordinals 0 and 1).
+  Rng pilot_rng = ProgressiveRunStream(options.seed, 0, 2);
+  Rng rng = ProgressiveRunStream(options.seed, 1, 2);
 
   const double c = options.vc_constant;
   const double vc = problem->VcDimension();
@@ -188,7 +183,7 @@ SaphyraResult RunDirectEstimation(HypothesisRankingProblem* problem,
   result.epsilon_prime = options.epsilon;
   if (k == 0) return result;
 
-  Rng rng(options.seed);
+  Rng rng = ProgressiveRunStream(options.seed, 0, 1);
   const uint64_t n =
       std::max(options.min_initial_samples,
                VcSampleBound(options.epsilon, options.delta,

@@ -21,6 +21,11 @@ const char* EstimatorKindName(EstimatorKind kind) {
   return "bc";
 }
 
+uint32_t ProgressiveRuns(EstimatorKind kind) {
+  return kind == EstimatorKind::kAbra || kind == EstimatorKind::kKadabra ? 1
+                                                                         : 2;
+}
+
 bool ParseEstimatorKind(const std::string& s, EstimatorKind* out) {
   if (s == "bc") *out = EstimatorKind::kBc;
   else if (s == "bc-full") *out = EstimatorKind::kBcFull;

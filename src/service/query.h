@@ -57,6 +57,11 @@ enum class EstimatorKind : uint8_t {
 };
 
 const char* EstimatorKindName(EstimatorKind kind);
+/// \brief Progressive runs the estimator draws, each on its own base
+/// stream (core/progressive_sampler.h, ProgressiveRunStream): 2 for the
+/// RunSaphyra frontends (bc, bc-full, kpath, closeness: pilot and main
+/// loop), 1 for ABRA and KADABRA.
+uint32_t ProgressiveRuns(EstimatorKind kind);
 bool ParseEstimatorKind(const std::string& s, EstimatorKind* out);
 
 /// \brief One serving request. Defaults mirror the library option structs.

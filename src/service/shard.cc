@@ -13,6 +13,7 @@
 
 #include "net/frame.h"
 #include "service/json_util.h"
+#include "service/shard_worker.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 
@@ -61,55 +62,6 @@ bool IsQueryLevel(const Status& st, const CancelToken* cancel) {
   if (cancel == nullptr) return false;  // only the RPC timeout can expire
   const Deadline query = cancel->EffectiveDeadline();
   return !query.unbounded() && query.expired();
-}
-
-Status ParseUintArray(const JsonValue& v, const char* what,
-                      std::vector<uint64_t>* out) {
-  if (v.type != JsonValue::Type::kArray) {
-    return Status::Internal(std::string("worker delta: ") + what +
-                            " is not an array");
-  }
-  out->clear();
-  out->reserve(v.array.size());
-  for (const JsonValue& e : v.array) {
-    if (e.type != JsonValue::Type::kNumber || !e.is_uint) {
-      return Status::Internal(std::string("worker delta: ") + what +
-                              " entry is not a non-negative integer");
-    }
-    out->push_back(e.uint_value);
-  }
-  return Status::OK();
-}
-
-void AppendUintArray(const std::vector<uint64_t>& values, std::string* out) {
-  out->push_back('[');
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out->push_back(',');
-    *out += std::to_string(values[i]);
-  }
-  out->push_back(']');
-}
-
-Status MergeDelta(const RawSampleDelta& part, RawSampleDelta* sum) {
-  if (sum->counts.empty() && sum->fp_sums.empty()) {
-    *sum = part;
-    return Status::OK();
-  }
-  if (part.counts.size() != sum->counts.size() ||
-      part.fp_sums.size() != sum->fp_sums.size() ||
-      part.fp_sum_squares.size() != sum->fp_sum_squares.size()) {
-    return Status::Internal("worker deltas disagree on hypothesis count");
-  }
-  for (size_t i = 0; i < part.counts.size(); ++i) {
-    sum->counts[i] += part.counts[i];
-  }
-  for (size_t i = 0; i < part.fp_sums.size(); ++i) {
-    sum->fp_sums[i] += part.fp_sums[i];
-  }
-  for (size_t i = 0; i < part.fp_sum_squares.size(); ++i) {
-    sum->fp_sum_squares[i] += part.fp_sum_squares[i];
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -381,24 +333,7 @@ Status WorkerSupervisor::WaveRpcRecv(const InFlightRpc& rpc,
                             error_s);
   }
 
-  const JsonValue* counts = doc.Find("counts");
-  if (counts == nullptr) {
-    MarkDeadLocked(w);
-    return Status::Internal("worker delta is missing counts");
-  }
-  st = ParseUintArray(*counts, "counts", &delta->counts);
-  if (st.ok()) {
-    const JsonValue* fp_sums = doc.Find("fp_sums");
-    const JsonValue* fp_sq = doc.Find("fp_sum_squares");
-    delta->fp_sums.clear();
-    delta->fp_sum_squares.clear();
-    if (fp_sums != nullptr) {
-      st = ParseUintArray(*fp_sums, "fp_sums", &delta->fp_sums);
-    }
-    if (st.ok() && fp_sq != nullptr) {
-      st = ParseUintArray(*fp_sq, "fp_sum_squares", &delta->fp_sum_squares);
-    }
-  }
+  st = DecodeDeltaReply(doc, delta);
   if (!st.ok()) {
     MarkDeadLocked(w);
     return st;
@@ -410,9 +345,7 @@ Status WorkerSupervisor::WaveRpcRecv(const InFlightRpc& rpc,
 
 Status WorkerSupervisor::ExecuteWave(const WaveSpec& spec,
                                      RawSampleDelta* out) {
-  out->counts.clear();
-  out->fp_sums.clear();
-  out->fp_sum_squares.clear();
+  *out = RawSampleDelta();
   SAPHYRA_CHECK(spec.to > spec.from);
   SAPHYRA_CHECK(spec.num_stripes >= 1);
 
@@ -494,7 +427,15 @@ Status WorkerSupervisor::ExecuteWave(const WaveSpec& spec,
     // The coordinator's own share, drawn while the workers draw theirs —
     // in the first round only: it never fails over to a retry round.
     if (!coordinator.empty() && stop.ok()) {
-      stop = DrawCoordinatorShare(spec, coordinator, out);
+      stop = fail::FaultStatus("shard.coordinator_stripe");
+      if (stop.ok()) {
+        stop = spec.local->DrawStripes(coordinator, spec.from, spec.to,
+                                       spec.cancel, out);
+      }
+      if (stop.ok()) {
+        coordinator_stripes_.fetch_add(coordinator.size(),
+                                       std::memory_order_relaxed);
+      }
       // A worker's hang timeout runs from here: the coordinator's own
       // draw time is not the worker's.
       for (InFlightRpc& rpc : in_flight) {
@@ -516,7 +457,7 @@ Status WorkerSupervisor::ExecuteWave(const WaveSpec& spec,
         fail_slice(i, st, worker_fault);
         continue;
       }
-      st = MergeDelta(part, out);
+      st = AddDelta(part, out);
       if (!st.ok()) {
         stop = st;
         continue;
@@ -567,34 +508,6 @@ Status WorkerSupervisor::ExecuteWave(const WaveSpec& spec,
     }
   }
   return Status::OK();
-}
-
-Status WorkerSupervisor::DrawCoordinatorShare(
-    const WaveSpec& spec, const std::vector<uint32_t>& stripes,
-    RawSampleDelta* out) {
-  for (uint32_t s : stripes) {
-    Status st = fail::FaultStatus("shard.coordinator_stripe");
-    if (st.ok() && spec.cancel != nullptr) {
-      const StatusCode why = spec.cancel->Poll();
-      if (why != StatusCode::kOk) {
-        st = CancelToken::ToStatus(why, "shard wave (coordinator share)");
-      }
-    }
-    if (!st.ok()) {
-      // The drawn stripes' streams have advanced, but a failed wave ends
-      // the engine's run, so nothing will read them again.
-      RawSampleDelta discard;
-      spec.local->HarvestDelta(&discard);
-      return st;
-    }
-    spec.local->DrawStripe(
-        s, StripeSamplesBelow(spec.to, s, spec.num_stripes) -
-               StripeSamplesBelow(spec.from, s, spec.num_stripes));
-  }
-  RawSampleDelta part;
-  spec.local->HarvestDelta(&part);
-  coordinator_stripes_.fetch_add(stripes.size(), std::memory_order_relaxed);
-  return MergeDelta(part, out);
 }
 
 std::vector<ShardWorkerStats> WorkerSupervisor::stats() const {

@@ -21,12 +21,14 @@
 /// The coordinator is one more participant. When a wave comes with the
 /// query's own engine (WaveSpec::local) and the process may run on at
 /// least N+1 cores, the coordinator owns stripes s ≡ 0 (mod N+1) for N
-/// workers and draws them itself, on the query's thread, between scatter
-/// and gather; the workers share the rest. With fewer cores the workers
-/// already fill them, and a coordinator share would only slow them down,
-/// so every stripe goes to the workers. Its stripes are never sent to a
-/// worker and never redrawn in a retry round, so a lost tier still fails
-/// the wave (shard_lost) instead of falling back onto the coordinator.
+/// workers and draws them itself with the query's engine
+/// (SampleEngine::DrawStripes, on the query's pool when it has threads)
+/// between scatter and gather; the workers share the rest. With fewer
+/// cores the workers already fill them, and a coordinator share would
+/// only slow them down, so every stripe goes to the workers. Its stripes
+/// are never sent to a worker and never redrawn in a retry round, so a
+/// lost tier still fails the wave (shard_lost) instead of falling back
+/// onto the coordinator.
 ///
 /// Failure model (docs/serving.md, "Sharded serving" failure matrix):
 ///   - crash (connection drops, send/recv fails): mark the worker dead,
@@ -50,10 +52,11 @@
 /// gathering any reply, so it holds several worker locks at once and
 /// always acquires them in ascending worker index order — two concurrent
 /// queries can therefore never wait on each other in a cycle. Those locks
-/// stay held across the coordinator's own draw, which takes no lock of
-/// its own (it touches only the query's engine). Every other
-/// locker holds at most one worker lock (BroadcastUpdate, Start,
-/// Shutdown) or only try_locks (the heartbeat). Drain-or-drop: before
+/// stay held across the coordinator's own draw, which takes no worker
+/// lock (it touches only the query's engine and, at threads > 1, pool
+/// tasks that take none either). Every other locker holds at most one
+/// worker lock (BroadcastUpdate, Start, Shutdown) or only try_locks (the
+/// heartbeat). Drain-or-drop: before
 /// ExecuteWave returns — on success, a query deadline or cancellation, a
 /// deterministic worker error, or a merge failure — every frame it sent
 /// has had its reply read or its connection dropped, so no later RPC on
@@ -276,13 +279,6 @@ class WorkerSupervisor {
   /// no backoff growth) or a worker fault (returned as-is).
   Status DropFailedRpcLocked(Worker* w, const WaveSpec& spec,
                              const Status& st, bool* worker_fault);
-  /// Draw `stripes` of the wave on spec.local and merge their delta into
-  /// *out. Polls the query's cancel token between stripes; on expiry the
-  /// engine's pending locals are discarded and the query's
-  /// DEADLINE_EXCEEDED/CANCELLED returned.
-  Status DrawCoordinatorShare(const WaveSpec& spec,
-                              const std::vector<uint32_t>& stripes,
-                              RawSampleDelta* out);
   /// One update RPC on `w`'s connection (caller holds w->mu and has a
   /// live connection). Verifies the worker landed on the expected
   /// fingerprint; any failure is the caller's cue to MarkDeadLocked.

@@ -13,6 +13,7 @@
 #include "baselines/kadabra.h"
 #include "bc/saphyra_bc.h"
 #include "closeness/closeness.h"
+#include "core/progressive_sampler.h"
 #include "core/sample_engine.h"
 #include "kpath/kpath.h"
 #include "net/frame.h"
@@ -30,7 +31,7 @@ constexpr uint64_t kReplyTimeoutMs = 30000;
 
 /// Largest stripe count a wave may name. Far above the engine's default
 /// (kDefaultSampleStripes = 16); it only bounds what a hostile frame can
-/// make BuildOrdinal allocate (one RNG stream and count vector per stripe).
+/// make BuildEngine allocate (one RNG stream and count vector per stripe).
 constexpr uint64_t kMaxWaveStripes = 4096;
 
 std::vector<NodeId> AllNodes(NodeId n) {
@@ -38,23 +39,6 @@ std::vector<NodeId> AllNodes(NodeId n) {
   for (NodeId v = 0; v < n; ++v) all[v] = v;
   return all;
 }
-
-bool IsSaphyraFrontend(EstimatorKind kind) {
-  // These route through RunSaphyra's pilot + main structure (two RNG
-  // streams, ordinals 0 and 1); ABRA/KADABRA run one progressive loop on
-  // the base stream (ordinal 0 only). Must mirror core/saphyra.cc and
-  // the baselines exactly — this is the replay contract.
-  return kind == EstimatorKind::kBc || kind == EstimatorKind::kBcFull ||
-         kind == EstimatorKind::kKPath || kind == EstimatorKind::kCloseness;
-}
-
-/// One ordinal's engine plus how far each stripe's stream has been
-/// consumed since the engine was built.
-struct OrdinalState {
-  std::unique_ptr<SampleEngine> engine;
-  std::vector<uint64_t> pos;
-  size_t num_stripes = 0;
-};
 
 /// Cached per-(graph, fingerprint, canonical query) sampling state.
 struct QueryState {
@@ -65,40 +49,29 @@ struct QueryState {
   std::shared_ptr<const GraphSnapshot> snapshot;
   QueryRequest req;  ///< canonical
   std::unique_ptr<HypothesisRankingProblem> problem;
-  OrdinalState ordinals[2];
+  /// One engine per progressive run (ordinal), built on first use; each
+  /// tracks how far its stripes' streams have been drawn.
+  std::unique_ptr<SampleEngine> engines[2];
 };
 
-/// Build (or rebuild) `ordinal`'s engine from the query seed, deriving
-/// the base RNG stream exactly as the frontend does. The engine consumes
-/// the base stream only at construction, so the locals here suffice.
-Status BuildOrdinal(QueryState* state, uint32_t ordinal, size_t num_stripes) {
-  OrdinalState* ord = &state->ordinals[ordinal];
-  ord->engine.reset();
-  Rng rng(state->req.seed);
-  if (IsSaphyraFrontend(state->req.estimator)) {
-    Rng pilot_rng = rng.Split();
-    Rng* base = ordinal == 0 ? &pilot_rng : &rng;
-    ord->engine = std::make_unique<SampleEngine>(
-        state->problem.get(), static_cast<uint32_t>(num_stripes), base,
-        /*pool=*/nullptr);
-  } else {
-    if (ordinal != 0) {
-      return Status::InvalidArgument(
-          "estimator has a single progressive run; ordinal must be 0");
-    }
-    ord->engine = std::make_unique<SampleEngine>(
-        state->problem.get(), static_cast<uint32_t>(num_stripes), &rng,
-        /*pool=*/nullptr);
-  }
-  if (ord->engine->num_workers() != num_stripes) {
-    const size_t got = ord->engine->num_workers();
-    ord->engine.reset();
+/// Build (or rebuild) `ordinal`'s engine from the query seed, on the
+/// stream plan the frontends use. The engine consumes the base stream
+/// only at construction, so a local suffices.
+Status BuildEngine(QueryState* state, uint64_t ordinal, size_t num_stripes) {
+  std::unique_ptr<SampleEngine>& engine = state->engines[ordinal];
+  Rng base = ProgressiveRunStream(state->req.seed,
+                                  static_cast<uint32_t>(ordinal),
+                                  ProgressiveRuns(state->req.estimator));
+  engine = std::make_unique<SampleEngine>(
+      state->problem.get(), static_cast<uint32_t>(num_stripes), &base,
+      /*pool=*/nullptr);
+  if (engine->num_workers() != num_stripes) {
+    const size_t got = engine->num_workers();
+    engine.reset();
     return Status::Internal("engine materialized " + std::to_string(got) +
                             " stripes, coordinator expects " +
                             std::to_string(num_stripes));
   }
-  ord->pos.assign(num_stripes, 0);
-  ord->num_stripes = num_stripes;
   return Status::OK();
 }
 
@@ -212,15 +185,6 @@ Status GetUintField(const JsonValue& doc, const char* key, uint64_t* out) {
   return Status::OK();
 }
 
-void AppendUintArray(const std::vector<uint64_t>& values, std::string* out) {
-  out->push_back('[');
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out->push_back(',');
-    *out += std::to_string(values[i]);
-  }
-  out->push_back(']');
-}
-
 /// Execute one wave request; on success *reply is the ok frame, on error
 /// the caller turns the status into an error frame.
 Status HandleWave(const JsonValue& doc, SessionPool* pool, StateCache* cache,
@@ -241,24 +205,16 @@ Status HandleWave(const JsonValue& doc, SessionPool* pool, StateCache* cache,
   SAPHYRA_RETURN_NOT_OK(GetUintField(doc, "from", &from));
   SAPHYRA_RETURN_NOT_OK(GetUintField(doc, "to", &to));
   SAPHYRA_RETURN_NOT_OK(GetUintField(doc, "budget_ms", &budget_ms));
-  if (ordinal >= 2 || num_stripes == 0 || num_stripes > kMaxWaveStripes ||
-      to <= from) {
+  if (num_stripes == 0 || num_stripes > kMaxWaveStripes || to <= from) {
     return Status::InvalidArgument("wave message parameters out of range");
   }
   std::vector<uint32_t> stripes;
   stripes.reserve(stripes_v->array.size());
-  // A repeated stripe would be drawn twice: double-counted, and its
-  // pos[] left behind the stream's real position.
-  std::vector<bool> seen(num_stripes, false);
   for (const JsonValue& e : stripes_v->array) {
     if (e.type != JsonValue::Type::kNumber || !e.is_uint ||
         e.uint_value >= num_stripes) {
       return Status::InvalidArgument("wave stripe index out of range");
     }
-    if (seen[e.uint_value]) {
-      return Status::InvalidArgument("wave stripe index repeated");
-    }
-    seen[e.uint_value] = true;
     stripes.push_back(static_cast<uint32_t>(e.uint_value));
   }
 
@@ -266,60 +222,30 @@ Status HandleWave(const JsonValue& doc, SessionPool* pool, StateCache* cache,
   SAPHYRA_RETURN_NOT_OK(cache->GetOrCreate(pool, graph_v->string_value,
                                            fingerprint, query_v->string_value,
                                            &state));
-  OrdinalState* ord = &state->ordinals[ordinal];
-  bool rebuild = ord->engine == nullptr || ord->num_stripes != num_stripes;
-  if (!rebuild) {
-    for (uint32_t s : stripes) {
-      // The coordinator retried a range this incarnation half-drew (or a
-      // memo-missed re-run restarted the query): streams only run
-      // forward, so start this ordinal over from the seed.
-      if (ord->pos[s] > StripeSamplesBelow(from, s, num_stripes)) {
-        rebuild = true;
-        break;
-      }
-    }
+  const uint32_t runs = ProgressiveRuns(state->req.estimator);
+  if (ordinal >= runs) {
+    return Status::InvalidArgument(
+        "wave ordinal " + std::to_string(ordinal) + " out of range: " +
+        EstimatorKindName(state->req.estimator) + " has " +
+        std::to_string(runs) + " progressive run(s)");
   }
-  if (rebuild) {
-    SAPHYRA_RETURN_NOT_OK(BuildOrdinal(state, static_cast<uint32_t>(ordinal),
-                                       num_stripes));
-    ord = &state->ordinals[ordinal];
+  std::unique_ptr<SampleEngine>& engine = state->engines[ordinal];
+  if (engine == nullptr || engine->num_workers() != num_stripes) {
+    SAPHYRA_RETURN_NOT_OK(BuildEngine(state, ordinal, num_stripes));
   }
-
-  const Deadline deadline =
-      budget_ms == 0 ? Deadline::Never() : Deadline::AfterMillis(budget_ms);
-  for (uint32_t s : stripes) {
-    if (deadline.expired()) {
-      // Keep the state consistent: stripes already drawn this wave have
-      // consumed RNG, so zero their pending locals and let pos[] stand —
-      // the coordinator's retry of this range triggers a rebuild.
-      RawSampleDelta discard;
-      ord->engine->HarvestDelta(&discard);
-      return Status::DeadlineExceeded("wave budget exhausted after " +
-                                      std::to_string(from) + " replay");
-    }
-    const uint64_t below_from = StripeSamplesBelow(from, s, num_stripes);
-    const uint64_t below_to = StripeSamplesBelow(to, s, num_stripes);
-    if (ord->pos[s] < below_from) {
-      // Another process drew [pos, below_from) of this stripe; replay it
-      // with identical RNG consumption, discarding the losses.
-      ord->engine->AdvanceStripe(s, below_from - ord->pos[s]);
-      ord->pos[s] = below_from;
-    }
-    ord->engine->DrawStripe(s, below_to - below_from);
-    ord->pos[s] = below_to;
-  }
+  CancelToken budget(budget_ms == 0 ? Deadline::Never()
+                                    : Deadline::AfterMillis(budget_ms));
   RawSampleDelta delta;
-  ord->engine->HarvestDelta(&delta);
-
-  *reply = "{\"ok\":true,\"counts\":";
-  AppendUintArray(delta.counts, reply);
-  if (!delta.fp_sums.empty()) {
-    *reply += ",\"fp_sums\":";
-    AppendUintArray(delta.fp_sums, reply);
-    *reply += ",\"fp_sum_squares\":";
-    AppendUintArray(delta.fp_sum_squares, reply);
+  Status st = engine->DrawStripes(stripes, from, to, &budget, &delta);
+  if (st.code() == StatusCode::kFailedPrecondition) {
+    // The coordinator retried a range this incarnation half-drew (or a
+    // memo-missed re-run restarted the query): streams only run forward,
+    // so start this ordinal over from the seed.
+    SAPHYRA_RETURN_NOT_OK(BuildEngine(state, ordinal, num_stripes));
+    st = engine->DrawStripes(stripes, from, to, &budget, &delta);
   }
-  reply->push_back('}');
+  SAPHYRA_RETURN_NOT_OK(st);
+  *reply = EncodeDeltaReply(delta);
   return Status::OK();
 }
 
@@ -376,6 +302,60 @@ Status HandleUpdate(const JsonValue& doc, SessionPool* pool,
 }
 
 }  // namespace
+
+void AppendUintArray(const std::vector<uint64_t>& values, std::string* out) {
+  out->push_back('[');
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i != 0) out->push_back(',');
+    *out += std::to_string(values[i]);
+  }
+  out->push_back(']');
+}
+
+std::string EncodeDeltaReply(const RawSampleDelta& delta) {
+  std::string reply = "{\"ok\":true,\"counts\":";
+  AppendUintArray(delta.counts, &reply);
+  if (!delta.fp_sums.empty()) {
+    reply += ",\"fp_sums\":";
+    AppendUintArray(delta.fp_sums, &reply);
+  }
+  if (!delta.fp_sum_squares.empty()) {
+    reply += ",\"fp_sum_squares\":";
+    AppendUintArray(delta.fp_sum_squares, &reply);
+  }
+  reply.push_back('}');
+  return reply;
+}
+
+Status DecodeDeltaReply(const JsonValue& reply, RawSampleDelta* out) {
+  *out = RawSampleDelta();
+  const std::pair<const char*, std::vector<uint64_t>*> fields[] = {
+      {"counts", &out->counts},
+      {"fp_sums", &out->fp_sums},
+      {"fp_sum_squares", &out->fp_sum_squares}};
+  for (const auto& [key, values] : fields) {
+    const JsonValue* v = reply.Find(key);
+    if (v == nullptr) {
+      if (values == &out->counts) {
+        return Status::Internal("worker delta is missing counts");
+      }
+      continue;
+    }
+    if (v->type != JsonValue::Type::kArray) {
+      return Status::Internal(std::string("worker delta: ") + key +
+                              " is not an array");
+    }
+    values->reserve(v->array.size());
+    for (const JsonValue& e : v->array) {
+      if (e.type != JsonValue::Type::kNumber || !e.is_uint) {
+        return Status::Internal(std::string("worker delta: ") + key +
+                                " entry is not a non-negative integer");
+      }
+      values->push_back(e.uint_value);
+    }
+  }
+  return Status::OK();
+}
 
 Status RunWorkerLoop(int fd, SessionPool* pool,
                      const WorkerLoopOptions& options) {

@@ -20,8 +20,8 @@
 ///   - "worker.wave"      in the shard worker's wave handler; a throw
 ///                        simulates a mid-wave crash (no reply, the
 ///                        connection drops)
-///   - "shard.coordinator_stripe"  before each stripe the coordinator
-///                        draws itself in a sharded wave (may sleep or
+///   - "shard.coordinator_stripe"  once before the coordinator draws
+///                        its own share of a sharded wave (may sleep or
 ///                        return Status)
 ///
 /// Activation, in priority order:

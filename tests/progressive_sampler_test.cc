@@ -216,13 +216,15 @@ TEST(SampleEngineStriping, MergedCountsIndependentOfBatching) {
   Rng r1(23), r2(23);
   SampleEngine one_shot(&p1, 4, &r1, nullptr);
   SampleEngine batched(&p2, 4, &r2, nullptr);
-  std::vector<uint64_t> a(3, 0), b(3, 0);
-  one_shot.Draw(0, 1000, &a);
+  SampleStats a, b;
+  one_shot.DrawAccumulate(0, 1000);
+  one_shot.SnapshotStats(1000, &a);
   uint64_t n = 0;
   for (uint64_t target : {3u, 64u, 65u, 700u, 1000u}) {
-    n = batched.Draw(n, target, &b);
+    n = batched.DrawAccumulate(n, target);
   }
-  EXPECT_EQ(a, b);
+  batched.SnapshotStats(n, &b);
+  EXPECT_EQ(a.counts, b.counts);
 }
 
 TEST(SampleEngineStriping, WeightedStatsIndependentOfBatching) {
@@ -231,11 +233,13 @@ TEST(SampleEngineStriping, WeightedStatsIndependentOfBatching) {
   SampleEngine one_shot(&p1, 4, &r1, nullptr);
   SampleEngine batched(&p2, 4, &r2, nullptr);
   SampleStats a, b;
-  one_shot.Draw(0, 500, &a);
+  one_shot.DrawAccumulate(0, 500);
+  one_shot.SnapshotStats(500, &a);
   uint64_t n = 0;
   for (uint64_t target : {7u, 128u, 200u, 500u}) {
-    n = batched.Draw(n, target, &b);
+    n = batched.DrawAccumulate(n, target);
   }
+  batched.SnapshotStats(n, &b);
   ASSERT_TRUE(a.weighted);
   EXPECT_EQ(a.n, b.n);
   EXPECT_EQ(a.counts, b.counts);

@@ -288,23 +288,35 @@ TEST_F(ShardTest, ShardedMatchesLocalBitwise) {
   const std::vector<QueryRequest> workload = ShardWorkload();
   const std::vector<QueryResult>& baseline = Baseline();
 
+  // At threads: 2 each query's engine draws on the shared pool, and so
+  // does the coordinator's share of a sharded wave.
+  const std::vector<QueryRequest> pooled = [&workload] {
+    std::vector<QueryRequest> reqs = workload;
+    for (QueryRequest& req : reqs) req.num_threads = 2;
+    return reqs;
+  }();
+
   for (uint32_t workers : {1u, 2u, 4u}) {
     ThreadLauncher launcher(files_.sgr_path);
     WorkerSupervisor supervisor(&launcher, FastOptions(workers));
     ASSERT_TRUE(supervisor.Start().ok());
     for (uint32_t concurrency : {1u, 2u, 8u}) {
-      SchedulerOptions opts;
-      opts.max_concurrent = concurrency;
-      opts.memo_capacity = 0;
-      opts.supervisor = &supervisor;
-      BatchScheduler scheduler(session_.get(), opts);
-      const std::vector<QueryResult> results = scheduler.RunBatch(workload);
-      ASSERT_EQ(results.size(), baseline.size());
-      for (size_t i = 0; i < results.size(); ++i) {
-        ExpectBitwiseEqual(baseline[i], results[i],
-                           "workers=" + std::to_string(workers) +
-                               " concurrency=" + std::to_string(concurrency) +
-                               " query " + workload[i].id);
+      for (const std::vector<QueryRequest>* batch : {&workload, &pooled}) {
+        SchedulerOptions opts;
+        opts.max_concurrent = concurrency;
+        opts.memo_capacity = 0;
+        opts.supervisor = &supervisor;
+        BatchScheduler scheduler(session_.get(), opts);
+        const std::vector<QueryResult> results = scheduler.RunBatch(*batch);
+        ASSERT_EQ(results.size(), baseline.size());
+        for (size_t i = 0; i < results.size(); ++i) {
+          ExpectBitwiseEqual(
+              baseline[i], results[i],
+              "workers=" + std::to_string(workers) +
+                  " concurrency=" + std::to_string(concurrency) +
+                  " threads=" + std::to_string((*batch)[i].num_threads) +
+                  " query " + workload[i].id);
+        }
       }
     }
     // Every wave went through the tier, none failed.
@@ -551,29 +563,23 @@ TEST_F(ShardTest, CoordinatorDrawsItsShareOfEveryWave) {
   }
 }
 
-/// A delta reply frame ({"ok":true,"counts":[...],...}) as RawSampleDelta.
-RawSampleDelta ParseDeltaReply(const std::string& reply) {
+/// A wave reply frame, decoded with the coordinator's codec.
+RawSampleDelta DecodeReply(const std::string& reply) {
   RawSampleDelta delta;
   JsonValue doc;
   EXPECT_TRUE(ParseJson(reply, &doc).ok()) << reply;
   const JsonValue* ok = doc.Find("ok");
   EXPECT_TRUE(ok != nullptr && ok->bool_value) << reply;
-  auto read = [&doc](const char* key, std::vector<uint64_t>* out) {
-    const JsonValue* v = doc.Find(key);
-    if (v == nullptr) return;
-    for (const JsonValue& e : v->array) out->push_back(e.uint_value);
-  };
-  read("counts", &delta.counts);
-  read("fp_sums", &delta.fp_sums);
-  read("fp_sum_squares", &delta.fp_sum_squares);
+  EXPECT_TRUE(DecodeDeltaReply(doc, &delta).ok()) << reply;
   return delta;
 }
 
 TEST_F(ShardTest, HostileWaveFramesAreRejectedAndLeaveStateIntact) {
-  // A worker must answer a wave frame that repeats a stripe, or names an
-  // absurd stripe count, with INVALID_ARGUMENT — not double-count the
-  // repeat (which would also leave its stream position behind) and not
-  // allocate one RNG stream per named stripe — and must stay usable.
+  // A worker must answer a wave frame that repeats a stripe, names an
+  // absurd stripe count, or an ordinal the estimator does not have, with
+  // INVALID_ARGUMENT — not double-count the repeat (which would also
+  // leave its stream position behind) and not allocate one RNG stream
+  // per named stripe — and must stay usable.
   ThreadLauncher launcher(files_.sgr_path);
   net::UniqueFd conn;
   ASSERT_TRUE(launcher.Launch(0, &conn).ok());
@@ -583,11 +589,12 @@ TEST_F(ShardTest, HostileWaveFramesAreRejectedAndLeaveStateIntact) {
   const std::string query_json = SerializeQueryRequest(req);
   auto exchange = [&](const std::string& num_stripes,
                       const std::string& stripes, uint64_t from,
-                      uint64_t to) {
+                      uint64_t to, int ordinal = 0) {
     const std::string frame =
         "{\"type\":\"wave\",\"graph\":\"\",\"fingerprint\":" +
         std::to_string(session_->fingerprint()) +
-        ",\"ordinal\":0,\"num_stripes\":" + num_stripes +
+        ",\"ordinal\":" + std::to_string(ordinal) +
+        ",\"num_stripes\":" + num_stripes +
         ",\"from\":" + std::to_string(from) +
         ",\"to\":" + std::to_string(to) +
         ",\"budget_ms\":0,\"stripes\":" + stripes +
@@ -610,25 +617,142 @@ TEST_F(ShardTest, HostileWaveFramesAreRejectedAndLeaveStateIntact) {
   const auto problem = MakeAbraSamplingProblem(session_->graph());
   SampleEngine local(problem.get(), kStripes, &rng, /*pool=*/nullptr);
   auto draw_local = [&](uint64_t from, uint64_t to) {
-    for (size_t s = 0; s < kStripes; ++s) {
-      local.DrawStripe(s, StripeSamplesBelow(to, s, kStripes) -
-                              StripeSamplesBelow(from, s, kStripes));
-    }
     RawSampleDelta out;
-    local.HarvestDelta(&out);
+    EXPECT_TRUE(
+        local.DrawStripes({0, 1, 2, 3}, from, to, nullptr, &out).ok());
     return out;
   };
 
   ExpectDeltaEqual(draw_local(0, 400),
-                   ParseDeltaReply(exchange("4", "[0,1,2,3]", 0, 400)),
+                   DecodeReply(exchange("4", "[0,1,2,3]", 0, 400)),
                    "first wave");
   expect_invalid(exchange("4", "[0,1,1,2,3]", 400, 800), "repeated stripe");
   expect_invalid(exchange("100000000", "[0]", 400, 800), "1e8 stripes");
   expect_invalid(exchange("4294967300", "[0,1,2,3]", 400, 800),
                  "2^32 + 4 stripes");
+  // ABRA has one progressive run: there is no ordinal 1 to draw.
+  expect_invalid(exchange("4", "[0,1,2,3]", 400, 800, 1), "ordinal 1");
   ExpectDeltaEqual(draw_local(400, 800),
-                   ParseDeltaReply(exchange("4", "[0,1,2,3]", 400, 800)),
+                   DecodeReply(exchange("4", "[0,1,2,3]", 400, 800)),
                    "wave after the hostile frames");
+}
+
+/// In-process WorkerLauncher whose workers answer every wave with one
+/// scripted reply frame (and pings and quits like the real loop): a
+/// hostile or broken worker, seen from the coordinator.
+class ScriptedLauncher : public WorkerLauncher {
+ public:
+  explicit ScriptedLauncher(std::string wave_reply)
+      : wave_reply_(std::move(wave_reply)) {}
+  ScriptedLauncher(const ScriptedLauncher&) = delete;
+  ScriptedLauncher& operator=(const ScriptedLauncher&) = delete;
+  ~ScriptedLauncher() override {
+    for (auto& inc : incarnations_) {
+      ::shutdown(inc->fd.get(), SHUT_RDWR);
+      inc->thread.join();
+    }
+  }
+
+  Status Launch(uint32_t, net::UniqueFd* conn) override {
+    auto inc = std::make_unique<Incarnation>();
+    SAPHYRA_RETURN_NOT_OK(net::SocketPair(conn, &inc->fd));
+    const int fd = inc->fd.get();
+    const std::string* wave_reply = &wave_reply_;
+    inc->thread = std::thread([fd, wave_reply] {
+      std::string msg;
+      while (net::RecvFrame(fd, &msg, Deadline::Never()).ok()) {
+        JsonValue doc;
+        const JsonValue* type =
+            ParseJson(msg, &doc).ok() ? doc.Find("type") : nullptr;
+        const std::string kind = type != nullptr ? type->string_value : "";
+        const std::string reply = kind == "wave" ? *wave_reply
+                                  : kind == "ping"
+                                      ? "{\"ok\":true,\"type\":\"pong\"}"
+                                      : "{\"ok\":true,\"type\":\"bye\"}";
+        if (!net::SendFrame(fd, reply, Deadline::AfterMillis(5000)).ok() ||
+            kind == "quit") {
+          break;
+        }
+      }
+      ::shutdown(fd, SHUT_RDWR);
+    });
+    incarnations_.push_back(std::move(inc));
+    return Status::OK();
+  }
+
+ private:
+  struct Incarnation {
+    net::UniqueFd fd;
+    std::thread thread;
+  };
+  std::string wave_reply_;
+  std::vector<std::unique_ptr<Incarnation>> incarnations_;
+};
+
+TEST_F(ShardTest, HostileWorkerRepliesBecomeStatuses) {
+  // ABRA is weighted: a well-formed delta carries all three arrays, one
+  // entry per node. Each reply below breaks that in one way; each must
+  // come back as a Status — a worker fault (retried, then shard_lost) or
+  // INTERNAL — and the query as a degraded result, never an abort.
+  const size_t k = session_->graph().num_nodes();
+  auto zeros = [](size_t n) {
+    std::string out;
+    AppendUintArray(std::vector<uint64_t>(n, 0), &out);
+    return out;
+  };
+  struct Case {
+    const char* what;
+    std::string reply;
+    StatusCode code;
+  };
+  const Case cases[] = {
+      {"counts of the wrong length",
+       "{\"ok\":true,\"counts\":" + zeros(k + 1) + ",\"fp_sums\":" +
+           zeros(k) + ",\"fp_sum_squares\":" + zeros(k) + "}",
+       StatusCode::kInternal},
+      {"fp_sums without fp_sum_squares",
+       "{\"ok\":true,\"counts\":" + zeros(k) + ",\"fp_sums\":" + zeros(k) +
+           "}",
+       StatusCode::kInternal},
+      {"a non-integer entry",
+       "{\"ok\":true,\"counts\":[0.5" + std::string(k > 1 ? "," : "") +
+           zeros(k - 1).substr(1),
+       StatusCode::kUnavailable},
+      {"no ok field", "{\"counts\":" + zeros(k) + "}",
+       StatusCode::kUnavailable},
+  };
+  QueryRequest req = ShardWorkload()[3];  // abra: one progressive run
+  ASSERT_EQ(req.estimator, EstimatorKind::kAbra);
+  ASSERT_TRUE(CanonicalizeQuery(session_->graph().num_nodes(), &req).ok());
+  for (const Case& c : cases) {
+    ScriptedLauncher launcher(c.reply);
+    WorkerSupervisor supervisor(&launcher, FastOptions(1, /*retry_budget=*/1));
+    ASSERT_TRUE(supervisor.Start().ok()) << c.what;
+
+    // The engine's view: the wave fails with the expected code and the
+    // failure latches. Where the host has the cores, the coordinator has
+    // drawn its share into the wave's sum before the reply is added.
+    ShardedQuery query(&supervisor, "", session_->fingerprint(),
+                       SerializeQueryRequest(req), /*cancel=*/nullptr);
+    Rng rng = ProgressiveRunStream(req.seed, 0, 1);
+    const auto problem = MakeAbraSamplingProblem(session_->graph());
+    SampleEngine engine(problem.get(), kDefaultSampleStripes, &rng, nullptr);
+    engine.set_wave_executor(query.ExecutorFor(0));
+    EXPECT_EQ(engine.DrawAccumulate(0, 400), 0u) << c.what;
+    EXPECT_EQ(engine.last_wave_status().code(), c.code)
+        << c.what << ": " << engine.last_wave_status().ToString();
+
+    // The server's view: a degraded result, not an error.
+    SchedulerOptions opts;
+    opts.memo_capacity = 0;
+    opts.supervisor = &supervisor;
+    BatchScheduler scheduler(session_.get(), opts);
+    const QueryResult res = scheduler.Run(ShardWorkload()[3]);
+    ASSERT_TRUE(res.status.ok()) << c.what << ": " << res.status.ToString();
+    EXPECT_TRUE(res.degraded) << c.what;
+    EXPECT_EQ(res.degrade_reason, c.code) << c.what;
+    supervisor.Shutdown();
+  }
 }
 
 #ifdef SAPHYRA_FAILPOINTS
@@ -687,11 +811,8 @@ TEST_F(ShardTest, WaveRpcsOverlapAcrossWorkers) {
   SampleEngine local(problem.get(), kStripes, &rng, /*pool=*/nullptr);
   ASSERT_EQ(local.num_workers(), kStripes);
   auto draw_local = [&](uint64_t from, uint64_t to, RawSampleDelta* out) {
-    for (size_t s = 0; s < kStripes; ++s) {
-      local.DrawStripe(s, StripeSamplesBelow(to, s, kStripes) -
-                              StripeSamplesBelow(from, s, kStripes));
-    }
-    local.HarvestDelta(out);
+    *out = RawSampleDelta();
+    ASSERT_TRUE(local.DrawStripes({0, 1, 2, 3}, from, to, nullptr, out).ok());
   };
 
   // An untimed first wave warms both workers (session open, engine build).
