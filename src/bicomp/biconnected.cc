@@ -85,10 +85,8 @@ Status ComputeBiconnectedComponentsBounded(const Graph& g, uint64_t max_depth,
   BiconnectedComponents& out = *result;
   out = BiconnectedComponents();
   out.arc_component.assign(g.num_arcs(), kInvalidComp);
-  out.is_cutpoint.assign(n, 0);
-  out.node_component.assign(n, kInvalidComp);
-  out.cutpoint_comp_count_.assign(n, 0);
   out.rev_arc = ComputeReverseArcs(g);
+  std::vector<uint8_t> is_cutpoint(n, 0);
 
   std::vector<uint32_t> disc(n, 0);  // 0 = unvisited; discovery times from 1
   std::vector<uint32_t> low(n, 0);
@@ -151,7 +149,7 @@ Status ComputeBiconnectedComponentsBounded(const Graph& g, uint64_t max_depth,
         if (low[finished.v] >= disc[parent]) {
           // `parent` separates the subtree of finished.v: close a component.
           if (parent != root || root_children >= 2) {
-            out.is_cutpoint[parent] = 1;
+            is_cutpoint[parent] = 1;
           }
           pop_component(finished.parent_arc);
         }
@@ -160,7 +158,7 @@ Status ComputeBiconnectedComponentsBounded(const Graph& g, uint64_t max_depth,
     SAPHYRA_CHECK(edge_stack.empty());
     // Root articulation rule: handled above via root_children (the root is a
     // cutpoint iff it has >= 2 DFS children).
-    if (root_children >= 2) out.is_cutpoint[root] = 1;
+    if (root_children >= 2) is_cutpoint[root] = 1;
   }
 
   // Canonical numbering + derived node fields, shared with the parallel
@@ -170,6 +168,7 @@ Status ComputeBiconnectedComponentsBounded(const Graph& g, uint64_t max_depth,
   // bitwise identical across --bicomp-threads settings and across
   // incremental repairs.
   const uint32_t dfs_components = out.num_components;
+  out.is_cutpoint = ShareArray(std::move(is_cutpoint));
   FinalizeBicompFields(g, dfs_components, /*derive_cutpoints=*/false, &out);
   SAPHYRA_CHECK(out.num_components == dfs_components);
   return Status::OK();
@@ -191,44 +190,62 @@ void FinalizeBicompFields(const Graph& g, uint32_t label_space,
     out.num_components = next;
   }
 
-  // Collect member nodes per component from the arc labels. Scanning u
-  // ascending appends to every list in ascending order, and all of u's
-  // appends come before u+1's, so each list comes out sorted and a
-  // repeat of u can only sit at its back.
-  out.component_nodes.assign(out.num_components, {});
-  for (NodeId u = 0; u < n; ++u) {
-    uint32_t prev = kInvalidComp;
-    EdgeIndex base = g.offset(u);
-    for (NodeId i = 0; i < g.degree(u); ++i) {
-      uint32_t c = out.arc_component[base + i];
-      SAPHYRA_CHECK(c != kInvalidComp);
-      if (c == prev) continue;  // adjacency runs often share a component
-      prev = c;
-      auto& nodes = out.component_nodes[c];
-      if (nodes.empty() || nodes.back() != u) nodes.push_back(u);
+  // Collect member nodes per component from the arc labels, in two passes
+  // (count, then fill) over the same per-node distinct-component walk:
+  // `last[c]` is the last node appended to c. Scanning u ascending appends
+  // to every list in ascending order, so each list comes out sorted.
+  std::vector<uint64_t> begin(out.num_components + 1, 0);
+  std::vector<NodeId> nodes;
+  std::vector<NodeId> last(out.num_components, kInvalidNode);
+  auto for_each_membership = [&](const auto& fn) {
+    std::fill(last.begin(), last.end(), kInvalidNode);
+    for (NodeId u = 0; u < n; ++u) {
+      uint32_t prev = kInvalidComp;
+      EdgeIndex base = g.offset(u);
+      for (NodeId i = 0; i < g.degree(u); ++i) {
+        uint32_t c = out.arc_component[base + i];
+        SAPHYRA_CHECK(c != kInvalidComp);
+        if (c == prev) continue;  // adjacency runs often share a component
+        prev = c;
+        if (last[c] == u) continue;
+        last[c] = u;
+        fn(c, u);
+      }
     }
+  };
+  for_each_membership([&](uint32_t c, NodeId) { ++begin[c + 1]; });
+  for (uint32_t c = 0; c < out.num_components; ++c) begin[c + 1] += begin[c];
+  nodes.resize(begin[out.num_components]);
+  {
+    std::vector<uint64_t> fill(begin.begin(), begin.end() - 1);
+    for_each_membership([&](uint32_t c, NodeId u) { nodes[fill[c]++] = u; });
   }
   // node_component + cutpoint multiplicities.
-  out.node_component.assign(n, kInvalidComp);
-  out.cutpoint_comp_count_.assign(n, 0);
+  std::vector<uint32_t> node_component(n, kInvalidComp);
+  std::vector<uint32_t> counts(n, 0);
   for (uint32_t c = 0; c < out.num_components; ++c) {
-    for (NodeId v : out.component_nodes[c]) {
-      if (out.node_component[v] == kInvalidComp) out.node_component[v] = c;
-      ++out.cutpoint_comp_count_[v];
+    for (uint64_t i = begin[c]; i < begin[c + 1]; ++i) {
+      const NodeId v = nodes[i];
+      if (node_component[v] == kInvalidComp) node_component[v] = c;
+      ++counts[v];
     }
   }
   if (derive_cutpoints) {
-    out.is_cutpoint.assign(n, 0);
+    std::vector<uint8_t> is_cutpoint(n, 0);
     for (NodeId v = 0; v < n; ++v) {
-      if (out.cutpoint_comp_count_[v] > 1) out.is_cutpoint[v] = 1;
+      if (counts[v] > 1) is_cutpoint[v] = 1;
     }
+    out.is_cutpoint = ShareArray(std::move(is_cutpoint));
   } else {
     for (NodeId v = 0; v < n; ++v) {
       // Consistency: multiplicity > 1 iff flagged as cutpoint.
-      SAPHYRA_CHECK((out.cutpoint_comp_count_[v] > 1) ==
-                    (out.is_cutpoint[v] != 0));
+      SAPHYRA_CHECK((counts[v] > 1) == (out.is_cutpoint[v] != 0));
     }
   }
+  out.component_nodes = ComponentMembers(ShareArray(std::move(begin)),
+                                         ShareArray(std::move(nodes)));
+  out.node_component = ShareArray(std::move(node_component));
+  out.cutpoint_comp_count_ = ShareArray(std::move(counts));
 }
 
 }  // namespace saphyra

@@ -3,9 +3,11 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/storage.h"
 #include "util/status.h"
 
 namespace saphyra {
@@ -13,6 +15,42 @@ namespace saphyra {
 /// Component id for arcs that belong to no biconnected component
 /// (never produced for arcs of a valid graph; used as a sentinel).
 constexpr uint32_t kInvalidComp = static_cast<uint32_t>(-1);
+
+/// \brief Sorted member lists of every biconnected component, flat: the
+/// members of component c are nodes[begin[c], begin[c+1]). Immutable; the
+/// arrays are shared (ArrayRef view mode), so a copy costs O(1) — epochs
+/// whose update kept the block partition share one set of lists — and a
+/// `.sgr` load references the mapped view node arrays without a copy.
+class ComponentMembers {
+ public:
+  ComponentMembers() = default;
+  /// \brief Adopt flat lists; `begin` has one entry per component plus a
+  /// final end offset (empty for no components).
+  ComponentMembers(ArrayRef<uint64_t> begin, ArrayRef<NodeId> nodes)
+      : begin_(std::move(begin)), nodes_(std::move(nodes)) {}
+
+  /// \brief Number of components.
+  size_t size() const { return begin_.empty() ? 0 : begin_.size() - 1; }
+
+  /// \brief Members of component c, ascending.
+  std::span<const NodeId> operator[](size_t c) const {
+    return {nodes_.data() + begin_[c], nodes_.data() + begin_[c + 1]};
+  }
+
+  /// \brief The flat arrays (ComponentViews shares them as its node
+  /// slices).
+  const ArrayRef<uint64_t>& begin() const { return begin_; }
+  const ArrayRef<NodeId>& nodes() const { return nodes_; }
+
+  friend bool operator==(const ComponentMembers& a,
+                         const ComponentMembers& b) {
+    return a.begin_ == b.begin_ && a.nodes_ == b.nodes_;
+  }
+
+ private:
+  ArrayRef<uint64_t> begin_;
+  ArrayRef<NodeId> nodes_;
+};
 
 /// \brief Biconnected (2-vertex-connected) decomposition of a graph.
 ///
@@ -30,6 +68,11 @@ constexpr uint32_t kInvalidComp = static_cast<uint32_t>(-1);
 /// parallel passes both honor this, so persisted `.sgr` decomposition
 /// sections are bitwise identical whichever pass wrote them
 /// (tests/bicomp_differential_test.cc pins this).
+///
+/// The node-level fields (is_cutpoint, component_nodes, node_component,
+/// the multiplicities) are shared ArrayRefs: copying the struct copies
+/// only the two arc-sized vectors, which is how an update that keeps the
+/// block partition carries the rest over (bicomp/incremental.h).
 struct BiconnectedComponents {
   /// Number of biconnected components (ℓ in the paper).
   uint32_t num_components = 0;
@@ -40,15 +83,15 @@ struct BiconnectedComponents {
   std::vector<uint32_t> arc_component;
 
   /// is_cutpoint[v] == 1 iff v is an articulation point.
-  std::vector<uint8_t> is_cutpoint;
+  ArrayRef<uint8_t> is_cutpoint;
 
   /// Sorted node lists per component. A cutpoint appears in every component
   /// it belongs to, so the total size is n' = Σ|C_i| >= n.
-  std::vector<std::vector<NodeId>> component_nodes;
+  ComponentMembers component_nodes;
 
   /// For every node, the id of one component containing it (kInvalidComp
   /// for isolated nodes). For non-cutpoints this is *the* component.
-  std::vector<uint32_t> node_component;
+  ArrayRef<uint32_t> node_component;
 
   /// \brief Number of biconnected components node v belongs to.
   uint32_t NumComponentsOf(NodeId v) const {
@@ -61,7 +104,7 @@ struct BiconnectedComponents {
   std::vector<EdgeIndex> rev_arc;
 
   // Internal: per-node component multiplicity for cutpoints.
-  std::vector<uint32_t> cutpoint_comp_count_;
+  ArrayRef<uint32_t> cutpoint_comp_count_;
 };
 
 /// \brief Every node's components, with the node's local id in each (its

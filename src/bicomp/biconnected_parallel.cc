@@ -217,11 +217,18 @@ BiconnectedComponents ComputeBiconnectedComponentsParallel(
 
   BiconnectedComponents out;
   out.arc_component.assign(arcs, kInvalidComp);
-  out.is_cutpoint.assign(n, 0);
-  out.node_component.assign(n, kInvalidComp);
-  out.cutpoint_comp_count_.assign(n, 0);
   out.rev_arc = ReverseArcsParallel(g, ex);
-  if (arcs == 0) return out;
+  std::vector<uint8_t> is_cutpoint(n, 0);
+  std::vector<uint32_t> node_component(n, kInvalidComp);
+  std::vector<uint32_t> counts(n, 0);
+  if (arcs == 0) {
+    out.is_cutpoint = ShareArray(std::move(is_cutpoint));
+    out.component_nodes = ComponentMembers(ShareArray<uint64_t>({0}),
+                                           ShareArray<NodeId>({}));
+    out.node_component = ShareArray(std::move(node_component));
+    out.cutpoint_comp_count_ = ShareArray(std::move(counts));
+    return out;
+  }
 
   // --- 1. connected components over all edges ------------------------------
   std::vector<NodeId> cc(n);
@@ -467,15 +474,16 @@ BiconnectedComponents ComputeBiconnectedComponentsParallel(
       for_distinct_comps(v, &distinct,
                          [&](uint32_t c) { FetchAdd32(&comp_size[c], 1); });
       if (distinct.empty()) continue;  // isolated node
-      out.node_component[v] = distinct.front();
-      out.cutpoint_comp_count_[v] = static_cast<uint32_t>(distinct.size());
-      out.is_cutpoint[v] = distinct.size() > 1 ? 1 : 0;
+      node_component[v] = distinct.front();
+      counts[v] = static_cast<uint32_t>(distinct.size());
+      is_cutpoint[v] = distinct.size() > 1 ? 1 : 0;
     }
   });
-  out.component_nodes.assign(out.num_components, {});
-  ex.For(0, out.num_components, [&](size_t c) {
-    out.component_nodes[c].resize(comp_size[c]);
-  });
+  std::vector<uint64_t> begin(out.num_components + 1, 0);
+  for (uint32_t c = 0; c < out.num_components; ++c) {
+    begin[c + 1] = begin[c] + comp_size[c];
+  }
+  std::vector<NodeId> members(begin[out.num_components]);
   {
     std::vector<uint32_t> cursor(out.num_components, 0);
     ex.Chunks(0, n, [&](uint32_t, size_t lo, size_t hi) {
@@ -483,14 +491,20 @@ BiconnectedComponents ComputeBiconnectedComponentsParallel(
       for (size_t vi = lo; vi < hi; ++vi) {
         NodeId v = static_cast<NodeId>(vi);
         for_distinct_comps(v, &distinct, [&](uint32_t c) {
-          out.component_nodes[c][FetchAdd32(&cursor[c], 1)] = v;
+          members[begin[c] + FetchAdd32(&cursor[c], 1)] = v;
         });
       }
     });
   }
   ex.For(0, out.num_components, [&](size_t c) {
-    std::sort(out.component_nodes[c].begin(), out.component_nodes[c].end());
+    std::sort(members.begin() + static_cast<std::ptrdiff_t>(begin[c]),
+              members.begin() + static_cast<std::ptrdiff_t>(begin[c + 1]));
   });
+  out.is_cutpoint = ShareArray(std::move(is_cutpoint));
+  out.component_nodes = ComponentMembers(ShareArray(std::move(begin)),
+                                         ShareArray(std::move(members)));
+  out.node_component = ShareArray(std::move(node_component));
+  out.cutpoint_comp_count_ = ShareArray(std::move(counts));
   return out;
 }
 

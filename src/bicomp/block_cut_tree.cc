@@ -10,8 +10,8 @@ BlockCutTree BlockCutTree::Build(const Graph& g,
                                  const BiconnectedComponents& bcc,
                                  const ComponentLabels& conn) {
   BlockCutTree t;
-  t.is_cutpoint_ = &bcc.is_cutpoint;
-  t.conn_ = &conn;
+  t.is_cutpoint_ = bcc.is_cutpoint;
+  t.conn_component_ = conn.component;
   t.conn_sizes_.assign(conn.size.begin(), conn.size.end());
 
   const uint32_t num_comps = bcc.num_components;
@@ -128,8 +128,8 @@ BlockCutTree BlockCutTree::FromParts(
     std::vector<uint64_t> conn_size_of_comp,
     const std::vector<std::pair<uint64_t, uint64_t>>& cut_reach) {
   BlockCutTree t;
-  t.is_cutpoint_ = &bcc.is_cutpoint;
-  t.conn_ = &conn;
+  t.is_cutpoint_ = bcc.is_cutpoint;
+  t.conn_component_ = conn.component;
   t.conn_sizes_.assign(conn.size.begin(), conn.size.end());
   t.conn_size_of_comp_ = std::move(conn_size_of_comp);
   t.cut_reach_.reserve(cut_reach.size());

@@ -34,7 +34,7 @@ class BlockCutTree {
 
   /// \brief Out-reach r_i(v). `v` must be a member of component `comp`.
   uint64_t OutReach(uint32_t comp, NodeId v) const {
-    if (!(*is_cutpoint_)[v]) return 1;
+    if (!is_cutpoint_[v]) return 1;
     auto it = cut_reach_.find(Key(comp, v));
     return it == cut_reach_.end() ? 1 : it->second;
   }
@@ -53,16 +53,7 @@ class BlockCutTree {
 
   /// \brief Size of the connected component of node v.
   uint64_t conn_size_of_node(NodeId v) const {
-    return conn_sizes_[conn_->component[v]];
-  }
-
-  /// \brief Re-point the internal references after the owning
-  /// BiconnectedComponents / ComponentLabels structs moved (the tree stores
-  /// addresses of their members). Used by the `.sgr` cache loader and by
-  /// IspIndex when it adopts a deserialized decomposition.
-  void Rebind(const BiconnectedComponents& bcc, const ComponentLabels& conn) {
-    is_cutpoint_ = &bcc.is_cutpoint;
-    conn_ = &conn;
+    return conn_sizes_[conn_component_[v]];
   }
 
   /// \brief The cutpoint out-reach table, keyed by (comp << 32 | node)
@@ -92,8 +83,10 @@ class BlockCutTree {
     return (static_cast<uint64_t>(comp) << 32) | v;
   }
 
-  const std::vector<uint8_t>* is_cutpoint_ = nullptr;
-  const ComponentLabels* conn_ = nullptr;
+  // The node-level inputs, shared or copied: a tree holds no pointer into
+  // the structs it was built from and may outlive or move apart from them.
+  ArrayRef<uint8_t> is_cutpoint_;
+  std::vector<NodeId> conn_component_;
   std::vector<uint64_t> conn_sizes_;          // per connected component
   std::vector<uint64_t> conn_size_of_comp_;   // per biconnected component
   std::unordered_map<uint64_t, uint64_t> cut_reach_;

@@ -9,20 +9,16 @@ namespace saphyra {
 
 ComponentViews::ComponentViews(const Graph& g,
                                const BiconnectedComponents& bcc) {
+  // The node slices are the decomposition's member lists themselves:
+  // shared, not copied.
   const uint32_t num_comps = bcc.num_components;
-  std::vector<uint64_t> node_begin(num_comps + 1, 0);
+  node_begin_ = bcc.component_nodes.begin();
+  nodes_ = bcc.component_nodes.nodes();
+  const std::span<const uint64_t> node_begin = node_begin_.span();
   for (uint32_t c = 0; c < num_comps; ++c) {
-    const size_t sz = bcc.component_nodes[c].size();
-    node_begin[c + 1] = node_begin[c] + sz;
-    max_size_ = std::max(max_size_, static_cast<NodeId>(sz));
+    max_size_ = std::max(max_size_, size(c));
   }
   const size_t total_nodes = node_begin[num_comps];
-  std::vector<NodeId> nodes;
-  nodes.reserve(total_nodes);
-  for (uint32_t c = 0; c < num_comps; ++c) {
-    nodes.insert(nodes.end(), bcc.component_nodes[c].begin(),
-                 bcc.component_nodes[c].end());
-  }
 
   // Pass 1: the local id of every arc's source in the arc's component,
   // looked up once per run of same-component arcs, and per-local-node
@@ -67,10 +63,58 @@ ComponentViews::ComponentViews(const Graph& g,
     adj[cursor[node_begin[c] + src_local[e]]++] = src_local[rev];
   }
 
-  node_begin_ = std::move(node_begin);
-  nodes_ = std::move(nodes);
   offsets_ = std::move(offsets);
   adj_ = std::move(adj);
+}
+
+ComponentViews ComponentViews::WithEdge(uint32_t c, NodeId u, NodeId v,
+                                        bool insert) const {
+  // Each endpoint's change: its node slot and the absolute adjacency
+  // position where the other endpoint's local id goes in or comes out.
+  struct Change {
+    size_t slot;
+    EdgeIndex at;
+    NodeId value;
+  };
+  auto locate = [&](NodeId from, NodeId to) {
+    SAPHYRA_CHECK(from != kInvalidNode && to != kInvalidNode);
+    const auto nbr = Neighbors(c, from);
+    const auto it = std::lower_bound(nbr.begin(), nbr.end(), to);
+    SAPHYRA_CHECK(insert == (it == nbr.end() || *it != to));
+    const size_t slot = node_begin_[c] + from;
+    const auto pos = static_cast<EdgeIndex>(it - nbr.begin());
+    return Change{slot, offsets_[slot] + pos, to};
+  };
+  const NodeId lu = ToLocal(c, u);
+  const NodeId lv = ToLocal(c, v);
+  Change x = locate(lu, lv);
+  Change y = locate(lv, lu);
+  if (x.slot > y.slot) std::swap(x, y);  // then x.at <= y.at
+
+  const auto old_adj = adj_.span();
+  std::vector<NodeId> adj;
+  adj.reserve(insert ? old_adj.size() + 2 : old_adj.size() - 2);
+  const size_t skip = insert ? 0 : 1;
+  adj.insert(adj.end(), old_adj.begin(), old_adj.begin() + x.at);
+  if (insert) adj.push_back(x.value);
+  adj.insert(adj.end(), old_adj.begin() + x.at + skip,
+             old_adj.begin() + y.at);
+  if (insert) adj.push_back(y.value);
+  adj.insert(adj.end(), old_adj.begin() + y.at + skip, old_adj.end());
+
+  // Offsets past x's slot move by one arc, past y's slot by two.
+  const EdgeIndex step = insert ? 1 : static_cast<EdgeIndex>(-1);
+  std::vector<EdgeIndex> offsets(offsets_.begin(), offsets_.end());
+  for (size_t k = x.slot + 1; k <= y.slot; ++k) offsets[k] += step;
+  for (size_t k = y.slot + 1; k < offsets.size(); ++k) offsets[k] += 2 * step;
+
+  ComponentViews out;
+  out.node_begin_ = node_begin_;
+  out.nodes_ = nodes_;
+  out.offsets_ = std::move(offsets);
+  out.adj_ = std::move(adj);
+  out.max_size_ = max_size_;
+  return out;
 }
 
 Status ComponentViews::FromParts(ArrayRef<uint64_t> node_begin,

@@ -44,11 +44,20 @@ class ComponentViews {
  public:
   ComponentViews() = default;
 
-  /// \brief Materialize every component of `bcc`. O(n + m + Σ|C_i|):
-  /// a source's local id is looked up in a NodeComponentIndex once per run
-  /// of same-component arcs (a binary search only for a cutpoint), and a
-  /// neighbor's is the one its reverse arc (`bcc.rev_arc`) recorded.
+  /// \brief Materialize every component of `bcc`, sharing its member
+  /// lists as the node slices. O(n + m + Σ|C_i|): a source's local id is
+  /// looked up in a NodeComponentIndex once per run of same-component arcs
+  /// (a binary search only for a cutpoint), and a neighbor's is the one
+  /// its reverse arc (`bcc.rev_arc`) recorded.
   ComponentViews(const Graph& g, const BiconnectedComponents& bcc);
+
+  /// \brief The views of the same block partition with edge {u, v} of
+  /// component c added (`insert`) or removed: the node slices are shared,
+  /// c's two adjacency entries are spliced in or out and every later
+  /// offset moves by them — O(Σ|C_i| + num_arcs) sequential copies instead
+  /// of a rebuild. u and v must be members of c, and the edge absent
+  /// (insert) or present (remove).
+  ComponentViews WithEdge(uint32_t c, NodeId u, NodeId v, bool insert) const;
 
   /// \brief Number of components ℓ.
   uint32_t num_components() const {

@@ -68,6 +68,152 @@ bool BlockCutPath(const Graph& g, const BiconnectedComponents& bcc,
   return true;
 }
 
+/// The block u and v share in `bcc` (the decomposition of `g`), or
+/// kInvalidComp: the labels on u's arcs against those on v's, O(deg u +
+/// deg v). Two nodes share at most one block.
+uint32_t SharedBlock(const Graph& g, const BiconnectedComponents& bcc,
+                     NodeId u, NodeId v) {
+  auto labels_of = [&](NodeId x) {
+    const auto first = bcc.arc_component.begin() + g.offset(x);
+    std::vector<uint32_t> out(first, first + g.degree(x));
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  };
+  const std::vector<uint32_t> at_u = labels_of(u);
+  const std::vector<uint32_t> at_v = labels_of(v);
+  uint32_t shared = kInvalidComp;
+  std::set_intersection(at_u.begin(), at_u.end(), at_v.begin(), at_v.end(),
+                        &shared);
+  return shared;
+}
+
+/// Whether u and v keep two internally vertex-disjoint paths in block c
+/// of `g` (arcs labeled c by `label`) once the edge {u,v} is removed. By
+/// Menger's theorem that holds exactly when the block minus the edge is
+/// still one block with the same members: a cut vertex of it would have
+/// to separate u from v, since adding the edge back restores the block.
+/// Unit-capacity vertex-disjoint flow: one BFS finds a first u–v path P,
+/// then one BFS looks for an augmenting path in the residual graph where
+/// every vertex but u and v is split into an in and an out copy.
+bool KeepsTwoDisjointPaths(const Graph& g, const std::vector<uint32_t>& label,
+                           uint32_t c, NodeId u, NodeId v) {
+  const NodeId n = g.num_nodes();
+  // Visit the arcs x -> y of block c minus the edge {u,v}; `fn` returns
+  // true to stop the scan.
+  auto for_each_arc = [&](NodeId x, const auto& fn) {
+    const EdgeIndex base = g.offset(x);
+    const auto nbr = g.neighbors(x);
+    for (size_t i = 0; i < nbr.size(); ++i) {
+      const NodeId y = nbr[i];
+      if (label[base + i] != c || (x == u && y == v) || (x == v && y == u)) {
+        continue;
+      }
+      if (fn(y)) return true;
+    }
+    return false;
+  };
+
+  // First path: BFS tree `pred` from u; P follows it back from v.
+  std::vector<NodeId> pred(n, kInvalidNode);
+  std::vector<NodeId> queue{u};
+  pred[u] = u;
+  for (size_t head = 0; head < queue.size() && pred[v] == kInvalidNode;
+       ++head) {
+    for_each_arc(queue[head], [&](NodeId y) {
+      if (pred[y] != kInvalidNode) return false;
+      pred[y] = queue[head];
+      queue.push_back(y);
+      return y == v;
+    });
+  }
+  if (pred[v] == kInvalidNode) return false;
+  std::vector<NodeId> succ(n, kInvalidNode);  // next vertex on P
+  for (NodeId x = v; x != u; x = pred[x]) succ[pred[x]] = x;
+  auto on_path = [&](NodeId x) { return x != u && succ[x] != kInvalidNode; };
+
+  // Residual search over states 2x (x_in) and 2x+1 (x_out); u is the
+  // source's out copy, reaching any arc into v ends it. Residual moves:
+  // an unused arc x_out -> y_in (P's own arcs are saturated); x_in ->
+  // x_out off P; backwards along P, x_out -> x_in and x_in -> pred_out.
+  std::vector<uint8_t> seen(2 * static_cast<size_t>(n), 0);
+  std::vector<uint64_t> states{2 * static_cast<uint64_t>(u) + 1};
+  seen[states[0]] = 1;
+  auto push = [&](NodeId x, bool out) {
+    const uint64_t s = 2 * static_cast<uint64_t>(x) + (out ? 1 : 0);
+    if (x == u || seen[s]) return;
+    seen[s] = 1;
+    states.push_back(s);
+  };
+  for (size_t head = 0; head < states.size(); ++head) {
+    const NodeId x = static_cast<NodeId>(states[head] / 2);
+    if (states[head] % 2 == 0) {
+      if (!on_path(x)) {
+        push(x, true);
+      } else {
+        push(pred[x], true);
+      }
+      continue;
+    }
+    const bool reached = for_each_arc(x, [&](NodeId y) {
+      if (succ[x] == y) return false;
+      if (y == v) return true;
+      push(y, false);
+      return false;
+    });
+    if (reached) return true;
+    if (on_path(x)) push(x, false);
+  }
+  return false;
+}
+
+/// Whether relabeling `labels` — the new CSR's arc labels, with only the
+/// two arcs of the mutated edge {u,v} of `block` added or removed —
+/// keeps every component's smallest arc in id order, so the old ids are
+/// still canonical. The block's smallest arc lies in the list of its
+/// smallest member, so only a mutation there can move it; then one pass
+/// checks that ids first appear in ascending order.
+bool KeepsCanonicalIds(const BiconnectedComponents& old_bcc, uint32_t block,
+                       NodeId u, NodeId v,
+                       const std::vector<uint32_t>& labels) {
+  if (std::min(u, v) != old_bcc.component_nodes[block][0]) return true;
+  uint32_t next = 0;
+  for (uint32_t c : labels) {
+    if (c < next) continue;
+    if (c != next) return false;
+    ++next;
+  }
+  return true;
+}
+
+/// A per-arc array of the old CSR carried onto the new one: the two
+/// mutated arcs' slots are spliced in at `lo` < `hi` (an insert; new-CSR
+/// positions, filled with `at_lo` and `at_hi`) or out (a delete; old-CSR
+/// positions), and every surviving entry passes through `map`. One
+/// allocation and one pass — the arrays are arc-sized.
+template <typename T, typename Map>
+std::vector<T> SpliceArcs(const std::vector<T>& old, bool insert,
+                          EdgeIndex lo, EdgeIndex hi, T at_lo, T at_hi,
+                          const Map& map) {
+  std::vector<T> out(insert ? old.size() + 2 : old.size() - 2);
+  auto it = out.begin();
+  auto copy = [&](EdgeIndex from, EdgeIndex to) {
+    it = std::transform(old.begin() + from, old.begin() + to, it, map);
+  };
+  if (insert) {
+    copy(0, lo);
+    *it++ = at_lo;
+    copy(lo, hi - 1);
+    *it++ = at_hi;
+    copy(hi - 1, old.size());
+  } else {
+    copy(0, lo);
+    copy(lo + 1, hi);
+    copy(hi + 1, old.size());
+  }
+  return out;
+}
+
 }  // namespace
 
 BiconnectedComponents RepairBiconnectedComponents(
@@ -84,28 +230,62 @@ BiconnectedComponents RepairBiconnectedComponents(
   *stats = IncrementalBicompStats();
 
   // 1. Transfer the old per-arc labels onto the new CSR. The two graphs
-  // differ by one slot in u's list and one in v's list, so the label
-  // array is the old one with two positions inserted (as kInvalidComp,
-  // marking the new arcs dirty) or erased.
-  std::vector<uint32_t> labels(old_bcc.arc_component.begin(),
-                               old_bcc.arc_component.end());
+  // differ by one slot in u's list and one in v's list — the mutated
+  // arcs, at positions in the new CSR for an insert and in the old one
+  // for a delete — so the label array is the old one with two positions
+  // inserted (as kInvalidComp, marking the new arcs dirty) or erased.
+  const Graph& with_edge = insert ? new_graph : old_graph;
+  EdgeIndex lo = ArcIndexOf(with_edge, mut.u, mut.v);
+  EdgeIndex hi = ArcIndexOf(with_edge, mut.v, mut.u);
+  if (lo > hi) std::swap(lo, hi);
+  std::vector<uint32_t> labels =
+      SpliceArcs(old_bcc.arc_component, insert, lo, hi, kInvalidComp,
+                 kInvalidComp, [](uint32_t c) { return c; });
   std::vector<uint32_t> dirty;  // old blocks the mutation touches
+  // The block whose member lists survive the mutation unchanged, if any:
+  // the shared block of an insert's endpoints, or a delete's block when
+  // the two-path test holds.
+  uint32_t kept = kInvalidComp;
   if (insert) {
-    EdgeIndex p1 = ArcIndexOf(new_graph, mut.u, mut.v);
-    EdgeIndex p2 = ArcIndexOf(new_graph, mut.v, mut.u);
-    if (p1 > p2) std::swap(p1, p2);
-    labels.insert(labels.begin() + p1, kInvalidComp);
-    labels.insert(labels.begin() + p2, kInvalidComp);
-    BlockCutPath(old_graph, old_bcc, mut.u, mut.v, &dirty);
+    kept = SharedBlock(old_graph, old_bcc, mut.u, mut.v);
+    if (kept != kInvalidComp) {
+      dirty.push_back(kept);
+      labels[lo] = labels[hi] = kept;
+    } else {
+      BlockCutPath(old_graph, old_bcc, mut.u, mut.v, &dirty);
+    }
   } else {
-    EdgeIndex p1 = ArcIndexOf(old_graph, mut.u, mut.v);
-    EdgeIndex p2 = ArcIndexOf(old_graph, mut.v, mut.u);
-    dirty.push_back(old_bcc.arc_component[p1]);
-    if (p1 > p2) std::swap(p1, p2);
-    labels.erase(labels.begin() + p2);
-    labels.erase(labels.begin() + p1);
+    const uint32_t block = old_bcc.arc_component[lo];
+    dirty.push_back(block);
+    if (old_bcc.component_nodes[block].size() > 2 &&
+        KeepsTwoDisjointPaths(old_graph, old_bcc.arc_component, block,
+                              mut.u, mut.v)) {
+      kept = block;
+    }
   }
   stats->dirty_blocks = static_cast<uint32_t>(dirty.size());
+
+  if (kept != kInvalidComp &&
+      KeepsCanonicalIds(old_bcc, kept, mut.u, mut.v, labels)) {
+    // The partition stands: the node-level fields carry over (the member
+    // lists are shared, not copied) and the arc arrays shift around the
+    // two mutated arcs. Nothing is relabeled.
+    stats->kept_partition = true;
+    BiconnectedComponents out;
+    out.num_components = old_bcc.num_components;
+    out.arc_component = std::move(labels);
+    out.is_cutpoint = old_bcc.is_cutpoint;
+    out.component_nodes = old_bcc.component_nodes;
+    out.node_component = old_bcc.node_component;
+    out.cutpoint_comp_count_ = old_bcc.cutpoint_comp_count_;
+    // A surviving arc's reverse moves with it.
+    out.rev_arc = SpliceArcs(
+        old_bcc.rev_arc, insert, lo, hi, hi, lo, [&](EdgeIndex e) {
+          return insert ? e + (e >= lo) + (e + 1 >= hi)
+                        : e - (e > lo) - (e > hi);
+        });
+    return out;
+  }
 
   // 2. Measure the dirty region: the old dirty-block arcs that survive,
   // plus the inserted arcs.

@@ -16,17 +16,32 @@
 ///   - deleting an edge can only split the block that contained it; all
 ///     other blocks are untouched.
 /// So the repair transfers the old per-arc labels onto the new CSR and
-/// relabels only the "dirty" edge set:
-///   - an insert is a closed-form relabel: the path blocks' arcs and the
-///     two new arcs take one fresh label (the new edge alone when the path
-///     is empty). Nothing is recomputed, and inserts never fall back.
-///   - a delete recomputes the serial decomposition of the containing
-///     block's surviving arcs and grafts the sub-labels back.
-/// Either way the shared canonical finalization (FinalizeBicompFields)
-/// then rebuilds every derived field. Because every derived field is a
-/// pure function of the arc partition and the finalization is shared, the
-/// repaired struct is BITWISE identical to
-/// ComputeBiconnectedComponents(new_graph) — the property
+/// relabels only what the mutation changed. An insert whose endpoints
+/// already share a block (found from their arc labels, O(deg u + deg v))
+/// changes no block: its two arcs take that block's label. Any other
+/// insert is a closed-form relabel: the path blocks' arcs and the two new
+/// arcs take one fresh label (the new edge alone when the path is empty).
+/// Inserts never recompute and never fall back. A bridge delete drops
+/// its block's label and recomputes nothing. Any other delete takes one
+/// of three routes:
+///   - kept: the two-path test finds two internally vertex-disjoint u–v
+///     paths in the block without the edge. By Menger's theorem the block
+///     then stays one block with the same members, so nothing is
+///     relabeled.
+///   - local recompute: the test fails, so the block splits; the serial
+///     decomposition of its surviving arcs is grafted back.
+///   - fallback: the split block is past `max_dirty_fraction` of the
+///     graph's arcs, and the full parallel pass runs instead.
+/// When the partition stands (kept inserts and deletes) and no block's
+/// smallest arc moved past another's, the old node-level fields carry
+/// over unchanged — the member lists are shared, not copied — and only
+/// arc_component and rev_arc shift around the two mutated arcs
+/// (IncrementalBicompStats::kept_partition); IspIndex then reuses the
+/// parent's partition tables. Otherwise the shared canonical finalization
+/// (FinalizeBicompFields) rebuilds every derived field. Because every
+/// derived field is a pure function of the arc partition and the
+/// finalization is shared, the repaired struct is BITWISE identical to
+/// ComputeBiconnectedComponents(new_graph) on every route — the property
 /// tests/incremental_bicomp_test.cc and the mutation differential harness
 /// pin.
 ///
@@ -36,11 +51,8 @@
 /// describes. The serving tier applies one update request at a time
 /// anyway, so the decomposition is exact after every apply.
 ///
-/// When a delete's dirty region exceeds `max_dirty_fraction` of the
-/// graph's arcs (an edge of a huge block), recomputing it costs about as
-/// much as a full pass — the repair falls back to the parallel pass,
-/// which honors the same canonicalization contract, so the fallback is
-/// invisible in the output bytes.
+/// The fallback is invisible in the output bytes: the parallel pass
+/// honors the same canonicalization contract.
 
 #include <cstdint>
 
@@ -72,6 +84,11 @@ struct IncrementalBicompOptions {
 /// \brief Observability of one repair (tests pin the routing decisions).
 struct IncrementalBicompStats {
   bool fell_back = false;      ///< full parallel pass ran instead
+  /// The block partition stood: the same member lists under the same
+  /// canonical ids, so only arc_component and rev_arc changed (nothing
+  /// relabeled, dirty_arcs 0) and every table derived from the partition
+  /// stays valid (IspIndex's reuse constructor).
+  bool kept_partition = false;
   uint64_t dirty_arcs = 0;     ///< arcs of the relabeled region
   uint32_t dirty_blocks = 0;   ///< old components in the dirty set
 };

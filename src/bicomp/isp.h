@@ -8,6 +8,7 @@
 #include "bicomp/biconnected.h"
 #include "bicomp/block_cut_tree.h"
 #include "bicomp/component_view.h"
+#include "bicomp/incremental.h"
 #include "graph/connectivity.h"
 #include "graph/graph.h"
 #include "util/rng.h"
@@ -61,13 +62,25 @@ class IspIndex {
   /// (γ, bc_a, alias tables) are recomputed — O(Σ|C_i|).
   IspIndex(const Graph& g, GraphCache&& cache);
 
+  /// \brief The index of `g`, which is `parent`'s graph with the single
+  /// edge mutation `mut` applied, given g's decomposition `bcc` with the
+  /// parent's block partition: the same member lists under the same
+  /// canonical ids (IncrementalBicompStats::kept_partition). Connectivity,
+  /// the block-cut tree and every table derived from them (γ, W_i, bc_a,
+  /// alias tables) are pure functions of that partition, so they are
+  /// shared with the parent, not recomputed; only the mutated block's
+  /// views are patched (ComponentViews::WithEdge). Either index may be
+  /// destroyed first.
+  IspIndex(const Graph& g, const IspIndex& parent, BiconnectedComponents bcc,
+           const EdgeMutation& mut);
+
   IspIndex(const IspIndex&) = delete;
   IspIndex& operator=(const IspIndex&) = delete;
 
   const Graph& graph() const { return *g_; }
   const BiconnectedComponents& bcc() const { return bcc_; }
-  const BlockCutTree& tree() const { return tree_; }
-  const ComponentLabels& conn() const { return conn_; }
+  const BlockCutTree& tree() const { return tables_->tree; }
+  const ComponentLabels& conn() const { return tables_->conn; }
 
   /// \brief Compact relabeled CSR of every biconnected component; the
   /// filter-free substrate of the Gen_bc sampler's restricted BFS.
@@ -77,20 +90,20 @@ class IspIndex {
   uint32_t num_components() const { return bcc_.num_components; }
 
   /// \brief Normalization factor γ of the ISP distribution (Eq. 19).
-  double gamma() const { return gamma_; }
+  double gamma() const { return tables_->gamma; }
 
   /// \brief Break-point centrality bc_a(v) (Eq. 21; 0 for non-cutpoints).
-  double bca(NodeId v) const { return bca_[v]; }
+  double bca(NodeId v) const { return tables_->bca[v]; }
 
   /// \brief Unnormalized component mass W_i (q-mass × n(n−1)).
-  double comp_weight(uint32_t c) const { return comp_weight_[c]; }
+  double comp_weight(uint32_t c) const { return tables_->comp_weight[c]; }
 
   /// \brief Σ_i W_i = γ·n(n−1).
-  double total_weight() const { return total_weight_; }
+  double total_weight() const { return tables_->total_weight; }
 
   /// \brief Out-reach r_i(v) for member v of component c.
   uint64_t OutReach(uint32_t c, NodeId v) const {
-    return tree_.OutReach(c, v);
+    return tables_->tree.OutReach(c, v);
   }
 
   /// \brief q_st for s,t members of component c (ordered-pair mass).
@@ -113,27 +126,38 @@ class IspIndex {
   NodeId SampleTarget(uint32_t c, NodeId s, Rng* rng) const;
 
  private:
-  /// Shared tail of both constructors: the closed-form tables derived from
-  /// the decomposition (γ, W_i, bc_a, alias tables).
-  void BuildDerivedTables();
+  /// Everything that is a pure function of the block partition (and of
+  /// n): built once, then shared by every later epoch whose update kept
+  /// the partition. Holds no pointer into any epoch — the tree keeps its
+  /// node-level inputs itself — so no epoch's lifetime bounds another's.
+  struct PartitionTables {
+    ComponentLabels conn;
+    BlockCutTree tree;
+    double gamma = 0.0;
+    double total_weight = 0.0;
+    std::vector<double> comp_weight;
+    std::vector<double> bca;
+    // Alias tables per component, indices into component_nodes[c].
+    std::vector<AliasTable> source_alias;
+    std::vector<AliasTable> target_alias;
+    // Per-component out-reach values aligned with component_nodes[c],
+    // plus their sum (= csize): needed for the no-rejection fallback in
+    // SampleTarget when one node holds most of the r-mass.
+    std::vector<std::vector<double>> target_weights;
+    std::vector<double> target_mass;
+  };
+
+  /// The closed-form tables derived from a decomposition, its connectivity
+  /// and its tree (γ, W_i, bc_a, alias tables).
+  static std::shared_ptr<const PartitionTables> BuildTables(
+      NodeId n, const BiconnectedComponents& bcc, ComponentLabels conn,
+      BlockCutTree tree);
 
   const Graph* g_;
   BiconnectedComponents bcc_;
-  ComponentLabels conn_;
-  BlockCutTree tree_;
+  // Reached through this one pointer on the sampling hot path.
+  std::shared_ptr<const PartitionTables> tables_;
   ComponentViews views_;
-  double gamma_ = 0.0;
-  double total_weight_ = 0.0;
-  std::vector<double> comp_weight_;
-  std::vector<double> bca_;
-  // Alias tables per component, indices into bcc_.component_nodes[c].
-  std::vector<AliasTable> source_alias_;
-  std::vector<AliasTable> target_alias_;
-  // Per-component out-reach values aligned with component_nodes[c], plus
-  // their sum (= csize): needed for the no-rejection fallback in
-  // SampleTarget when one node holds most of the r-mass.
-  std::vector<std::vector<double>> target_weights_;
-  std::vector<double> target_mass_;
 };
 
 /// \brief Personalization of the ISP space to a target subset A (§IV-A).

@@ -220,29 +220,6 @@ uint64_t GraphContentFingerprint(const Graph& g) {
   return h.Digest();
 }
 
-GraphCache::GraphCache(GraphCache&& other) noexcept
-    : graph(std::move(other.graph)),
-      content_fingerprint(other.content_fingerprint),
-      has_decomposition(other.has_decomposition),
-      bcc(std::move(other.bcc)),
-      conn(std::move(other.conn)),
-      views(std::move(other.views)),
-      tree(std::move(other.tree)) {
-  tree.Rebind(bcc, conn);
-}
-
-GraphCache& GraphCache::operator=(GraphCache&& other) noexcept {
-  graph = std::move(other.graph);
-  content_fingerprint = other.content_fingerprint;
-  has_decomposition = other.has_decomposition;
-  bcc = std::move(other.bcc);
-  conn = std::move(other.conn);
-  views = std::move(other.views);
-  tree = std::move(other.tree);
-  tree.Rebind(bcc, conn);
-  return *this;
-}
-
 Status WriteSgr(const std::string& path, const Graph& g,
                 const BiconnectedComponents* bcc, const ComponentLabels* conn,
                 const ComponentViews* views, const BlockCutTree* tree,
@@ -441,16 +418,23 @@ Status LoadSgr(const std::string& path, GraphCache* out,
                                               find(kSecBccArcComponent),
                                               "bcc arc_component", arcs,
                                               &bcc.arc_component));
-  SAPHYRA_RETURN_NOT_OK(CopySection<uint8_t>(bytes, find(kSecBccIsCutpoint),
+  // The node-level fields stay inside the mapping, like the views.
+  std::span<const uint8_t> is_cutpoint;
+  std::span<const uint32_t> node_component;
+  std::span<const uint32_t> cutpoint_comp_count;
+  SAPHYRA_RETURN_NOT_OK(SectionSpan<uint8_t>(bytes, find(kSecBccIsCutpoint),
                                              "bcc is_cutpoint", n,
-                                             &bcc.is_cutpoint));
-  SAPHYRA_RETURN_NOT_OK(CopySection<uint32_t>(bytes,
+                                             &is_cutpoint));
+  SAPHYRA_RETURN_NOT_OK(SectionSpan<uint32_t>(bytes,
                                               find(kSecBccNodeComponent),
                                               "bcc node_component", n,
-                                              &bcc.node_component));
-  SAPHYRA_RETURN_NOT_OK(CopySection<uint32_t>(
+                                              &node_component));
+  SAPHYRA_RETURN_NOT_OK(SectionSpan<uint32_t>(
       bytes, find(kSecBccCutpointCount), "bcc cutpoint_comp_count", n,
-      &bcc.cutpoint_comp_count_));
+      &cutpoint_comp_count));
+  bcc.is_cutpoint = ArrayRef<uint8_t>(is_cutpoint, file);
+  bcc.node_component = ArrayRef<uint32_t>(node_component, file);
+  bcc.cutpoint_comp_count_ = ArrayRef<uint32_t>(cutpoint_comp_count, file);
   SAPHYRA_RETURN_NOT_OK(CopySection<EdgeIndex>(
       bytes, find(kSecBccRevArc), "bcc rev_arc", arcs, &bcc.rev_arc));
   SAPHYRA_RETURN_NOT_OK(CopySection<NodeId>(bytes, find(kSecConnLabels),
@@ -483,12 +467,11 @@ Status LoadSgr(const std::string& path, GraphCache* out,
       ArrayRef<NodeId>(view_adj, file), meta.max_component_size,
       &out->views));
 
-  // component_nodes is the per-component slicing of the view node array.
-  bcc.component_nodes.assign(meta.num_bicomponents, {});
-  for (uint32_t c = 0; c < meta.num_bicomponents; ++c) {
-    const auto members = out->views.nodes(c);
-    bcc.component_nodes[c].assign(members.begin(), members.end());
-  }
+  // component_nodes is the per-component slicing of the view node array:
+  // the same mapped bytes, no copy.
+  bcc.component_nodes =
+      ComponentMembers(ArrayRef<uint64_t>(view_node_begin, file),
+                       ArrayRef<NodeId>(view_nodes, file));
 
   std::vector<uint64_t> conn_size_of_comp;
   SAPHYRA_RETURN_NOT_OK(CopySection<uint64_t>(

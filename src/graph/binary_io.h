@@ -44,9 +44,6 @@ inline constexpr uint64_t kSgrAlignment = 64;
 /// ComputeBiconnectedComponents / ConnectedComponents / ComponentViews /
 /// BlockCutTree::Build would have produced on `graph` — IspIndex can adopt
 /// them (IspIndex(g, std::move(cache))) and skip the whole decomposition.
-///
-/// `tree` holds pointers into `bcc` and `conn` of the *same* GraphCache;
-/// the move operations re-bind them, which is why the struct is move-only.
 struct GraphCache {
   Graph graph;
   /// Content digest of `graph` (GraphContentFingerprint), read from the
@@ -61,11 +58,6 @@ struct GraphCache {
   ComponentViews views;
   BlockCutTree tree;
 
-  GraphCache() = default;
-  GraphCache(GraphCache&& other) noexcept;
-  GraphCache& operator=(GraphCache&& other) noexcept;
-  GraphCache(const GraphCache&) = delete;
-  GraphCache& operator=(const GraphCache&) = delete;
 };
 
 struct SgrWriteOptions {

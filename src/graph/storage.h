@@ -1,6 +1,7 @@
 #ifndef SAPHYRA_GRAPH_STORAGE_H_
 #define SAPHYRA_GRAPH_STORAGE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -54,6 +55,21 @@ class ArrayRef {
   std::shared_ptr<const void> keepalive_;
   bool is_view_ = false;
 };
+
+/// \brief Element-wise equality, whichever storage either side uses.
+template <typename T>
+bool operator==(const ArrayRef<T>& a, const ArrayRef<T>& b) {
+  return std::ranges::equal(a.span(), b.span());
+}
+
+/// \brief Move `values` into one immutable heap buffer and view it: every
+/// copy of the result shares that buffer, which lives as long as any copy.
+template <typename T>
+ArrayRef<T> ShareArray(std::vector<T> values) {
+  auto owner = std::make_shared<const std::vector<T>>(std::move(values));
+  const std::span<const T> view(owner->data(), owner->size());
+  return ArrayRef<T>(view, std::move(owner));
+}
 
 }  // namespace saphyra
 

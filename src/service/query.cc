@@ -49,12 +49,13 @@ const char* ServeModeName(ServeMode mode) {
 namespace {
 
 /// Wire spelling of QueryResult::degrade_reason. Falls back to "deadline"
-/// for any code outside the documented trio so a future reason can never
+/// for any code outside the documented four so a future reason can never
 /// render an unparseable line.
 const char* DegradeReasonName(StatusCode code) {
   switch (code) {
     case StatusCode::kCancelled: return "cancelled";
     case StatusCode::kUnavailable: return "shard_lost";
+    case StatusCode::kInternal: return "internal";
     default: return "deadline";
   }
 }

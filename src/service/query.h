@@ -179,9 +179,11 @@ struct QueryResult {
   /// (ε, δ) guarantee does NOT hold, and the result is never memoized.
   bool degraded = false;
   /// Why the run degraded (kOk unless `degraded`): kDeadlineExceeded,
-  /// kCancelled, or kUnavailable when the sharded tier lost its workers
-  /// past the retry budget. Serialized as "degrade_reason":
-  /// "deadline" | "cancelled" | "shard_lost".
+  /// kCancelled, kUnavailable when the sharded tier lost its workers
+  /// past the retry budget, or kInternal when a wave's merged delta was
+  /// malformed (a worker reply of the wrong shape). Serialized as
+  /// "degrade_reason": "deadline" | "cancelled" | "shard_lost" |
+  /// "internal".
   StatusCode degrade_reason = StatusCode::kOk;
   /// Only when degraded: the deviation bound actually achieved, in the
   /// estimator's own units; infinity when truncation preceded any

@@ -112,19 +112,30 @@ Status QuerySession::ApplyUpdate(const EdgeMutation& mut, UpdateOutcome* out) {
 
   // Repair the decomposition from the current epoch's (building its index
   // now if no query ever had — repairs must chain, and the repaired
-  // decomposition seeds the next repair). The new epoch adopts the result
-  // lazily, exactly like a `.sgr` cache load would.
+  // decomposition seeds the next repair).
   IncrementalBicompStats repair_stats;
-  next->cache_.bcc =
-      RepairBiconnectedComponents(cur->graph(), cur->isp().bcc(),
-                                  next->graph_, mut, options_.repair,
-                                  &repair_stats);
-  next->cache_.conn = ConnectedComponents(next->graph_);
-  next->cache_.views = ComponentViews(next->graph_, next->cache_.bcc);
-  next->cache_.tree =
-      BlockCutTree::Build(next->graph_, next->cache_.bcc, next->cache_.conn);
-  next->cache_.content_fingerprint = 0;  // chained, not content-derived
-  next->cache_.has_decomposition = true;
+  const IspIndex& parent = cur->isp();
+  BiconnectedComponents bcc =
+      RepairBiconnectedComponents(cur->graph(), parent.bcc(), next->graph_,
+                                  mut, options_.repair, &repair_stats);
+  if (repair_stats.kept_partition) {
+    // Same partition: the new index shares the parent's tables and is
+    // ready before the epoch is published.
+    std::call_once(next->isp_once_, [&] {
+      next->isp_ = std::make_unique<IspIndex>(next->graph_, parent,
+                                              std::move(bcc), mut);
+    });
+  } else {
+    // The new epoch adopts the rest lazily, exactly like a `.sgr` cache
+    // load would.
+    next->cache_.bcc = std::move(bcc);
+    next->cache_.conn = ConnectedComponents(next->graph_);
+    next->cache_.views = ComponentViews(next->graph_, next->cache_.bcc);
+    next->cache_.tree = BlockCutTree::Build(next->graph_, next->cache_.bcc,
+                                            next->cache_.conn);
+    next->cache_.content_fingerprint = 0;  // chained, not content-derived
+    next->cache_.has_decomposition = true;
+  }
 
   bool compacted = false;
   if (overlay_->delta_size() >= options_.compact_threshold) {

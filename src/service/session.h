@@ -16,10 +16,15 @@
 /// (GraphSnapshot): epoch 0 is the loaded graph, and each accepted
 /// {"op":"update"} produces epoch e+1 via a DeltaOverlay mutation +
 /// incremental bicomp repair (bicomp/incremental.h), then atomically
-/// publishes the new snapshot. Queries pin the snapshot current at their
-/// admission and run it to completion — snapshot isolation: an update
-/// never changes bits of an in-flight query, and a query admitted after
-/// the update sees the new epoch only. Each epoch's fingerprint chains
+/// publishes the new snapshot. When the update keeps the block partition
+/// (IncrementalBicompStats::kept_partition), the new epoch's IspIndex is
+/// built before publishing from the parent's, sharing its partition
+/// tables (connectivity, block-cut tree, γ, W_i, bc_a, alias tables);
+/// otherwise the epoch adopts its repaired decomposition lazily on its
+/// first index use, like a `.sgr` load. Queries pin the snapshot current
+/// at their admission and run it to completion — snapshot isolation: an
+/// update never changes bits of an in-flight query, and a query admitted
+/// after the update sees the new epoch only. Each epoch's fingerprint chains
 /// the mutation onto the previous epoch's digest
 /// (ChainMutationFingerprint), so memo keys, the sharded tier's state
 /// cache, and the multi-graph pool all invalidate exactly the entries
@@ -94,7 +99,7 @@ class GraphSnapshot {
   uint64_t fingerprint() const { return fingerprint_; }
   /// \brief The warm ISP index of this epoch, building it on first use
   /// (thread-safe; epochs > 0 adopt the repaired decomposition and skip
-  /// the DFS).
+  /// the DFS, or were built at publish time from the parent's index).
   const IspIndex& isp() const;
   /// \brief Whether the index has been built yet (diagnostics only).
   bool index_built() const { return isp_ != nullptr; }
@@ -108,7 +113,8 @@ class GraphSnapshot {
 
   Graph graph_;
   /// Decomposition waiting for the IspIndex to adopt it (epoch 0: loaded
-  /// from the `.sgr` cache when present; epoch e+1: the repaired one).
+  /// from the `.sgr` cache when present; epoch e+1: the repaired one,
+  /// unless the update kept the partition and the index already exists).
   mutable GraphCache cache_;
   uint64_t fingerprint_ = 0;
   uint64_t epoch_ = 0;
@@ -183,8 +189,10 @@ class QuerySession {
   /// missing edge, endpoint out of range, self loop → INVALID_ARGUMENT)
   /// the session is unchanged. On success the new epoch's decomposition
   /// is repaired incrementally (bicomp/incremental.h) — bitwise identical
-  /// to a from-scratch pass — and `*out`, when non-null, reports the new
-  /// epoch/fingerprint and the repair route taken.
+  /// to a from-scratch pass; an update that keeps the block partition
+  /// also gets its index here, from the current epoch's — and `*out`,
+  /// when non-null, reports the new epoch/fingerprint and the repair
+  /// route taken.
   Status ApplyUpdate(const EdgeMutation& mut, UpdateOutcome* out = nullptr);
 
   /// \brief Answer one query on the warm state. `req` is canonicalized

@@ -186,8 +186,8 @@ TEST_P(BinaryIoTest, MoveRebindsTree) {
   GraphCache second = std::move(first);
   GraphCache third;
   third = std::move(second);
-  // OutReach consults bcc.is_cutpoint through the tree's internal pointers;
-  // a stale pointer after the moves would read freed memory / garbage.
+  // OutReach consults the tree's cutpoint flags; after the moves they must
+  // still be the decomposition's.
   EXPECT_EQ(third.tree.OutReach(third.bcc.arc_component[0], 2),
             IspIndex(g).tree().OutReach(third.bcc.arc_component[0], 2));
 }

@@ -5,8 +5,11 @@
 // insert across cutpoints, bridge insert across components, isolated
 // endpoints, block-splitting delete, bridge delete — and random mutation
 // streams over the generator sweep chain repairs for hundreds of steps,
-// including the forced-fallback route for deletes.
+// including the forced-fallback route for deletes. Property sweeps pin
+// that the partition-keeping route is taken exactly when the oracle's
+// member lists do not change.
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <utility>
@@ -142,12 +145,29 @@ TEST(IncrementalBicompTest, FallbackRouteIsBitwiseInvisible) {
   Graph g = WattsStrogatz(60, 4, 0.1, 31);
   BiconnectedComponents bcc = ComputeBiconnectedComponents(g);
   // max_dirty_fraction = 0 forces the parallel-pass fallback on every
-  // delete that splits a block (inserts never fall back); the output must
-  // not change.
-  const NodeId u = 0;
-  const NodeId v = g.neighbors(u)[0];
-  ASSERT_GT(bcc.component_nodes[bcc.arc_component[g.offset(u)]].size(), 2u)
-      << "the deleted edge must not be a bridge";
+  // delete that splits a block (inserts and deletes that keep the
+  // partition never get there); the output must not change. The deleted
+  // edge is the first one whose delete splits a block of three or more
+  // nodes.
+  NodeId u = kInvalidNode;
+  NodeId v = kInvalidNode;
+  for (NodeId x = 0; x < g.num_nodes() && u == kInvalidNode; ++x) {
+    const auto nbr = g.neighbors(x);
+    for (size_t i = 0; i < nbr.size(); ++i) {
+      const NodeId y = nbr[i];
+      const uint32_t c = bcc.arc_component[g.offset(x) + i];
+      if (y < x || bcc.component_nodes[c].size() < 3) continue;
+      DeltaOverlay overlay(&g);
+      ASSERT_TRUE(overlay.Remove(x, y).ok());
+      if (ComputeBiconnectedComponents(overlay.Materialize()).num_components >
+          bcc.num_components) {
+        u = x;
+        v = y;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(u, kInvalidNode) << "no block-splitting delete in the graph";
   IncrementalBicompOptions always_fall{/*max_dirty_fraction=*/0.0,
                                        /*fallback_threads=*/8};
   IncrementalBicompStats stats;
@@ -170,7 +190,8 @@ TEST(IncrementalBicompTest, InsertsNeverFallBack) {
       giant = c;
     }
   }
-  const std::vector<NodeId> members = bcc.component_nodes[giant];
+  const std::vector<NodeId> members(bcc.component_nodes[giant].begin(),
+                                    bcc.component_nodes[giant].end());
   Rng rng(67);
   int inside = 0;
   int merges = 0;
@@ -189,14 +210,17 @@ TEST(IncrementalBicompTest, InsertsNeverFallBack) {
                                  IncrementalBicompOptions{},
                                  "step " + std::to_string(step), &stats);
     EXPECT_FALSE(stats.fell_back) << "step " << step;
-    // The relabeled region is past the default dirty budget: a route that
-    // recomputed it would have fallen back.
-    EXPECT_GT(static_cast<double>(stats.dirty_arcs),
-              0.25 * static_cast<double>(next.graph.num_arcs()))
-        << "step " << step;
     if (merge) {
+      // The relabeled region is past the default dirty budget: a route
+      // that recomputed it would have fallen back.
+      EXPECT_GT(static_cast<double>(stats.dirty_arcs),
+                0.25 * static_cast<double>(next.graph.num_arcs()))
+          << "step " << step;
       EXPECT_GE(stats.dirty_blocks, 2u) << "step " << step;
     } else {
+      // Inside the giant block the partition stands: nothing relabeled.
+      EXPECT_TRUE(stats.kept_partition) << "step " << step;
+      EXPECT_EQ(stats.dirty_arcs, 0u) << "step " << step;
       EXPECT_EQ(stats.dirty_blocks, 1u) << "step " << step;
     }
     ++(merge ? merges : inside);
@@ -205,6 +229,106 @@ TEST(IncrementalBicompTest, InsertsNeverFallBack) {
   }
   EXPECT_GE(inside, 10);
   EXPECT_GE(merges, 10);
+}
+
+/// The generator graphs of the routing property tests.
+std::vector<std::pair<std::string, Graph>> RoutingGraphs() {
+  std::vector<std::pair<std::string, Graph>> out;
+  out.emplace_back("er", ErdosRenyi(70, 140, 41));
+  out.emplace_back("ba", BarabasiAlbert(60, 2, 43));
+  out.emplace_back("ws", WattsStrogatz(60, 4, 0.2, 47));
+  out.emplace_back("grid", RoadGrid(8, 8, 0.85, 53).graph);
+  out.emplace_back("sbm", StochasticBlockModel(60, 3, 0.15, 0.01, 59));
+  out.emplace_back("core", testing::BaCoreWithLeaves(150, 60, 71));
+  return out;
+}
+
+/// Applies `kind` {u,v} to `base` and checks the routing: kept_partition
+/// holds exactly when the oracle's member lists did not change, and then
+/// nothing was relabeled or recomputed. Returns kept_partition.
+bool CheckRouting(const Graph& base, const BiconnectedComponents& bcc,
+                  EdgeMutationKind kind, NodeId u, NodeId v,
+                  const std::string& what) {
+  IncrementalBicompStats stats;
+  Applied next = ApplyAndCheck(base, bcc, kind, u, v,
+                               IncrementalBicompOptions{}, what, &stats);
+  const bool unchanged =
+      ComputeBiconnectedComponents(next.graph).component_nodes ==
+      bcc.component_nodes;
+  EXPECT_EQ(stats.kept_partition, unchanged) << what;
+  if (stats.kept_partition) {
+    EXPECT_FALSE(stats.fell_back) << what;
+    EXPECT_EQ(stats.dirty_arcs, 0u) << what;
+  }
+  return stats.kept_partition;
+}
+
+// Delete routing is exact: every edge of every block with three or more
+// nodes, deleted one at a time from the same base, takes the two-path
+// route exactly when the block survives whole.
+TEST(IncrementalBicompTest, DeleteKeepsThePartitionExactlyWhenTheOracleDoes) {
+  int kept = 0;
+  int split = 0;
+  for (const auto& [name, g] : RoutingGraphs()) {
+    const BiconnectedComponents bcc = ComputeBiconnectedComponents(g);
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      const auto nbr = g.neighbors(u);
+      for (size_t i = 0; i < nbr.size(); ++i) {
+        const uint32_t c = bcc.arc_component[g.offset(u) + i];
+        if (nbr[i] < u || bcc.component_nodes[c].size() < 3) continue;
+        const bool k =
+            CheckRouting(g, bcc, EdgeMutationKind::kDelete, u, nbr[i],
+                         name + " delete " + std::to_string(u) + "-" +
+                             std::to_string(nbr[i]));
+        ++(k ? kept : split);
+      }
+    }
+  }
+  EXPECT_GT(kept, 100);
+  EXPECT_GT(split, 10);
+}
+
+// Every insert whose endpoints already share a block keeps the partition
+// unless its new arc reorders the canonical ids (see the constructed case
+// below).
+TEST(IncrementalBicompTest, InBlockInsertsKeepThePartition) {
+  const Graph g = StochasticBlockModel(60, 3, 0.15, 0.01, 59);
+  const BiconnectedComponents bcc = ComputeBiconnectedComponents(g);
+  const NodeComponentIndex index(bcc);
+  int inserts = 0;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (NodeId v = u + 1; v < g.num_nodes(); ++v) {
+      const auto cu = index.Components(u);
+      const auto cv = index.Components(v);
+      const bool shared = std::find_first_of(cu.begin(), cu.end(), cv.begin(),
+                                             cv.end()) != cu.end();
+      if (!shared || g.HasEdge(u, v)) continue;
+      CheckRouting(g, bcc, EdgeMutationKind::kInsert, u, v,
+                   "insert " + std::to_string(u) + "-" + std::to_string(v));
+      ++inserts;
+    }
+  }
+  EXPECT_GT(inserts, 100);
+}
+
+// Node 0 is the smallest member of both its blocks: the bridge {0,2} and
+// the cycle 0-3-1-4-0, whose ids are ordered by 0's arcs to 2 and to 3.
+// Inserting the chord 0-1 inside the cycle puts the cycle's new smallest
+// arc ahead of the bridge's: the partition stands but the canonical ids
+// swap, so the update must take the relabeling route.
+TEST(IncrementalBicompTest, InBlockInsertThatReordersIdsIsRelabeled) {
+  const Graph g = MakeGraph(5, {{0, 2}, {0, 3}, {3, 1}, {1, 4}, {4, 0}});
+  const BiconnectedComponents bcc = ComputeBiconnectedComponents(g);
+  IncrementalBicompStats stats;
+  Applied next = ApplyAndCheck(g, bcc, EdgeMutationKind::kInsert, 0, 1,
+                               IncrementalBicompOptions{}, "chord 0-1",
+                               &stats);
+  EXPECT_FALSE(stats.kept_partition);
+  EXPECT_EQ(stats.dirty_blocks, 1u);
+  EXPECT_GT(stats.dirty_arcs, 0u);
+  EXPECT_EQ(next.bcc.num_components, bcc.num_components);
+  EXPECT_NE(next.bcc.arc_component[next.graph.offset(0) + 1],
+            bcc.arc_component[g.offset(0)]);
 }
 
 // Random mutation streams over the generator sweep: repairs chain (each

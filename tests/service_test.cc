@@ -19,7 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include "bc/saphyra_bc.h"
 #include "bicomp/isp.h"
+#include "bicomp_test_util.h"
 #include "graph/binary_io.h"
 #include "graph/io.h"
 #include "service/json_util.h"
@@ -924,6 +926,186 @@ TEST(BatchSchedulerTest, SnapshotIsolationUnderConcurrentUpdates) {
   EXPECT_EQ(session->epoch(), inserts.size());
 }
 
+/// `g` written as a `.sgr` with its decomposition, node ids as given (no
+/// text round trip, which would compact them); removed on destruction.
+struct SgrFile {
+  std::string path;
+  SgrFile(const Graph& g, const std::string& stem)
+      : path(TempPath(stem + ".sgr")) {
+    IspIndex isp(g);
+    SAPHYRA_CHECK(WriteSgr(path, g, &isp.bcc(), &isp.conn(), &isp.views(),
+                           &isp.tree())
+                      .ok());
+  }
+  ~SgrFile() { std::remove(path.c_str()); }
+};
+
+/// Every field of `got` equals a fresh index of the same CSR, and a fixed
+/// Rng draws the same component/source/target sequence from both.
+void ExpectSameIndex(const IspIndex& got, const IspIndex& want,
+                     const std::string& what) {
+  testing::ExpectBccBitwiseEqual(got.bcc(), want.bcc(), what);
+  EXPECT_EQ(got.conn().component, want.conn().component) << what;
+  EXPECT_EQ(got.conn().size, want.conn().size) << what;
+  EXPECT_TRUE(std::ranges::equal(got.views().raw_node_begin(),
+                                 want.views().raw_node_begin()))
+      << what;
+  EXPECT_TRUE(
+      std::ranges::equal(got.views().raw_nodes(), want.views().raw_nodes()))
+      << what;
+  EXPECT_TRUE(std::ranges::equal(got.views().raw_offsets(),
+                                 want.views().raw_offsets()))
+      << what;
+  EXPECT_TRUE(
+      std::ranges::equal(got.views().raw_adj(), want.views().raw_adj()))
+      << what;
+  EXPECT_EQ(got.views().max_component_size(),
+            want.views().max_component_size())
+      << what;
+  EXPECT_TRUE(got.tree().cut_reach() == want.tree().cut_reach()) << what;
+  EXPECT_EQ(got.tree().conn_size_of_comp_table(),
+            want.tree().conn_size_of_comp_table())
+      << what;
+  EXPECT_EQ(got.gamma(), want.gamma()) << what;
+  EXPECT_EQ(got.total_weight(), want.total_weight()) << what;
+  for (uint32_t c = 0; c < want.num_components(); ++c) {
+    EXPECT_EQ(got.comp_weight(c), want.comp_weight(c)) << what << " W_" << c;
+  }
+  const NodeId n = want.graph().num_nodes();
+  for (NodeId v = 0; v < n; ++v) {
+    EXPECT_EQ(got.bca(v), want.bca(v)) << what << " bc_a(" << v << ")";
+  }
+  std::vector<NodeId> targets;
+  for (NodeId v = 0; v < std::min<NodeId>(n, 24); ++v) targets.push_back(v);
+  const PersonalizedSpace got_space(got, targets);
+  const PersonalizedSpace want_space(want, targets);
+  ASSERT_EQ(got_space.eta(), want_space.eta()) << what;
+  if (want_space.eta() == 0.0) return;
+  Rng got_rng(97);
+  Rng want_rng(97);
+  for (int i = 0; i < 64; ++i) {
+    const uint32_t c = got_space.SampleComponent(&got_rng);
+    ASSERT_EQ(c, want_space.SampleComponent(&want_rng)) << what;
+    const NodeId s = got.SampleSource(c, &got_rng);
+    ASSERT_EQ(s, want.SampleSource(c, &want_rng)) << what;
+    ASSERT_EQ(got.SampleTarget(c, s, &got_rng),
+              want.SampleTarget(c, s, &want_rng))
+        << what;
+  }
+}
+
+/// A bc query's estimates on `snap`'s own (possibly shared) index and on a
+/// fresh index of the same graph are bitwise equal.
+void ExpectServesLikeAFreshIndex(const GraphSnapshot& snap) {
+  SaphyraBcOptions opts;
+  opts.epsilon = 0.1;
+  opts.seed = 5;
+  const std::vector<NodeId> targets{0, 1, 2, 3, 5, 8, 13};
+  const IspIndex fresh(snap.graph());
+  EXPECT_EQ(RunSaphyraBc(snap.isp(), targets, opts).bc,
+            RunSaphyraBc(fresh, targets, opts).bc);
+}
+
+// An update that keeps the block partition builds its epoch's index from
+// the parent's at publish time, sharing the partition tables. Over a
+// random stream of inserts and deletes, every epoch's index matches a
+// fresh IspIndex of its CSR field for field.
+TEST(QuerySessionTest, EpochReuseMatchesAFreshIndex) {
+  const Graph g = testing::BaCoreWithLeaves(300, 100, 7);
+  SgrFile file(g, "reuse");
+  std::unique_ptr<QuerySession> session;
+  ASSERT_TRUE(QuerySession::Open(file.path, SessionOptions(), &session).ok());
+  Rng rng(11);
+  int kept = 0;
+  for (int step = 0; step < 200; ++step) {
+    std::shared_ptr<const GraphSnapshot> prev = session->snapshot();
+    const Graph& cur = prev->graph();
+    NodeId u = static_cast<NodeId>(rng.UniformInt(cur.num_nodes()));
+    NodeId v = static_cast<NodeId>(rng.UniformInt(cur.num_nodes()));
+    EdgeMutationKind kind = EdgeMutationKind::kInsert;
+    if (rng.UniformInt(2) == 0 && cur.degree(u) > 0) {
+      kind = EdgeMutationKind::kDelete;
+      v = cur.neighbors(u)[rng.UniformInt(cur.degree(u))];
+    } else if (u == v || cur.HasEdge(u, v)) {
+      continue;
+    }
+    ASSERT_TRUE(session->ApplyUpdate({kind, u, v}).ok());
+    const std::string what = "step " + std::to_string(step);
+    std::shared_ptr<const GraphSnapshot> next = session->snapshot();
+    // Only the reuse route builds the index before publishing.
+    if (next->index_built()) {
+      ++kept;
+      EXPECT_EQ(&next->isp().tree(), &prev->isp().tree()) << what;
+    }
+    ExpectSameIndex(next->isp(), IspIndex(next->graph()), what);
+  }
+  EXPECT_GT(kept, 50);
+}
+
+// Parent and child epochs share one set of partition tables; dropping
+// either first leaves the other serving the bytes a fresh index would.
+TEST(QuerySessionTest, SharedTablesOutliveEitherEpoch) {
+  const Graph g = testing::BaCoreWithLeaves(200, 50, 13);
+  SgrFile file(g, "lifetime");
+  SessionOptions sopts;
+  sopts.compact_threshold = 0;  // no overlay base pins an old epoch
+  std::unique_ptr<QuerySession> session;
+  ASSERT_TRUE(QuerySession::Open(file.path, sopts, &session).ok());
+  const BiconnectedComponents& bcc = session->isp().bcc();
+  // A non-edge inside node 0's block keeps the partition; joining leaf
+  // 200 (degree 1) to another core node merges blocks.
+  const auto block = bcc.component_nodes[bcc.node_component[0]];
+  NodeId in_block = kInvalidNode;
+  for (NodeId x : block) {
+    if (x != 0 && !g.HasEdge(0, x)) in_block = x;
+  }
+  ASSERT_NE(in_block, kInvalidNode);
+  const NodeId anchor = g.neighbors(200)[0];
+  const NodeId other = anchor == 1 ? 2 : 1;
+
+  // Parent released first.
+  std::shared_ptr<const GraphSnapshot> parent = session->snapshot();
+  ASSERT_TRUE(
+      session->ApplyUpdate({EdgeMutationKind::kInsert, 0, in_block}).ok());
+  std::shared_ptr<const GraphSnapshot> child = session->snapshot();
+  ASSERT_TRUE(child->index_built());
+  ASSERT_EQ(&child->isp().tree(), &parent->isp().tree());
+  parent.reset();
+  ExpectServesLikeAFreshIndex(*child);
+
+  // Child released first: the pinned epoch's reuse child is replaced as
+  // the current epoch by a merging update, which drops it.
+  parent = std::move(child);
+  ASSERT_TRUE(
+      session->ApplyUpdate({EdgeMutationKind::kDelete, 0, in_block}).ok());
+  ASSERT_TRUE(session->snapshot()->index_built());
+  ASSERT_EQ(&session->snapshot()->isp().tree(), &parent->isp().tree());
+  ASSERT_TRUE(
+      session->ApplyUpdate({EdgeMutationKind::kInsert, 200, other}).ok());
+  EXPECT_FALSE(session->snapshot()->index_built());
+  ExpectServesLikeAFreshIndex(*parent);
+  ExpectServesLikeAFreshIndex(*session->snapshot());
+}
+
+// Node 0 is the smallest member of the bridge {0,2} and of the cycle
+// 0-3-1-4-0; the chord 0-1 keeps the partition but swaps the two blocks'
+// canonical ids, so the session takes the rebuilding route.
+TEST(QuerySessionTest, InsertThatReordersBlockIdsRebuildsTheIndex) {
+  const Graph g =
+      testing::MakeGraph(5, {{0, 2}, {0, 3}, {3, 1}, {1, 4}, {4, 0}});
+  SgrFile file(g, "reorder");
+  std::unique_ptr<QuerySession> session;
+  ASSERT_TRUE(QuerySession::Open(file.path, SessionOptions(), &session).ok());
+  session->isp();
+  UpdateOutcome outcome;
+  ASSERT_TRUE(
+      session->ApplyUpdate({EdgeMutationKind::kInsert, 0, 1}, &outcome).ok());
+  EXPECT_FALSE(session->snapshot()->index_built());
+  EXPECT_GT(outcome.repair_dirty_arcs, 0u);
+  ExpectSameIndex(session->snapshot()->isp(),
+                  IspIndex(session->snapshot()->graph()), "chord 0-1");
+}
+
 TEST(SerializeQueryResultTest, Shapes) {
   QueryResult res;
   res.id = "q\"1";
@@ -976,6 +1158,10 @@ TEST(SerializeQueryResultTest, Shapes) {
   // A lost worker tier degrades with its own reason on the wire.
   deg.degrade_reason = StatusCode::kUnavailable;
   EXPECT_NE(SerializeQueryResult(deg).find("\"degrade_reason\":\"shard_lost\""),
+            std::string::npos);
+  // So does a malformed wave delta.
+  deg.degrade_reason = StatusCode::kInternal;
+  EXPECT_NE(SerializeQueryResult(deg).find("\"degrade_reason\":\"internal\""),
             std::string::npos);
   deg.degrade_reason = StatusCode::kDeadlineExceeded;
 

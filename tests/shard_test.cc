@@ -751,6 +751,12 @@ TEST_F(ShardTest, HostileWorkerRepliesBecomeStatuses) {
     ASSERT_TRUE(res.status.ok()) << c.what << ": " << res.status.ToString();
     EXPECT_TRUE(res.degraded) << c.what;
     EXPECT_EQ(res.degrade_reason, c.code) << c.what;
+    const std::string wire = SerializeQueryResult(res);
+    EXPECT_NE(wire.find(c.code == StatusCode::kInternal
+                            ? "\"degrade_reason\":\"internal\""
+                            : "\"degrade_reason\":\"shard_lost\""),
+              std::string::npos)
+        << c.what << ": " << wire;
     supervisor.Shutdown();
   }
 }
