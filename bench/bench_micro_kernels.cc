@@ -155,7 +155,7 @@ Speedup MeasurePathSampling(const char* key, const IspIndex& isp,
   PersonalizedSpace space(isp, RandomSubset(isp.graph(), 100, seed));
   std::vector<GenBcTriple> triples = DrawTriples(isp, space, samples, seed);
   SeedPathSampler seed_sampler(isp.graph(), &isp.bcc().arc_component);
-  PathSampler view(isp.graph(), isp.views());
+  PathSampler view(isp.graph(), &isp.views());
   // Interleaved min-of-5: alternating the two samplers per repetition keeps
   // slow drift of the host (frequency scaling, noisy neighbors) from
   // landing entirely on one side of the ratio.
@@ -844,22 +844,6 @@ void BM_BfsWithCountsSocial(benchmark::State& state) {
 }
 BENCHMARK(BM_BfsWithCountsSocial);
 
-// The std::function edge-filter path, with a filter that rejects nothing:
-// isolates the per-arc indirect-call cost the templated no-filter
-// instantiation eliminates.
-void BM_BfsWithCountsNoopFilter(benchmark::State& state) {
-  const Graph& g = SocialFixture();
-  std::function<bool(NodeId, NodeId)> accept_all = [](NodeId, NodeId) {
-    return true;
-  };
-  Rng rng(2);
-  for (auto _ : state) {
-    NodeId s = static_cast<NodeId>(rng.UniformInt(g.num_nodes()));
-    benchmark::DoNotOptimize(BfsWithCounts(g, s, &accept_all));
-  }
-}
-BENCHMARK(BM_BfsWithCountsNoopFilter);
-
 // The reusable direction-optimizing kernel, forced to each policy.
 // Arg(0)=social, Arg(1)=road, Arg(2)=grid. CI's bench smoke step runs
 // these for one iteration so kernel bit-rot fails fast.
@@ -926,30 +910,11 @@ void BM_PathSample(benchmark::State& state) {
 BENCHMARK(BM_PathSample<SamplingStrategy::kBidirectional>)->Arg(0)->Arg(1);
 BENCHMARK(BM_PathSample<SamplingStrategy::kUnidirectional>)->Arg(0)->Arg(1);
 
-// Gen_bc sampling on the seed's filtered global CSR (ablation baseline).
-void BM_GenBcSampleFiltered(benchmark::State& state) {
-  const IspIndex& isp = IspFixture(static_cast<int>(state.range(0)));
-  PersonalizedSpace space(isp, RandomSubset(isp.graph(), 100, 42));
-  PathSampler sampler(isp.graph(), &isp.bcc().arc_component);
-  Rng rng(4);
-  PathSample path;
-  for (auto _ : state) {
-    uint32_t c = space.SampleComponent(&rng);
-    NodeId s = isp.SampleSource(c, &rng);
-    NodeId t = isp.SampleTarget(c, s, &rng);
-    sampler.SampleUniformPath(s, t, c, SamplingStrategy::kBidirectional,
-                              &rng, &path);
-    benchmark::DoNotOptimize(path.length);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_GenBcSampleFiltered)->Arg(0)->Arg(1)->Arg(2);
-
 // Gen_bc sampling on the component-view CSR (production path).
 void BM_GenBcSampleView(benchmark::State& state) {
   const IspIndex& isp = IspFixture(static_cast<int>(state.range(0)));
   PersonalizedSpace space(isp, RandomSubset(isp.graph(), 100, 42));
-  PathSampler sampler(isp.graph(), isp.views());
+  PathSampler sampler(isp.graph(), &isp.views());
   Rng rng(4);
   PathSample path;
   for (auto _ : state) {

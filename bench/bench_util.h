@@ -21,7 +21,7 @@ namespace bench {
 /// The paper's corpora (Flickr, LiveJournal, Orkut from SNAP; USA-road from
 /// DIMACS ch. 9) are not available offline, so each benchmark runs on a
 /// laptop-scale surrogate with the same structural signature (see
-/// DESIGN.md, "Substitutions"):
+/// docs/benchmarks.md, "Benchmark substitutions"):
 ///  * flickr-s     — social graph with a large leaf fraction (many
 ///                   zero-centrality nodes, like Flickr's 59% true zeros),
 ///  * livejournal-s— social graph, moderate leaf fraction,

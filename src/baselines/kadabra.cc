@@ -28,7 +28,7 @@ class KadabraProblem : public HypothesisRankingProblem {
       : g_(g),
         strategy_(strategy),
         vc_bound_(vc_bound),
-        sampler_(g, /*arc_component=*/nullptr) {
+        sampler_(g, /*views=*/nullptr) {
     sampler_.set_traversal(traversal);
   }
 

@@ -1,33 +1,53 @@
 #include "bc/path_sampler.h"
 
 #include <algorithm>
+#include <span>
 
-#include "graph/adjacency.h"
 #include "util/logging.h"
 
 namespace saphyra {
 
-// The adjacency adapters the traversal core is templated over live in
-// graph/adjacency.h, shared with the delta-overlay substrate; the
-// restriction test is still resolved at compile time (the component-view
-// adapter has none, the filtered adapter keeps the per-arc label compare).
+// The traversal core is templated over one of two adjacency adapters, each
+// exposing its neighbor lists as contiguous spans:
+//   DomainSize()/DomainArcs() — the compact vertex domain local ids range
+//                               over and its directed arc total (the
+//                               direction heuristic and the bottom-up
+//                               candidate scan need both),
+//   ArcsOf(u)                 — u's neighbor list,
+//   PrefetchNode(u)           — warm u's CSR row before expansion,
+//   Cost(u)                   — arc mass for frontier balancing.
+// They stay at namespace scope, not in an anonymous namespace: with
+// external linkage GCC keeps the instantiated template chain out of line,
+// and SampleUniformPath remains a small dispatcher.
 
-PathSampler::PathSampler(const Graph& g,
-                         const std::vector<uint32_t>* arc_component)
-    : g_(g),
-      arc_component_(arc_component),
-      regular_domain_(g.max_degree() <= kRegularGraphMaxDegree) {
-  for (Side* side : {&fwd_, &bwd_}) {
-    side->state.assign(g.num_nodes(), NodeState{0, kNoDist, 0.0});
-    side->frontier.Reset(g.num_nodes());
-    side->next.Reset(g.num_nodes());
-    side->unvisited.resize(g.num_nodes());
+/// Unrestricted traversal over the global CSR.
+struct GlobalAdj {
+  const Graph* g;
+  NodeId DomainSize() const { return g->num_nodes(); }
+  uint64_t DomainArcs() const { return g->num_arcs(); }
+  std::span<const NodeId> ArcsOf(NodeId u) const { return g->neighbors(u); }
+  void PrefetchNode(NodeId u) const {
+    __builtin_prefetch(g->neighbors(u).data(), 0, 2);
   }
-}
+  uint64_t Cost(NodeId u) const { return g->degree(u); }
+};
 
-PathSampler::PathSampler(const Graph& g, const ComponentViews& views)
+/// Traversal over one component's compact CSR view, in local ids.
+struct ViewAdj {
+  const ComponentViews* views;
+  uint32_t comp;
+  NodeId DomainSize() const { return views->size(comp); }
+  uint64_t DomainArcs() const { return views->num_arcs(comp); }
+  std::span<const NodeId> ArcsOf(NodeId u) const {
+    return views->Neighbors(comp, u);
+  }
+  void PrefetchNode(NodeId u) const { views->PrefetchOffsets(comp, u); }
+  uint64_t Cost(NodeId u) const { return views->Degree(comp, u); }
+};
+
+PathSampler::PathSampler(const Graph& g, const ComponentViews* views)
     : g_(g),
-      views_(&views),
+      views_(views),
       regular_domain_(g.max_degree() <= kRegularGraphMaxDegree) {
   // Local ids never exceed global ones, so n-sized scratch covers both the
   // unrestricted global path and every component view; restricted samples
@@ -53,35 +73,25 @@ void PathSampler::InitSide(Side* side, NodeId origin, uint64_t origin_cost) {
 template <class Adj>
 bool PathSampler::ExpandLevel(const Adj& adj, Side* side, const Side* other) {
   const uint32_t new_depth = side->depth + 1;
-  constexpr bool kHasDomain =
-      requires { adj.DomainSize(); adj.DomainArcs(); };
-  const bool hybrid = [&] {
-    if constexpr (kHasDomain) {
-      return traversal_ != TraversalPolicy::kTopDown;
-    } else {
-      return false;
-    }
-  }();
-  if constexpr (kHasDomain) {
-    // Direction-optimizing dispatch: pull when this side's frontier carries
-    // enough of the domain's still-unexplored arc mass. The first pull of
-    // a search must also build the candidate list — an O(domain) scan —
-    // so that cost is charged up front; once the list exists only its
-    // current length is charged. The heuristic sees only set sizes, and
-    // both expansions produce the identical new level (same membership,
-    // same dist, exact same σ — integer-valued doubles), so the policy
-    // never changes what is sampled, only how fast.
-    if (hybrid) {
-      const uint64_t pull_overhead =
-          side->unvisited_valid ? side->unvisited_size : domain_size_;
-      if (DirectionHeuristic::PreferBottomUp(
-              side->frontier_cost,
-              domain_arcs_ - side->explored_cost + pull_overhead)) {
-        ExpandLevelBottomUp(adj, side, other, new_depth);
-        ++bottom_up_levels_;
-        side->depth = new_depth;
-        return !side->frontier.empty();
-      }
+  const bool hybrid = traversal_ != TraversalPolicy::kTopDown;
+  // Direction-optimizing dispatch: pull when this side's frontier carries
+  // enough of the domain's still-unexplored arc mass. The first pull of a
+  // search must also build the candidate list — an O(domain) scan — so
+  // that cost is charged up front; once the list exists only its current
+  // length is charged. The heuristic sees only set sizes, and both
+  // expansions produce the identical new level (same membership, same
+  // dist, exact same σ — integer-valued doubles), so the policy never
+  // changes what is sampled, only how fast.
+  if (hybrid) {
+    const uint64_t pull_overhead =
+        side->unvisited_valid ? side->unvisited_size : domain_size_;
+    if (DirectionHeuristic::PreferBottomUp(
+            side->frontier_cost,
+            domain_arcs_ - side->explored_cost + pull_overhead)) {
+      ExpandLevelBottomUp(adj, side, other, new_depth);
+      ++bottom_up_levels_;
+      side->depth = new_depth;
+      return !side->frontier.empty();
     }
   }
   NodeId* next = side->next.data();
@@ -108,38 +118,31 @@ bool PathSampler::ExpandLevel(const Adj& adj, Side* side, const Side* other) {
   const std::span<const NodeId> frontier = side->frontier.vertices();
   for (size_t fi = 0; fi < frontier.size(); ++fi) {
     const NodeId u = frontier[fi];
-    if constexpr (requires { adj.PrefetchNode(u); }) {
-      if (fi + 2 < frontier.size()) {
-        adj.PrefetchNode(frontier[fi + 2]);
-      }
-      // One extra slot of lookahead on the node's own state line: its σ is
-      // the first read of every expansion, and the address comes straight
-      // off the sparse frontier list (no CSR row computation needed).
-      if (fi + 8 < frontier.size()) {
-        __builtin_prefetch(&side->state[frontier[fi + 8]], 0, 3);
-      }
+    if (fi + 2 < frontier.size()) {
+      adj.PrefetchNode(frontier[fi + 2]);
+    }
+    // One extra slot of lookahead on the node's own state line: its σ is
+    // the first read of every expansion, and the address comes straight
+    // off the sparse frontier list (no CSR row computation needed).
+    if (fi + 8 < frontier.size()) {
+      __builtin_prefetch(&side->state[frontier[fi + 8]], 0, 3);
     }
     su = side->state[u].sigma;
-    if constexpr (requires { adj.ArcsOf(u); }) {
-      // Span-capable substrates (component view, unrestricted global CSR):
-      // prefetch the packed per-node state a few arcs ahead — the only
-      // non-sequential access of the loop. The loop is split so the steady
-      // state carries no bounds check for the prefetch slot.
-      const auto nbr = adj.ArcsOf(u);
-      arcs_scanned_ += nbr.size();
-      constexpr size_t kLookahead = 8;
-      const size_t n = nbr.size();
-      size_t i = 0;
-      if (n > kLookahead) {
-        for (; i + kLookahead < n; ++i) {
-          __builtin_prefetch(&side->state[nbr[i + kLookahead]], 1, 3);
-          visit(nbr[i]);
-        }
+    // Prefetch the packed per-node state a few arcs ahead — the only
+    // non-sequential access of the loop. The loop is split so the steady
+    // state carries no bounds check for the prefetch slot.
+    const auto nbr = adj.ArcsOf(u);
+    arcs_scanned_ += nbr.size();
+    constexpr size_t kLookahead = 8;
+    const size_t n = nbr.size();
+    size_t i = 0;
+    if (n > kLookahead) {
+      for (; i + kLookahead < n; ++i) {
+        __builtin_prefetch(&side->state[nbr[i + kLookahead]], 1, 3);
+        visit(nbr[i]);
       }
-      for (; i < n; ++i) visit(nbr[i]);
-    } else {
-      adj.ForEachScanned(u, &arcs_scanned_, visit);
     }
+    for (; i < n; ++i) visit(nbr[i]);
   }
   side->frontier.Swap(side->next);
   side->frontier.set_size(cnt);
@@ -197,9 +200,7 @@ void PathSampler::ExpandLevelBottomUp(const Adj& adj, Side* side,
     const NodeId v = cand[i];
     NodeState& sv = side->state[v];
     if (sv.epoch == epoch_) continue;  // stamped by a top-down level
-    if constexpr (requires { adj.PrefetchNode(v); }) {
-      if (i + 4 < side->unvisited_size) adj.PrefetchNode(cand[i + 4]);
-    }
+    if (i + 4 < side->unvisited_size) adj.PrefetchNode(cand[i + 4]);
     const auto nbr = adj.ArcsOf(v);
     arcs_scanned_ += nbr.size();
     double acc = 0.0;
@@ -244,23 +245,19 @@ void PathSampler::WalkDown(const Adj& adj, const Side& side, NodeId v,
       total += su.sigma;
       if (rng->UniformDouble() * total < su.sigma) pick = u;
     };
-    if constexpr (requires { adj.ArcsOf(cur); }) {
-      // Path nodes are biased toward high degree, so this scan is a real
-      // share of the per-sample cost; prefetch like ExpandLevel does.
-      const auto nbr = adj.ArcsOf(cur);
-      constexpr size_t kLookahead = 8;
-      const size_t n = nbr.size();
-      size_t i = 0;
-      if (n > kLookahead) {
-        for (; i + kLookahead < n; ++i) {
-          __builtin_prefetch(&side.state[nbr[i + kLookahead]], 0, 3);
-          consider(nbr[i]);
-        }
+    // Path nodes are biased toward high degree, so this scan is a real
+    // share of the per-sample cost; prefetch like ExpandLevel does.
+    const auto nbr = adj.ArcsOf(cur);
+    constexpr size_t kLookahead = 8;
+    const size_t n = nbr.size();
+    size_t i = 0;
+    if (n > kLookahead) {
+      for (; i + kLookahead < n; ++i) {
+        __builtin_prefetch(&side.state[nbr[i + kLookahead]], 0, 3);
+        consider(nbr[i]);
       }
-      for (; i < n; ++i) consider(nbr[i]);
-    } else {
-      adj.ForEach(cur, consider);
     }
+    for (; i < n; ++i) consider(nbr[i]);
     SAPHYRA_CHECK(pick != kInvalidNode);
     out->push_back(pick);
     cur = pick;
@@ -289,36 +286,25 @@ bool PathSampler::SampleUniformPath(NodeId s, NodeId t, uint32_t comp,
   if (comp == kInvalidComp) {
     return Dispatch(GlobalAdj{&g_}, s, t, strategy, rng, out);
   }
-  if (views_ != nullptr) {
-    const NodeId ls = views_->ToLocal(comp, s);
-    const NodeId lt = views_->ToLocal(comp, t);
-    SAPHYRA_CHECK_MSG(ls != kInvalidNode && lt != kInvalidNode,
-                      "restricted endpoints must belong to the component");
-    if (!Dispatch(ViewAdj{views_, comp}, ls, lt, strategy, rng, out)) {
-      return false;
-    }
-    for (NodeId& v : out->nodes) v = views_->ToGlobal(comp, v);
-    return true;
+  SAPHYRA_CHECK_MSG(views_ != nullptr,
+                    "component restriction needs component views");
+  const NodeId ls = views_->ToLocal(comp, s);
+  const NodeId lt = views_->ToLocal(comp, t);
+  SAPHYRA_CHECK_MSG(ls != kInvalidNode && lt != kInvalidNode,
+                    "restricted endpoints must belong to the component");
+  if (!Dispatch(ViewAdj{views_, comp}, ls, lt, strategy, rng, out)) {
+    return false;
   }
-  SAPHYRA_CHECK_MSG(arc_component_ != nullptr,
-                    "component restriction needs arc labels or views");
-  return Dispatch(FilteredAdj{&g_, arc_component_, comp}, s, t, strategy, rng,
-                  out);
+  for (NodeId& v : out->nodes) v = views_->ToGlobal(comp, v);
+  return true;
 }
 
 template <class Adj>
 bool PathSampler::Dispatch(const Adj& adj, NodeId s, NodeId t,
                            SamplingStrategy strategy, Rng* rng,
                            PathSample* out) {
-  if constexpr (requires { adj.DomainSize(); adj.DomainArcs(); }) {
-    domain_size_ = adj.DomainSize();
-    domain_arcs_ = adj.DomainArcs();
-  } else {
-    // No compact domain (filtered legacy mode): disable the near-regular
-    // cost estimate so stale metrics from a previous sample never apply.
-    domain_size_ = 0;
-    domain_arcs_ = 1;
-  }
+  domain_size_ = adj.DomainSize();
+  domain_arcs_ = adj.DomainArcs();
   if (strategy == SamplingStrategy::kBidirectional) {
     return SampleBidirectional(adj, s, t, rng, out);
   }

@@ -44,19 +44,13 @@ enum class SamplingStrategy {
 /// probability σ_s(v)·σ_t(v)/σ_st, and the two halves are completed by
 /// backward walks choosing each predecessor proportionally to its σ.
 ///
-/// Component-restricted samples run on one of two substrates:
-///   * the **component-view fast path** (construct with a ComponentViews):
-///     the BFS walks the component's own compact CSR in local ids, scanning
-///     pure adjacency with no per-arc filtering, and translates back to
-///     global ids only when emitting the path;
-///   * the **filtered legacy path** (construct with an arc_component
-///     labeling): the BFS walks the global CSR and tests every arc's label.
-///     Kept as the ablation baseline and for callers without an IspIndex.
-/// Both draw from the identical path distribution (verified against exact
-/// enumeration in the tests). Note the fast path balances its bidirectional
-/// frontiers by component-local degree — a sharper cost estimate than the
-/// legacy mode's global degree — so the two modes may consume their RNG
-/// streams differently while sampling the same law.
+/// Component-restricted samples run on the block's compact CSR view
+/// (ComponentViews): the BFS walks the component's own adjacency in local
+/// ids, scanning pure arcs with no per-arc filtering, and translates back
+/// to global ids only when emitting the path. Unrestricted samples walk the
+/// global CSR. The tests check the view path's σ against a σ-BFS of the
+/// block's induced subgraph and its path frequencies against the exact
+/// uniform-over-σ_st law.
 ///
 /// All scratch memory is owned by the sampler and reset in O(touched) via
 /// epoch counters, so one instance can serve millions of samples with no
@@ -64,14 +58,11 @@ enum class SamplingStrategy {
 /// one per thread.
 class PathSampler {
  public:
-  /// \brief Legacy filtered mode. `arc_component` may be null (no
-  /// restriction support needed) or point at
-  /// BiconnectedComponents::arc_component with one label per arc.
-  PathSampler(const Graph& g, const std::vector<uint32_t>* arc_component);
-
-  /// \brief Component-view fast path: restricted samples traverse
-  /// `views`' compact per-component CSR. `views` must outlive the sampler.
-  PathSampler(const Graph& g, const ComponentViews& views);
+  /// \brief Restricted samples traverse `views`' compact per-component
+  /// CSR; `views` must outlive the sampler. A null `views` builds an
+  /// unrestricted-only sampler (KADABRA's), for which a restricted draw is
+  /// a checked error.
+  PathSampler(const Graph& g, const ComponentViews* views);
 
   /// \brief Sample a uniform shortest path from s to t (s != t).
   ///
@@ -83,12 +74,12 @@ class PathSampler {
                          PathSample* out);
 
   /// \brief How BFS levels are expanded (graph/frontier.h). Anything but
-  /// kTopDown enables the direction-optimizing pull on substrates that
-  /// support it (global CSR, component views); the filtered legacy mode
-  /// always pushes. The sampled-path *distribution* and, for a fixed seed,
-  /// the sampled paths themselves are policy-independent: σ sums are exact
-  /// (integer-valued doubles) and the meet set is canonicalized before any
-  /// random choice, so the RNG stream advances identically either way.
+  /// kTopDown enables the direction-optimizing pull on both substrates
+  /// (global CSR, component views). The sampled-path *distribution* and,
+  /// for a fixed seed, the sampled paths themselves are policy-independent:
+  /// σ sums are exact (integer-valued doubles) and the meet set is
+  /// canonicalized before any random choice, so the RNG stream advances
+  /// identically either way.
   void set_traversal(TraversalPolicy policy) { traversal_ = policy; }
   TraversalPolicy traversal() const { return traversal_; }
 
@@ -148,13 +139,12 @@ class PathSampler {
   }
   static constexpr NodeId kRegularGraphMaxDegree = 8;
 
-  /// The traversal core is templated over an adjacency adapter (global,
-  /// filtered, component-view) so the restriction test compiles away on the
-  /// fast path; see path_sampler.cc.
+  /// The traversal core is templated over an adjacency adapter (global
+  /// CSR or component view, see path_sampler.cc), so the component view's
+  /// offsets and the global CSR's each compile to their own loop.
   /// Expand one BFS level of `side`. When `other` is non-null (bidirectional
   /// search), newly discovered nodes already stamped by `other` this epoch
-  /// are appended to meet_. Adapters exposing a compact domain
-  /// (DomainSize/DomainArcs) are eligible for the bottom-up pull.
+  /// are appended to meet_.
   template <class Adj>
   bool ExpandLevel(const Adj& adj, Side* side, const Side* other);
   template <class Adj>
@@ -174,8 +164,7 @@ class PathSampler {
                 SamplingStrategy strategy, Rng* rng, PathSample* out);
 
   const Graph& g_;
-  const std::vector<uint32_t>* arc_component_ = nullptr;
-  const ComponentViews* views_ = nullptr;
+  const ComponentViews* views_;
   TraversalPolicy traversal_ = TraversalPolicy::kAuto;
   /// Domain metrics of the current sample's substrate, cached once per
   /// Dispatch so the per-level direction heuristic reads two scalars

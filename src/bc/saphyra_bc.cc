@@ -24,9 +24,8 @@ class SaphyraBcProblem : public HypothesisRankingProblem {
         options_(options),
         vc_bound_(vc_bound),
         rejected_(std::make_shared<std::atomic<uint64_t>>(0)),
-        // Component-view fast path: Gen_bc's restricted BFS runs on the
-        // compact per-component CSR instead of filtering the global arcs.
-        sampler_(space.isp().graph(), space.isp().views()) {
+        // Gen_bc's restricted BFS runs on the block's compact CSR view.
+        sampler_(space.isp().graph(), &space.isp().views()) {
     sampler_.set_traversal(options.traversal);
   }
 

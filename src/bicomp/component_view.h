@@ -34,9 +34,11 @@ namespace saphyra {
 /// (every arc belongs to exactly one component).
 ///
 /// Local adjacency lists come out sorted by local id, mirroring the global
-/// Graph invariant, and the local-id bijection preserves order; a traversal
-/// over the view therefore discovers nodes in the same order as the filtered
-/// traversal over the global graph it replaces.
+/// Graph invariant, and the local-id bijection preserves order. Because a
+/// block holds every edge between two of its members, a component's view
+/// is exactly its induced subgraph relabeled: a BFS over it yields the
+/// block-restricted dist/σ (tests/component_view_test.cc checks this
+/// against BfsWithCounts on the induced subgraph).
 ///
 /// The four arrays live in ArrayRefs: built views own them; views loaded
 /// from a `.sgr` cache reference the mapping zero-copy (graph/binary_io.h).

@@ -348,7 +348,7 @@ BiconnectedComponents RepairBiconnectedComponents(
     }
     Graph sub;
     Status st = builder.Build(static_cast<NodeId>(dirty_nodes.size()), &sub);
-    SAPHYRA_CHECK_MSG(st.ok(), st.message());
+    SAPHYRA_CHECK_MSG(st.ok(), st.ToString().c_str());
     const BiconnectedComponents sub_bcc = ComputeBiconnectedComponents(sub);
     // Graft the sub-labels back, offset past the old label space so clean
     // and recomputed labels never collide before the canonical renumber.

@@ -83,7 +83,7 @@ class IspIndex {
   const ComponentLabels& conn() const { return tables_->conn; }
 
   /// \brief Compact relabeled CSR of every biconnected component; the
-  /// filter-free substrate of the Gen_bc sampler's restricted BFS.
+  /// substrate of the Gen_bc sampler's restricted BFS.
   const ComponentViews& views() const { return views_; }
 
   /// \brief Number of biconnected components ℓ.

@@ -136,9 +136,9 @@ struct SaphyraOptions {
   uint64_t max_wave = 0;
   /// How BFS-based sample generators expand their levels
   /// (graph/frontier.h): kAuto/kHybrid enable the direction-optimizing
-  /// bottom-up pull on supporting substrates, kTopDown forces the classic
-  /// push. Execution choice only — results are bitwise identical either
-  /// way (see DESIGN.md, "Direction-optimizing traversal").
+  /// bottom-up pull, kTopDown forces the classic push. Execution choice
+  /// only — results are bitwise identical either way (see DESIGN.md,
+  /// "Direction-optimizing traversal").
   TraversalPolicy traversal = TraversalPolicy::kAuto;
   /// Optional cooperative cancellation/deadline, polled at wave
   /// boundaries of both the pilot and the main loop (null = run to

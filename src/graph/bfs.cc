@@ -23,39 +23,6 @@ BfsResult Bfs(const Graph& g, NodeId source) {
   return r;
 }
 
-namespace {
-
-/// Filtered BFS/σ core. Only the per-arc-filtered traversal still walks
-/// this path; unfiltered traversals go through the direction-optimizing
-/// BfsKernel below.
-template <class Filter>
-SpDag BfsWithCountsImpl(const Graph& g, NodeId source, Filter allowed) {
-  SpDag r;
-  r.dist.assign(g.num_nodes(), kUnreachable);
-  r.sigma.assign(g.num_nodes(), 0.0);
-  r.order.reserve(g.num_nodes());
-  r.dist[source] = 0;
-  r.sigma[source] = 1.0;
-  r.order.push_back(source);
-  for (size_t head = 0; head < r.order.size(); ++head) {
-    NodeId u = r.order[head];
-    uint32_t du = r.dist[u];
-    for (NodeId v : g.neighbors(u)) {
-      if (!allowed(u, v)) continue;
-      if (r.dist[v] == kUnreachable) {
-        r.dist[v] = du + 1;
-        r.order.push_back(v);
-      }
-      if (r.dist[v] == du + 1) {
-        r.sigma[v] += r.sigma[u];
-      }
-    }
-  }
-  return r;
-}
-
-}  // namespace
-
 BfsKernel::BfsKernel(const Graph& g, TraversalPolicy policy)
     : g_(g),
       policy_(policy),
@@ -206,15 +173,7 @@ void BfsKernel::ExpandBottomUp(uint32_t new_depth, size_t level_begin,
   frontier_arcs_ = cost;  // the pull knows its new level's mass exactly
 }
 
-SpDag BfsWithCounts(const Graph& g, NodeId source,
-                    const std::function<bool(NodeId, NodeId)>* edge_filter,
-                    TraversalPolicy policy) {
-  if (edge_filter != nullptr) {
-    return BfsWithCountsImpl(
-        g, source, [edge_filter](NodeId u, NodeId v) {
-          return (*edge_filter)(u, v);
-        });
-  }
+SpDag BfsWithCounts(const Graph& g, NodeId source, TraversalPolicy policy) {
   BfsKernel kernel(g, policy);
   kernel.Run(source);
   SpDag r;
@@ -263,10 +222,5 @@ uint32_t ExactDiameter(const Graph& g) {
   }
   return diam;
 }
-
-BfsScratch::BfsScratch(NodeId num_nodes)
-    : dist_(num_nodes, kUnreachable),
-      sigma_(num_nodes, 0.0),
-      epoch_of_(num_nodes, 0) {}
 
 }  // namespace saphyra

@@ -2,7 +2,6 @@
 #define SAPHYRA_GRAPH_BFS_H_
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <span>
 #include <vector>
@@ -38,19 +37,12 @@ struct SpDag {
   std::vector<NodeId> order;  // BFS visit order (non-decreasing distance)
 };
 
-/// \brief BFS from `source` computing distances and shortest-path counts.
-///
-/// If `edge_filter` is non-null, only arcs (u,v) with edge_filter(u,v)==true
-/// are traversed; the intra-component samplers use this to restrict the walk
-/// to one biconnected component. Filtered traversals always run top-down
-/// (a bottom-up pull would test arcs from the wrong side); unfiltered ones
-/// honor `policy`. dist/σ are identical for every policy — the hybrid
-/// kernel only changes *how* levels are expanded (see DESIGN.md,
-/// "Direction-optimizing traversal").
-SpDag BfsWithCounts(
-    const Graph& g, NodeId source,
-    const std::function<bool(NodeId, NodeId)>* edge_filter = nullptr,
-    TraversalPolicy policy = TraversalPolicy::kAuto);
+/// \brief BFS from `source` computing distances and shortest-path counts:
+/// one BfsKernel run copied into an SpDag. dist/σ are identical for every
+/// policy — the hybrid kernel only changes *how* levels are expanded (see
+/// DESIGN.md, "Direction-optimizing traversal").
+SpDag BfsWithCounts(const Graph& g, NodeId source,
+                    TraversalPolicy policy = TraversalPolicy::kAuto);
 
 /// \brief Reusable direction-optimizing σ-counting BFS.
 ///
@@ -137,48 +129,6 @@ class BfsKernel {
   uint32_t bottom_up_levels_ = 0;
 };
 
-/// \brief σ-counting BFS over any adjacency adapter (graph/adjacency.h).
-///
-/// The substrate-generic sibling of BfsWithCounts: runs top-down over
-/// whatever neighbor relation the adapter exposes — the global CSR
-/// (GlobalAdj), a component view, or a mutation overlay (OverlayAdj in
-/// graph/delta_overlay.h). dist/σ/order are identical to BfsWithCounts on
-/// the materialized graph: expansion visits each level's vertices in
-/// frontier order and each vertex's neighbors in the adapter's (sorted)
-/// order, which is exactly the CSR top-down schedule. Used by the overlay
-/// differential tests and any traversal that must run pre-compaction.
-template <class Adj>
-SpDag BfsWithCountsOver(const Adj& adj, NodeId num_nodes, NodeId source) {
-  SpDag out;
-  out.dist.assign(num_nodes, kUnreachable);
-  out.sigma.assign(num_nodes, 0.0);
-  out.order.reserve(64);
-  out.dist[source] = 0;
-  out.sigma[source] = 1.0;
-  out.order.push_back(source);
-  size_t level_begin = 0;
-  uint32_t depth = 0;
-  while (level_begin < out.order.size()) {
-    const size_t level_end = out.order.size();
-    ++depth;
-    for (size_t i = level_begin; i < level_end; ++i) {
-      const NodeId u = out.order[i];
-      const double su = out.sigma[u];
-      adj.ForEach(u, [&](NodeId v) {
-        if (out.dist[v] == kUnreachable) {
-          out.dist[v] = depth;
-          out.sigma[v] = su;
-          out.order.push_back(v);
-        } else if (out.dist[v] == depth) {
-          out.sigma[v] += su;
-        }
-      });
-    }
-    level_begin = level_end;
-  }
-  return out;
-}
-
 /// \brief Eccentricity of `source` within its connected component.
 uint32_t Eccentricity(const Graph& g, NodeId source);
 
@@ -193,54 +143,6 @@ uint32_t DiameterUpperBound(const Graph& g, NodeId seed = 0);
 
 /// \brief Exact diameter by running BFS from every node. O(nm); tests only.
 uint32_t ExactDiameter(const Graph& g);
-
-/// \brief Reusable BFS scratch space for hot sampling loops.
-///
-/// The samplers run millions of truncated BFS traversals; allocating the
-/// dist/sigma arrays each time would dominate. BfsScratch keeps the arrays
-/// alive and resets only the touched entries (epoch trick) between runs.
-class BfsScratch {
- public:
-  explicit BfsScratch(NodeId num_nodes);
-
-  /// dist/sigma views valid until the next Reset().
-  uint32_t dist(NodeId v) const {
-    return epoch_of_[v] == epoch_ ? dist_[v] : kUnreachable;
-  }
-  double sigma(NodeId v) const {
-    return epoch_of_[v] == epoch_ ? sigma_[v] : 0.0;
-  }
-
-  void set_dist(NodeId v, uint32_t d) {
-    Touch(v);
-    dist_[v] = d;
-  }
-  void set_sigma(NodeId v, double s) {
-    Touch(v);
-    sigma_[v] = s;
-  }
-  void add_sigma(NodeId v, double s) {
-    Touch(v);
-    sigma_[v] += s;
-  }
-
-  /// \brief Invalidate all entries in O(1).
-  void Reset() { ++epoch_; }
-
- private:
-  void Touch(NodeId v) {
-    if (epoch_of_[v] != epoch_) {
-      epoch_of_[v] = epoch_;
-      dist_[v] = kUnreachable;
-      sigma_[v] = 0.0;
-    }
-  }
-
-  std::vector<uint32_t> dist_;
-  std::vector<double> sigma_;
-  std::vector<uint64_t> epoch_of_;
-  uint64_t epoch_ = 1;
-};
 
 }  // namespace saphyra
 

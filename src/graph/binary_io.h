@@ -12,9 +12,10 @@
 /// big arrays staying zero-copy inside the mapping (graph/storage.h).
 ///
 /// Byte-level layout, alignment/endianness rules, the versioning policy and
-/// the mmap ownership/trust model are specified in DESIGN.md, section
-/// "The .sgr on-disk format"; user-facing workflows (graph_convert,
-/// cache-aware loading) are in README.md, section "The .sgr binary cache".
+/// the mmap ownership/trust model are specified in docs/formats.md (the
+/// cache's contracts in DESIGN.md, "The .sgr on-disk format"); user-facing
+/// workflows (graph_convert, cache-aware loading) are in README.md, section
+/// "The .sgr binary cache".
 
 #include <cstdint>
 #include <string>
@@ -106,7 +107,7 @@ Status WriteSgr(const std::string& path, const Graph& g,
 /// With a decomposition, the side tables of `out->bcc`/`out->conn`/
 /// `out->tree` — including the Θ(m) `arc_component` and `rev_arc` arrays —
 /// are materialized by sequential memcpy from the mapping: no parsing and
-/// no recomputation, but not free (see DESIGN.md, "mmap ownership model").
+/// no recomputation, but not free (see docs/formats.md, "mmap ownership model").
 Status LoadSgr(const std::string& path, GraphCache* out,
                const SgrReadOptions& options = {});
 

@@ -34,19 +34,6 @@ bool DeltaOverlay::Inserted(NodeId u, NodeId v) const {
   return std::binary_search(ins.begin(), ins.end(), v);
 }
 
-NodeId DeltaOverlay::degree(NodeId v) const {
-  NodeId d = base_->degree(v);
-  if (!tombstones_.empty()) {
-    const EdgeIndex begin = base_->offset(v);
-    const EdgeIndex end = begin + d;
-    for (EdgeIndex a = begin; a < end; ++a) {
-      if (Tombstoned(a)) --d;
-    }
-  }
-  if (!inserts_.empty()) d += static_cast<NodeId>(inserts_[v].size());
-  return d;
-}
-
 bool DeltaOverlay::HasEdge(NodeId u, NodeId v) const {
   if (u >= num_nodes() || v >= num_nodes()) return false;
   const EdgeIndex arc = BaseArc(u, v);
@@ -129,7 +116,7 @@ Graph DeltaOverlay::Materialize() const {
   Graph out;
   Status st = Graph::FromCsr(n, max_degree, std::move(offsets),
                              std::move(adj), &out);
-  SAPHYRA_CHECK_MSG(st.ok(), st.message());
+  SAPHYRA_CHECK_MSG(st.ok(), st.ToString().c_str());
   return out;
 }
 

@@ -24,13 +24,12 @@
 /// tombstoned base edge clears the tombstone — delta_size() counts only
 /// live deviations from the base.
 ///
-/// Traversal runs through OverlayAdj, the push-only adjacency adapter
-/// (graph/adjacency.h contract): each neighbor visit is a two-pointer
-/// merge of the live base arcs and the insert list, so neighbors come out
-/// in ascending order exactly as a materialized CSR would produce them.
-/// Past a delta budget the owner calls Materialize() and rebases — the
-/// merged CSR becomes the new base and the overlay empties (Compact()),
-/// bounding both the merge overhead and the tombstone metadata.
+/// ForEachNeighbor is a two-pointer merge of the live base arcs and the
+/// insert list, so neighbors come out in ascending order exactly as a
+/// materialized CSR would produce them. Nothing traverses the overlay
+/// itself: every update materializes the effective graph (Materialize())
+/// as the new epoch's CSR, and past a delta budget the owner rebases onto
+/// it, bounding both the merge overhead and the tombstone metadata.
 ///
 /// Not thread-safe: the serving tier publishes immutable epoch snapshots
 /// (service/session.h) and keeps the overlay behind the per-session
@@ -57,9 +56,6 @@ class DeltaOverlay {
   EdgeIndex num_edges() const {
     return base_->num_edges() - tombstoned_edges_ + inserted_edges_;
   }
-
-  /// \brief Effective degree of v.
-  NodeId degree(NodeId v) const;
 
   /// \brief True iff {u, v} exists in the effective graph.
   bool HasEdge(NodeId u, NodeId v) const;
@@ -153,28 +149,6 @@ class DeltaOverlay {
   std::vector<uint64_t> tombstones_;
   uint64_t inserted_edges_ = 0;    ///< pending undirected inserts
   uint64_t tombstoned_edges_ = 0;  ///< tombstoned undirected base edges
-};
-
-/// \brief Push-only adjacency adapter over a DeltaOverlay
-/// (graph/adjacency.h contract). No compact arc span exists before
-/// compaction, so traversals over it always push; neighbor order is the
-/// ascending merge order, matching the materialized CSR.
-struct OverlayAdj {
-  const DeltaOverlay* overlay;
-  template <class F>
-  void ForEachScanned(NodeId u, uint64_t* scanned, F&& f) const {
-    uint64_t n = 0;
-    overlay->ForEachNeighbor(u, [&](NodeId v) {
-      ++n;
-      f(v);
-    });
-    *scanned += n;
-  }
-  template <class F>
-  void ForEach(NodeId u, F&& f) const {
-    overlay->ForEachNeighbor(u, f);
-  }
-  uint64_t Cost(NodeId u) const { return overlay->degree(u); }
 };
 
 }  // namespace saphyra

@@ -25,11 +25,11 @@ namespace saphyra {
 ///                dense-frontier regime is far smaller. Produces identical
 ///                dist/σ values (see DESIGN.md, "Direction-optimizing
 ///                traversal").
-///  * kAuto     — let the library choose; currently identical to kHybrid on
-///                every substrate that supports a bottom-up scan (plain CSR,
-///                component views) and kTopDown elsewhere (per-arc filtered
-///                traversals, where arcs cannot be pulled without re-testing
-///                the filter from the wrong side).
+///  * kAuto     — let the library choose; currently identical to kHybrid
+///                everywhere (every traversal substrate is a contiguous CSR
+///                span — the global graph or a component view — so every
+///                one supports the bottom-up scan). The `auto` spelling
+///                stays accepted on the CLI and the wire.
 enum class TraversalPolicy : uint8_t {
   kAuto = 0,
   kTopDown = 1,

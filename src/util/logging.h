@@ -20,11 +20,14 @@ namespace saphyra {
     }                                                                       \
   } while (false)
 
+/// `msg` must be a C string: the cast rejects a std::string at compile
+/// time instead of passing it through varargs to %s.
 #define SAPHYRA_CHECK_MSG(cond, msg)                                       \
   do {                                                                     \
     if (!(cond)) {                                                         \
       std::fprintf(stderr, "SAPHYRA_CHECK failed at %s:%d: %s (%s)\n",     \
-                   __FILE__, __LINE__, #cond, msg);                        \
+                   __FILE__, __LINE__, #cond,                              \
+                   static_cast<const char*>(msg));                         \
       std::abort();                                                        \
     }                                                                      \
   } while (false)

@@ -53,8 +53,8 @@ std::vector<Graph> DifferentialFixtures() {
 TEST(BfsHybridDifferential, IdenticalDistAndSigmaOnAllFixtures) {
   for (const Graph& g : DifferentialFixtures()) {
     for (NodeId s = 0; s < g.num_nodes(); s += 13) {
-      SpDag top = BfsWithCounts(g, s, nullptr, TraversalPolicy::kTopDown);
-      SpDag hyb = BfsWithCounts(g, s, nullptr, TraversalPolicy::kHybrid);
+      SpDag top = BfsWithCounts(g, s, TraversalPolicy::kTopDown);
+      SpDag hyb = BfsWithCounts(g, s, TraversalPolicy::kHybrid);
       // Bitwise-equal arrays: EXPECT_EQ on vector<double> compares ==,
       // which for these integer-valued path counts is exact equality.
       EXPECT_EQ(top.dist, hyb.dist) << g.DebugString() << " s=" << s;
@@ -89,7 +89,7 @@ TEST(BfsHybridDifferential, KernelReuseMatchesFreshRuns) {
   BfsKernel kernel(g, TraversalPolicy::kHybrid);
   for (NodeId s = 0; s < g.num_nodes(); s += 11) {
     kernel.Run(s);
-    SpDag fresh = BfsWithCounts(g, s, nullptr, TraversalPolicy::kTopDown);
+    SpDag fresh = BfsWithCounts(g, s, TraversalPolicy::kTopDown);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       EXPECT_EQ(kernel.dist(v), fresh.dist[v]);
       EXPECT_EQ(kernel.sigma(v), fresh.sigma[v]);
@@ -150,7 +150,7 @@ TEST(PathSamplerHybridDifferential, ComponentViewSubstrate) {
   // Road-like graph: many biconnected components, including a grid core.
   Graph g = RoadGrid(25, 20, 0.85, 31).graph;
   IspIndex isp(g);
-  PathSampler a(g, isp.views()), b(g, isp.views());
+  PathSampler a(g, &isp.views()), b(g, &isp.views());
   a.set_traversal(TraversalPolicy::kTopDown);
   b.set_traversal(TraversalPolicy::kHybrid);
   Rng rng_a(5), rng_b(5);

@@ -84,17 +84,6 @@ TEST_P(BfsRandomized, SigmaMatchesPathEnumeration) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BfsRandomized,
                          ::testing::Range<uint64_t>(0, 8));
 
-TEST(BfsWithCounts, EdgeFilterRestrictsTraversal) {
-  // Square 0-1-2-3-0; forbid arc (0,1)/(1,0): distances go the long way.
-  Graph g = MakeGraph(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
-  std::function<bool(NodeId, NodeId)> filter = [](NodeId u, NodeId v) {
-    return !((u == 0 && v == 1) || (u == 1 && v == 0));
-  };
-  SpDag dag = BfsWithCounts(g, 0, &filter);
-  EXPECT_EQ(dag.dist[1], 3u);
-  EXPECT_EQ(dag.dist[3], 1u);
-}
-
 TEST(Eccentricity, PathEndpoints) {
   Graph g = MakeGraph(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
   EXPECT_EQ(Eccentricity(g, 0), 4u);
@@ -114,26 +103,6 @@ TEST(Diameter, ExactOnPath) {
   Graph g = MakeGraph(7, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}});
   EXPECT_EQ(ExactDiameter(g), 6u);
   EXPECT_EQ(TwoSweepDiameterLowerBound(g), 6u);  // exact on trees
-}
-
-TEST(BfsScratch, EpochResetClearsEntries) {
-  BfsScratch scratch(10);
-  scratch.set_dist(3, 7);
-  scratch.set_sigma(3, 2.5);
-  EXPECT_EQ(scratch.dist(3), 7u);
-  EXPECT_DOUBLE_EQ(scratch.sigma(3), 2.5);
-  EXPECT_EQ(scratch.dist(4), kUnreachable);
-  scratch.Reset();
-  EXPECT_EQ(scratch.dist(3), kUnreachable);
-  EXPECT_DOUBLE_EQ(scratch.sigma(3), 0.0);
-}
-
-TEST(BfsScratch, AddSigmaAccumulates) {
-  BfsScratch scratch(4);
-  scratch.add_sigma(1, 1.0);
-  scratch.add_sigma(1, 2.0);
-  EXPECT_DOUBLE_EQ(scratch.sigma(1), 3.0);
-  EXPECT_EQ(scratch.dist(1), kUnreachable);  // dist untouched by add_sigma
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,12 +13,14 @@
 
 #include "bc/path_sampler.h"
 #include "bicomp/isp.h"
+#include "graph/bfs.h"
 #include "graph/generators.h"
 #include "test_util.h"
 
 namespace saphyra {
 namespace {
 
+using testing::AllShortestPaths;
 using testing::MakeGraph;
 using testing::PaperFig2Graph;
 using testing::RandomConnectedGraph;
@@ -194,7 +197,7 @@ std::string PathKey(const std::vector<NodeId>& nodes) {
 TEST(ComponentViewSampling, RestrictedPathsStayInComponent) {
   Graph g = PaperFig2Graph();
   IspIndex isp(g);
-  PathSampler sampler(g, isp.views());
+  PathSampler sampler(g, &isp.views());
   Rng rng(9);
   PathSample path;
   uint32_t pent = isp.bcc().arc_component[g.offset(0)];
@@ -216,77 +219,106 @@ TEST(ComponentViewSampling, RestrictedPathsStayInComponent) {
   }
 }
 
-/// The Fig. 2 distribution check: sampling through the component-view fast
-/// path must produce the same path frequencies as the legacy filtered
-/// sampler (both match the uniform-over-σ_st law).
-TEST(ComponentViewSampling, Fig2DistributionMatchesFilteredPath) {
+/// The Fig. 2 distribution check: the view path's frequencies must match
+/// the exact law. Endpoints are drawn uniformly from the pentagon's five
+/// members (s == t draws are skipped but counted), and the path is uniform
+/// over the σ_st shortest s-t paths, which never leave the block.
+TEST(ComponentViewSampling, Fig2DistributionMatchesExactLaw) {
   Graph g = PaperFig2Graph();
   IspIndex isp(g);
   uint32_t pent = isp.bcc().arc_component[g.offset(0)];
+  const auto& members = isp.bcc().component_nodes[pent];
+  ASSERT_EQ(members.size(), 5u);
 
-  PathSampler filtered(g, &isp.bcc().arc_component);
-  PathSampler view(g, isp.views());
-  constexpr int kDraws = 60000;
-  std::map<std::string, int> filtered_counts, view_counts;
-  PathSample path;
-  {
-    Rng rng(21);
-    for (int i = 0; i < kDraws; ++i) {
-      NodeId s = isp.bcc().component_nodes[pent][rng.UniformInt(5)];
-      NodeId t = isp.bcc().component_nodes[pent][rng.UniformInt(5)];
+  std::map<std::string, double> expected;
+  for (NodeId s : members) {
+    for (NodeId t : members) {
       if (s == t) continue;
-      ASSERT_TRUE(filtered.SampleUniformPath(
-          s, t, pent, SamplingStrategy::kBidirectional, &rng, &path));
-      ++filtered_counts[PathKey(path.nodes)];
+      const auto paths = AllShortestPaths(g, s, t);
+      ASSERT_FALSE(paths.empty());
+      for (const auto& p : paths) {
+        expected[PathKey(p)] += 1.0 / 25.0 / static_cast<double>(paths.size());
+      }
     }
   }
-  {
-    Rng rng(21);  // same endpoint stream
-    for (int i = 0; i < kDraws; ++i) {
-      NodeId s = isp.bcc().component_nodes[pent][rng.UniformInt(5)];
-      NodeId t = isp.bcc().component_nodes[pent][rng.UniformInt(5)];
-      if (s == t) continue;
-      ASSERT_TRUE(view.SampleUniformPath(
-          s, t, pent, SamplingStrategy::kBidirectional, &rng, &path));
-      ++view_counts[PathKey(path.nodes)];
-    }
+
+  PathSampler view(g, &isp.views());
+  constexpr int kDraws = 60000;
+  std::map<std::string, int> view_counts;
+  PathSample path;
+  Rng rng(21);
+  for (int i = 0; i < kDraws; ++i) {
+    NodeId s = members[rng.UniformInt(5)];
+    NodeId t = members[rng.UniformInt(5)];
+    if (s == t) continue;
+    ASSERT_TRUE(view.SampleUniformPath(
+        s, t, pent, SamplingStrategy::kBidirectional, &rng, &path));
+    ++view_counts[PathKey(path.nodes)];
   }
   // Same support...
-  ASSERT_EQ(filtered_counts.size(), view_counts.size());
-  for (auto& [key, n] : filtered_counts) {
-    ASSERT_TRUE(view_counts.count(key) > 0) << key;
-    // ...and matching frequencies (both estimate the same probability; the
-    // tolerance covers two independent empirical estimates).
-    double pf = n / static_cast<double>(kDraws);
+  for (auto& [key, n] : view_counts) {
+    ASSERT_TRUE(expected.count(key) > 0) << "unexpected path " << key;
+  }
+  for (auto& [key, p] : expected) {
+    // ...and matching frequencies.
     double pv = view_counts[key] / static_cast<double>(kDraws);
-    EXPECT_NEAR(pf, pv, 0.012 + 4.0 * std::sqrt(pf / kDraws)) << key;
+    EXPECT_NEAR(pv, p, 0.012 + 4.0 * std::sqrt(p / kDraws)) << key;
   }
 }
 
-TEST(ComponentViewSampling, SigmaMatchesFilteredOnRandomGraphs) {
+/// The block's induced subgraph, relabeled by position in the member list
+/// (ascending global ids, so local ids match the view's). A block holds
+/// every edge between two of its members: two blocks share at most one
+/// vertex, so no such edge can belong to another block.
+Graph BlockSubgraph(const Graph& g, std::span<const NodeId> members) {
+  GraphBuilder b;
+  for (NodeId lu = 0; lu < members.size(); ++lu) {
+    for (NodeId v : g.neighbors(members[lu])) {
+      auto it = std::lower_bound(members.begin(), members.end(), v);
+      if (it != members.end() && *it == v) {
+        b.AddEdge(lu, static_cast<NodeId>(it - members.begin()));
+      }
+    }
+  }
+  Graph sub;
+  Status st = b.Build(static_cast<NodeId>(members.size()), &sub);
+  SAPHYRA_CHECK_MSG(st.ok(), st.ToString().c_str());
+  return sub;
+}
+
+TEST(ComponentViewSampling, SigmaMatchesBlockSubgraphBfsOnRandomGraphs) {
+  // Small random graphs have shallow searches; the thinned grids add
+  // blocks whose shortest paths are long and numerous, where σ sums over
+  // several parents with σ > 1.
+  std::vector<Graph> graphs;
   for (uint64_t seed = 0; seed < 4; ++seed) {
-    Graph g = RandomConnectedGraph(40, 0.08, seed + 100);
+    graphs.push_back(RandomConnectedGraph(40, 0.08, seed + 100));
+  }
+  for (uint64_t seed = 0; seed < 2; ++seed) {
+    graphs.push_back(RoadGrid(12, 12, 0.85, seed + 7).graph);
+  }
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    const Graph& g = graphs[gi];
     IspIndex isp(g);
-    PathSampler filtered(g, &isp.bcc().arc_component);
-    PathSampler view(g, isp.views());
-    Rng rng(seed);
-    PathSample pf, pv;
+    PathSampler view(g, &isp.views());
+    Rng rng(gi);
+    PathSample pv;
     for (int i = 0; i < 200; ++i) {
       uint32_t c = static_cast<uint32_t>(
           rng.UniformInt(isp.bcc().num_components));
       const auto& nodes = isp.bcc().component_nodes[c];
       if (nodes.size() < 2) continue;
-      NodeId s = nodes[rng.UniformInt(nodes.size())];
-      NodeId t = nodes[rng.UniformInt(nodes.size())];
-      if (s == t) continue;
-      ASSERT_TRUE(filtered.SampleUniformPath(
-          s, t, c, SamplingStrategy::kBidirectional, &rng, &pf));
-      ASSERT_TRUE(view.SampleUniformPath(
-          s, t, c, SamplingStrategy::kBidirectional, &rng, &pv));
+      const NodeId ls = static_cast<NodeId>(rng.UniformInt(nodes.size()));
+      const NodeId lt = static_cast<NodeId>(rng.UniformInt(nodes.size()));
+      if (ls == lt) continue;
+      ASSERT_TRUE(view.SampleUniformPath(nodes[ls], nodes[lt], c,
+                                         SamplingStrategy::kBidirectional,
+                                         &rng, &pv));
       // σ_st and the shortest-path length are deterministic quantities:
-      // both substrates must agree exactly.
-      EXPECT_DOUBLE_EQ(pf.num_paths, pv.num_paths);
-      EXPECT_EQ(pf.length, pv.length);
+      // the view sampler must reproduce the block subgraph's BFS exactly.
+      const SpDag dag = BfsWithCounts(BlockSubgraph(g, nodes), ls);
+      EXPECT_DOUBLE_EQ(pv.num_paths, dag.sigma[lt]);
+      EXPECT_EQ(pv.length, dag.dist[lt]);
     }
   }
 }
@@ -294,7 +326,7 @@ TEST(ComponentViewSampling, SigmaMatchesFilteredOnRandomGraphs) {
 TEST(ComponentViewSampling, UnidirectionalAgreesWithBidirectional) {
   Graph g = RandomConnectedGraph(40, 0.08, 55);
   IspIndex isp(g);
-  PathSampler sampler(g, isp.views());
+  PathSampler sampler(g, &isp.views());
   Rng rng(56);
   PathSample bi, uni;
   for (int i = 0; i < 200; ++i) {
@@ -320,7 +352,7 @@ TEST(ComponentViewSampling, UnrestrictedSamplingStillWorks) {
   Graph g = MakeGraph(4, {{0, 1}, {1, 2}, {2, 3}});
   auto bcc = ComputeBiconnectedComponents(g);
   ComponentViews views(g, bcc);
-  PathSampler sampler(g, views);
+  PathSampler sampler(g, &views);
   Rng rng(1);
   PathSample path;
   ASSERT_TRUE(sampler.SampleUniformPath(

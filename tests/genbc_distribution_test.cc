@@ -68,7 +68,7 @@ void RunDistributionCheck(const Graph& g, const std::vector<NodeId>& targets,
   auto expected = EnumerateApproxDistribution(space);
   ASSERT_FALSE(expected.empty());
 
-  PathSampler sampler(g, &isp.bcc().arc_component);
+  PathSampler sampler(g, &isp.views());
   Rng rng(seed);
   PathSample path;
   std::map<std::string, int> counts;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "bicomp/biconnected.h"
+#include "bicomp/component_view.h"
 #include "graph/generators.h"
 #include "test_util.h"
 
@@ -167,7 +168,8 @@ INSTANTIATE_TEST_SUITE_P(Strategies, PathSamplerStrategies,
 TEST(PathSampler, ComponentRestrictionStaysInComponent) {
   Graph g = PaperFig2Graph();
   auto bcc = ComputeBiconnectedComponents(g);
-  PathSampler sampler(g, &bcc.arc_component);
+  ComponentViews views(g, bcc);
+  PathSampler sampler(g, &views);
   Rng rng(9);
   PathSample path;
   // Pentagon component: find its id via edge (0,1).
@@ -192,7 +194,8 @@ TEST(PathSampler, RestrictionChangesDistances) {
   Graph g = MakeGraph(5, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {1, 4}});
   auto bcc = ComputeBiconnectedComponents(g);
   uint32_t square = bcc.arc_component[g.offset(0)];
-  PathSampler sampler(g, &bcc.arc_component);
+  ComponentViews views(g, bcc);
+  PathSampler sampler(g, &views);
   Rng rng(10);
   PathSample path;
   ASSERT_TRUE(sampler.SampleUniformPath(0, 2, square,
