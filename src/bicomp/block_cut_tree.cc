@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "bicomp/incremental.h"
 #include "util/logging.h"
 
 namespace saphyra {
@@ -11,8 +12,9 @@ BlockCutTree BlockCutTree::Build(const Graph& g,
                                  const ComponentLabels& conn) {
   BlockCutTree t;
   t.is_cutpoint_ = bcc.is_cutpoint;
-  t.conn_component_ = conn.component;
-  t.conn_sizes_.assign(conn.size.begin(), conn.size.end());
+  t.node_component_ = bcc.node_component;
+  t.members_ = bcc.component_nodes;
+  t.conn_ = std::make_shared<const ComponentLabels>(conn);
 
   const uint32_t num_comps = bcc.num_components;
   t.conn_size_of_comp_.assign(num_comps, 0);
@@ -104,9 +106,13 @@ BlockCutTree BlockCutTree::Build(const Graph& g,
   // --- Out-reach for every (component, cutpoint) pair ------------------
   // S(v, C_i) = weight hanging on the C_i side of cutpoint v (excluding v);
   // r_i(v) = conn_size − S(v, C_i).
+  t.reach_.assign(bcc.component_nodes.nodes().size(), 1);
   for (uint32_t c = 0; c < num_comps; ++c) {
     const uint64_t conn_size = t.conn_size_of_comp_[c];
-    for (NodeId v : bcc.component_nodes[c]) {
+    const auto members = bcc.component_nodes[c];
+    const uint64_t base = bcc.component_nodes.begin()[c];
+    for (size_t i = 0; i < members.size(); ++i) {
+      const NodeId v = members[i];
       if (!bcc.is_cutpoint[v]) continue;
       uint32_t tv = cut_tree_id[v];
       uint64_t side;
@@ -117,23 +123,131 @@ BlockCutTree BlockCutTree::Build(const Graph& g,
         side = tree_total[tv] - subtree[tv];  // c is v's parent
       }
       SAPHYRA_CHECK(side < conn_size);
-      t.cut_reach_.emplace(Key(c, v), conn_size - side);
+      t.reach_[base + i] = static_cast<NodeId>(conn_size - side);
     }
   }
+  t.FillHomeReach();
   return t;
 }
 
-BlockCutTree BlockCutTree::FromParts(
-    const BiconnectedComponents& bcc, const ComponentLabels& conn,
-    std::vector<uint64_t> conn_size_of_comp,
-    const std::vector<std::pair<uint64_t, uint64_t>>& cut_reach) {
+void BlockCutTree::FillHomeReach() {
+  home_reach_.assign(is_cutpoint_.size(), 1);
+  for (uint32_t c = 0; c < members_.size(); ++c) {
+    const auto members = members_[c];
+    const uint64_t base = members_.begin()[c];
+    for (size_t i = 0; i < members.size(); ++i) {
+      const NodeId v = members[i];
+      if (is_cutpoint_[v] && node_component_[v] == c) {
+        home_reach_[v] = reach_[base + i];
+      }
+    }
+  }
+}
+
+std::vector<uint64_t> BlockCutTree::CutReachTable() const {
+  std::vector<uint64_t> out;
+  for (uint32_t c = 0; c < members_.size(); ++c) {
+    const auto members = members_[c];
+    const uint64_t base = members_.begin()[c];
+    for (size_t i = 0; i < members.size(); ++i) {
+      if (!is_cutpoint_[members[i]]) continue;
+      out.push_back((static_cast<uint64_t>(c) << 32) | members[i]);
+      out.push_back(reach_[base + i]);
+    }
+  }
+  return out;
+}
+
+Status BlockCutTree::FromParts(const BiconnectedComponents& bcc,
+                               const ComponentLabels& conn,
+                               std::vector<uint64_t> conn_size_of_comp,
+                               std::span<const uint64_t> cut_reach_table,
+                               BlockCutTree* out) {
   BlockCutTree t;
   t.is_cutpoint_ = bcc.is_cutpoint;
-  t.conn_component_ = conn.component;
-  t.conn_sizes_.assign(conn.size.begin(), conn.size.end());
+  t.node_component_ = bcc.node_component;
+  t.members_ = bcc.component_nodes;
+  t.conn_ = std::make_shared<const ComponentLabels>(conn);
   t.conn_size_of_comp_ = std::move(conn_size_of_comp);
-  t.cut_reach_.reserve(cut_reach.size());
-  for (const auto& [key, reach] : cut_reach) t.cut_reach_.emplace(key, reach);
+  t.reach_.assign(bcc.component_nodes.nodes().size(), 1);
+  for (NodeId v : bcc.component_nodes.nodes()) {
+    if (v >= t.is_cutpoint_.size() || v >= t.node_component_.size()) {
+      return Status::IOError(".sgr component member is out of range");
+    }
+  }
+  const size_t num_comps =
+      std::min(t.members_.size(), t.conn_size_of_comp_.size());
+  for (size_t i = 0; i + 1 < cut_reach_table.size(); i += 2) {
+    const uint64_t c = cut_reach_table[i] >> 32;
+    const NodeId v = static_cast<NodeId>(cut_reach_table[i]);
+    const uint64_t r = cut_reach_table[i + 1];
+    const auto members = c < num_comps ? t.members_[c]
+                                       : std::span<const NodeId>();
+    const auto it = std::lower_bound(members.begin(), members.end(), v);
+    if (it == members.end() || *it != v || v >= t.is_cutpoint_.size() ||
+        !t.is_cutpoint_[v]) {
+      return Status::IOError(
+          ".sgr cut_reach entry names no cutpoint membership");
+    }
+    if (r == 0 || r > t.conn_size_of_comp_[c]) {
+      return Status::IOError(".sgr cut_reach entry is out of range");
+    }
+    t.reach_[t.members_.begin()[c] +
+             static_cast<uint64_t>(it - members.begin())] =
+        static_cast<NodeId>(r);
+  }
+  t.FillHomeReach();
+  *out = std::move(t);
+  return Status::OK();
+}
+
+BlockCutTree BlockCutTree::WithMerge(const BiconnectedComponents& bcc,
+                                     const BlockMerge& merge) const {
+  BlockCutTree t;
+  t.is_cutpoint_ = bcc.is_cutpoint;
+  t.node_component_ = bcc.node_component;
+  t.members_ = bcc.component_nodes;
+  t.conn_ = conn_;
+  const auto num_old = static_cast<uint32_t>(conn_size_of_comp_.size());
+  const uint32_t merged = merge.merged_id;
+  const uint64_t conn_size = conn_size_of_comp_[merge.blocks[0]];
+  t.conn_size_of_comp_ = merge.Splice<uint64_t>(
+      conn_size_of_comp_, num_old, [](uint32_t c) { return uint64_t{c}; },
+      1);
+  t.conn_size_of_comp_[merged] = conn_size;
+
+  const std::span<const uint64_t> old_begin = members_.begin().span();
+  t.reach_ = merge.Splice<NodeId>(
+      reach_, num_old, [&](uint32_t c) { return old_begin[c]; },
+      bcc.component_nodes[merged].size());
+  // Each path block's members, ascending, map into the merged members by
+  // a galloping search from the previous match.
+  const auto members = bcc.component_nodes[merged];
+  NodeId* merged_reach = t.reach_.data() + t.members_.begin()[merged];
+  for (uint32_t b : merge.blocks) {
+    const auto block = members_[b];
+    size_t j = 0;
+    for (size_t i = 0; i < block.size(); ++i) {
+      const NodeId x = block[i];
+      size_t hi = j;
+      for (size_t step = 1; hi < members.size() && members[hi] < x;
+           step *= 2) {
+        j = hi + 1;
+        hi = j + step;
+      }
+      hi = std::min(hi + 1, members.size());
+      j = static_cast<size_t>(
+          std::lower_bound(members.begin() + j, members.begin() + hi, x) -
+          members.begin());
+      SAPHYRA_CHECK(j < members.size() && members[j] == x);
+      const NodeId r = reach_[old_begin[b] + i];
+      merged_reach[j] = merged_reach[j] == 0
+                            ? r
+                            : static_cast<NodeId>(merged_reach[j] + r -
+                                                  conn_size);
+    }
+  }
+  t.FillHomeReach();
   return t;
 }
 

@@ -1,15 +1,20 @@
 #ifndef SAPHYRA_BICOMP_BLOCK_CUT_TREE_H_
 #define SAPHYRA_BICOMP_BLOCK_CUT_TREE_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "bicomp/biconnected.h"
 #include "graph/connectivity.h"
 #include "graph/graph.h"
+#include "util/status.h"
 
 namespace saphyra {
+
+struct BlockMerge;  // bicomp/incremental.h
 
 /// \brief Block-cut tree with out-reach sets (§IV-A, Fig. 2 of the paper).
 ///
@@ -33,10 +38,15 @@ class BlockCutTree {
                             const ComponentLabels& conn);
 
   /// \brief Out-reach r_i(v). `v` must be a member of component `comp`.
+  /// O(1) for a non-cutpoint (r = 1) and for a cutpoint's first component
+  /// (node_component); a binary search over comp's members otherwise.
   uint64_t OutReach(uint32_t comp, NodeId v) const {
     if (!is_cutpoint_[v]) return 1;
-    auto it = cut_reach_.find(Key(comp, v));
-    return it == cut_reach_.end() ? 1 : it->second;
+    if (node_component_[v] == comp) return home_reach_[v];
+    const auto members = members_[comp];
+    const auto it = std::lower_bound(members.begin(), members.end(), v);
+    return reach_[members_.begin()[comp] +
+                  static_cast<uint64_t>(it - members.begin())];
   }
 
   /// \brief |T_i(v)| = (size of v's connected component) − r_i(v): the
@@ -53,14 +63,17 @@ class BlockCutTree {
 
   /// \brief Size of the connected component of node v.
   uint64_t conn_size_of_node(NodeId v) const {
-    return conn_sizes_[conn_component_[v]];
+    return conn_->size[conn_->component[v]];
   }
 
-  /// \brief The cutpoint out-reach table, keyed by (comp << 32 | node)
-  /// (serialization access; see MakeKey).
-  const std::unordered_map<uint64_t, uint64_t>& cut_reach() const {
-    return cut_reach_;
-  }
+  /// \brief The connected-component labeling the tree was built over,
+  /// shared by every tree a merge derives from this one.
+  const ComponentLabels& conn() const { return *conn_; }
+
+  /// \brief Out-reach of every membership, laid out like the flat member
+  /// array: reach()[component_nodes.begin()[c] + i] is r_c of the i-th
+  /// member of c (1 for non-cutpoints).
+  std::span<const NodeId> reach() const { return reach_; }
 
   /// \brief Per-biconnected-component connected-component sizes
   /// (serialization access).
@@ -68,28 +81,46 @@ class BlockCutTree {
     return conn_size_of_comp_;
   }
 
-  /// \brief The cut_reach key of (comp, v), for (de)serialization.
-  static uint64_t MakeKey(uint32_t comp, NodeId v) { return Key(comp, v); }
+  /// \brief The persisted out-reach table: (comp << 32 | node, r) for
+  /// every cutpoint membership, flattened, ascending by key.
+  std::vector<uint64_t> CutReachTable() const;
 
   /// \brief Reassemble a tree from persisted parts (deserialization). The
-  /// tree DP is *not* re-run; `cut_reach` pairs come from a prior Build.
-  static BlockCutTree FromParts(
-      const BiconnectedComponents& bcc, const ComponentLabels& conn,
-      std::vector<uint64_t> conn_size_of_comp,
-      const std::vector<std::pair<uint64_t, uint64_t>>& cut_reach);
+  /// tree DP is *not* re-run; `cut_reach_table` is a prior tree's
+  /// CutReachTable(). A member id past the node count, a pair naming no
+  /// cutpoint membership, or a reach outside [1, connected-component
+  /// size], is an IOError.
+  static Status FromParts(const BiconnectedComponents& bcc,
+                          const ComponentLabels& conn,
+                          std::vector<uint64_t> conn_size_of_comp,
+                          std::span<const uint64_t> cut_reach_table,
+                          BlockCutTree* out);
+
+  /// \brief The tree after the insert that made `merge`
+  /// (bicomp/incremental.h), given the merged decomposition `bcc`: the
+  /// connectivity is shared, every kept block's out-reach slice carries
+  /// over, and the merged block's is read off the path blocks' — a member
+  /// of one path block keeps its reach there, and a path cutpoint x
+  /// between blocks B and B' reaches what both leave it, r_B(x) + r_B'(x)
+  /// − |conn|.
+  BlockCutTree WithMerge(const BiconnectedComponents& bcc,
+                         const BlockMerge& merge) const;
 
  private:
-  static uint64_t Key(uint32_t comp, NodeId v) {
-    return (static_cast<uint64_t>(comp) << 32) | v;
-  }
+  /// Sets every cutpoint's home_reach_ from reach_.
+  void FillHomeReach();
 
-  // The node-level inputs, shared or copied: a tree holds no pointer into
-  // the structs it was built from and may outlive or move apart from them.
+  // The node-level inputs, shared: a tree holds no pointer into the
+  // structs it was built from and may outlive or move apart from them.
   ArrayRef<uint8_t> is_cutpoint_;
-  std::vector<NodeId> conn_component_;
-  std::vector<uint64_t> conn_sizes_;          // per connected component
+  ArrayRef<uint32_t> node_component_;
+  ComponentMembers members_;
+  std::shared_ptr<const ComponentLabels> conn_;
   std::vector<uint64_t> conn_size_of_comp_;   // per biconnected component
-  std::unordered_map<uint64_t, uint64_t> cut_reach_;
+  std::vector<NodeId> reach_;                 // per membership
+  // Per node: a cutpoint's reach in its node_component, the component
+  // the sampler's hub lookups mostly hit (the core block comes first).
+  std::vector<NodeId> home_reach_;
 };
 
 }  // namespace saphyra

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "bicomp/incremental.h"
 #include "util/logging.h"
 
 namespace saphyra {
@@ -114,6 +115,65 @@ ComponentViews ComponentViews::WithEdge(uint32_t c, NodeId u, NodeId v,
   out.offsets_ = std::move(offsets);
   out.adj_ = std::move(adj);
   out.max_size_ = max_size_;
+  return out;
+}
+
+ComponentViews ComponentViews::WithMerge(const Graph& g,
+                                         const BiconnectedComponents& bcc,
+                                         const BlockMerge& merge) const {
+  // The merged block's local CSR: each member's arcs labeled with its id,
+  // neighbors mapped to local ids (ascending, like the global lists).
+  const uint32_t merged = merge.merged_id;
+  const auto members = bcc.component_nodes[merged];
+  std::vector<NodeId> local(g.num_nodes());
+  for (size_t i = 0; i < members.size(); ++i) {
+    local[members[i]] = static_cast<NodeId>(i);
+  }
+  std::vector<EdgeIndex> merged_offsets;
+  merged_offsets.reserve(members.size());
+  std::vector<NodeId> merged_adj;
+  for (NodeId x : members) {
+    merged_offsets.push_back(merged_adj.size());
+    const EdgeIndex base = g.offset(x);
+    const auto nbr = g.neighbors(x);
+    for (size_t i = 0; i < nbr.size(); ++i) {
+      if (bcc.arc_component[base + i] == merged) {
+        merged_adj.push_back(local[nbr[i]]);
+      }
+    }
+  }
+
+  // Splice: kept slices in order, the merged slice in its place.
+  std::vector<EdgeIndex> offsets;
+  offsets.reserve(bcc.component_nodes.nodes().size() + 1);
+  std::vector<NodeId> adj;
+  adj.reserve(g.num_arcs());
+  const std::span<const uint64_t> old_begin = node_begin_.span();
+  merge.Walk(
+      num_components(), [&](uint32_t c) { return old_begin[c]; },
+      [&](uint64_t from, uint64_t to) {
+        if (from == to) return;
+        const EdgeIndex shift = adj.size() - offsets_[from];  // mod 2^64
+        for (uint64_t k = from; k < to; ++k) {
+          offsets.push_back(offsets_[k] + shift);
+        }
+        adj.insert(adj.end(), adj_.begin() + offsets_[from],
+                   adj_.begin() + offsets_[to]);
+      },
+      [&] {
+        for (EdgeIndex o : merged_offsets) offsets.push_back(adj.size() + o);
+        adj.insert(adj.end(), merged_adj.begin(), merged_adj.end());
+      });
+  offsets.push_back(adj.size());
+  SAPHYRA_CHECK(adj.size() == g.num_arcs() &&
+                offsets.size() == bcc.component_nodes.nodes().size() + 1);
+
+  ComponentViews out;
+  out.node_begin_ = bcc.component_nodes.begin();
+  out.nodes_ = bcc.component_nodes.nodes();
+  out.offsets_ = std::move(offsets);
+  out.adj_ = std::move(adj);
+  out.max_size_ = std::max(max_size_, static_cast<NodeId>(members.size()));
   return out;
 }
 

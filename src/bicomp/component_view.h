@@ -12,6 +12,8 @@
 
 namespace saphyra {
 
+struct BlockMerge;  // bicomp/incremental.h
+
 /// \brief Compact per-biconnected-component CSR subgraphs.
 ///
 /// The Gen_bc sampler restricts every BFS to one biconnected component.
@@ -60,6 +62,16 @@ class ComponentViews {
   /// of a rebuild. u and v must be members of c, and the edge absent
   /// (insert) or present (remove).
   ComponentViews WithEdge(uint32_t c, NodeId u, NodeId v, bool insert) const;
+
+  /// \brief The views after the insert that made `merge`
+  /// (bicomp/incremental.h): `g` is the new graph and `bcc` its
+  /// decomposition, whose member lists become the node slices. A kept
+  /// block's local adjacency carries over as is, its offsets shifted by
+  /// the slices dropped or opened before it; only the merged block's
+  /// slice is built, from `g`'s arcs labeled with its id. O(Σ|C_i| +
+  /// num_arcs) sequential copies plus the merged block's arcs.
+  ComponentViews WithMerge(const Graph& g, const BiconnectedComponents& bcc,
+                           const BlockMerge& merge) const;
 
   /// \brief Number of components ℓ.
   uint32_t num_components() const {

@@ -1,7 +1,7 @@
 #include "bicomp/incremental.h"
 
 #include <algorithm>
-#include <deque>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -18,97 +18,104 @@ EdgeIndex ArcIndexOf(const Graph& g, NodeId u, NodeId v) {
   return g.offset(u) + static_cast<EdgeIndex>(it - nbr.begin());
 }
 
-/// Blocks on the block-cut-tree path between u and v in the old graph,
-/// found by BFS over the block/cutpoint incidence forest (the path is
-/// unique — the incidence graph is a forest — so the BFS order cannot
-/// change the result). Returns false when u and v sit in different
-/// connected components (or either is isolated): the inserted edge is a
-/// bridge block of its own and no old block changes.
-bool BlockCutPath(const Graph& g, const BiconnectedComponents& bcc,
-                  NodeId u, NodeId v, std::vector<uint32_t>* path) {
-  path->clear();
-  if (g.degree(u) == 0 || g.degree(v) == 0) return false;
-  const NodeComponentIndex index(bcc);  // O(n + Σ|C_i|) per repair
-  std::vector<uint8_t> has_v(bcc.num_components, 0);
-  for (uint32_t c : index.Components(v)) has_v[c] = 1;
-  constexpr uint32_t kRoot = kInvalidComp;
-  std::vector<uint32_t> parent(bcc.num_components, kInvalidComp);
-  std::vector<uint8_t> visited(bcc.num_components, 0);
-  std::deque<uint32_t> queue;
-  uint32_t goal = kInvalidComp;
-  for (uint32_t c : index.Components(u)) {
-    visited[c] = 1;
-    parent[c] = kRoot;
-    if (has_v[c]) {
-      goal = c;  // u and v share a block (kRoot parent ends the walk)
-      break;
-    }
-    queue.push_back(c);
-  }
-  while (goal == kInvalidComp && !queue.empty()) {
-    const uint32_t c = queue.front();
-    queue.pop_front();
-    for (NodeId w : bcc.component_nodes[c]) {
-      if (!bcc.is_cutpoint[w]) continue;
-      for (uint32_t c2 : index.Components(w)) {
-        if (visited[c2]) continue;
-        visited[c2] = 1;
-        parent[c2] = c;
-        if (has_v[c2]) {
-          goal = c2;
-          break;
-        }
-        queue.push_back(c2);
+/// The blocks on the block-cut-tree path between u and v in `bcc` (the
+/// decomposition of `g`) and the cutpoints joining consecutive ones.
+struct BlockPath {
+  std::vector<uint32_t> blocks;   // ascending
+  std::vector<NodeId> cutpoints;  // ascending
+};
+
+/// Finds the block-cut-tree path between u and v with one search from
+/// each end over the arc labels: a node's blocks are the labels on its
+/// arcs, and a block's neighbors are its cutpoints' blocks. The side whose
+/// next block has fewer members expands, so a leaf joined to the core
+/// reaches the core block from the leaf's side without scanning it. A
+/// block is claimed by the first side to reach it; the first block one
+/// side finds claimed by the other lies on the path (a tree vertex is
+/// reached through its parent toward the side's root, so the other side
+/// can hold only the next block along the path). A shared block of u and
+/// v is a one-block path. Returns false when u and v sit in different
+/// connected components (or either is isolated).
+bool BlockCutPath(const Graph& g, const BiconnectedComponents& bcc, NodeId u,
+                  NodeId v, BlockPath* path) {
+  const uint32_t num = bcc.num_components;
+  std::vector<uint8_t> side(num, 0);  // 0 unclaimed, 1 + the claiming side
+  std::vector<uint32_t> parent(num);  // previous block, kInvalidComp: root
+  std::vector<NodeId> via(num);       // cutpoint toward the parent (or root)
+  std::vector<uint32_t> queue[2];
+  size_t head[2] = {0, 0};
+  // Meeting point: one side reached block `meet`, claimed by the other,
+  // from its block `meet_from` (kInvalidComp: from its root) through node
+  // `meet_via`.
+  uint32_t meet = kInvalidComp;
+  uint32_t meet_from = kInvalidComp;
+  NodeId meet_via = kInvalidNode;
+  auto claim_blocks_of = [&](NodeId x, int s, uint32_t from) {
+    const auto first = bcc.arc_component.begin() + g.offset(x);
+    for (auto it = first; it != first + g.degree(x); ++it) {
+      const uint32_t c = *it;
+      if (side[c] == s + 1) continue;
+      if (side[c] != 0) {
+        meet = c;
+        meet_from = from;
+        meet_via = x;
+        return true;
       }
-      if (goal != kInvalidComp) break;
+      side[c] = static_cast<uint8_t>(s + 1);
+      parent[c] = from;
+      via[c] = x;
+      queue[s].push_back(c);
+    }
+    return false;
+  };
+  bool met = claim_blocks_of(u, 0, kInvalidComp) ||
+             claim_blocks_of(v, 1, kInvalidComp);
+  while (!met && head[0] < queue[0].size() && head[1] < queue[1].size()) {
+    const int s = bcc.component_nodes[queue[0][head[0]]].size() <=
+                          bcc.component_nodes[queue[1][head[1]]].size()
+                      ? 0
+                      : 1;
+    const uint32_t c = queue[s][head[s]++];
+    for (NodeId w : bcc.component_nodes[c]) {
+      if (w == via[c] || !bcc.is_cutpoint[w]) continue;
+      if ((met = claim_blocks_of(w, s, c))) break;
     }
   }
-  if (goal == kInvalidComp) return false;  // different components
-  for (uint32_t c = goal; c != kRoot; c = parent[c]) path->push_back(c);
+  if (!met) return false;
+  path->blocks.clear();
+  path->cutpoints.clear();
+  if (meet_from != kInvalidComp) path->cutpoints.push_back(meet_via);
+  for (uint32_t c : {meet_from, meet}) {
+    for (; c != kInvalidComp; c = parent[c]) {
+      path->blocks.push_back(c);
+      if (parent[c] != kInvalidComp) path->cutpoints.push_back(via[c]);
+    }
+  }
+  std::sort(path->blocks.begin(), path->blocks.end());
+  std::sort(path->cutpoints.begin(), path->cutpoints.end());
   return true;
 }
 
-/// The block u and v share in `bcc` (the decomposition of `g`), or
-/// kInvalidComp: the labels on u's arcs against those on v's, O(deg u +
-/// deg v). Two nodes share at most one block.
-uint32_t SharedBlock(const Graph& g, const BiconnectedComponents& bcc,
-                     NodeId u, NodeId v) {
-  auto labels_of = [&](NodeId x) {
-    const auto first = bcc.arc_component.begin() + g.offset(x);
-    std::vector<uint32_t> out(first, first + g.degree(x));
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
-  };
-  const std::vector<uint32_t> at_u = labels_of(u);
-  const std::vector<uint32_t> at_v = labels_of(v);
-  uint32_t shared = kInvalidComp;
-  std::set_intersection(at_u.begin(), at_u.end(), at_v.begin(), at_v.end(),
-                        &shared);
-  return shared;
-}
-
 /// Whether u and v keep two internally vertex-disjoint paths in block c
-/// of `g` (arcs labeled c by `label`) once the edge {u,v} is removed. By
-/// Menger's theorem that holds exactly when the block minus the edge is
-/// still one block with the same members: a cut vertex of it would have
-/// to separate u from v, since adding the edge back restores the block.
-/// Unit-capacity vertex-disjoint flow: one BFS finds a first u–v path P,
-/// then one BFS looks for an augmenting path in the residual graph where
-/// every vertex but u and v is split into an in and an out copy.
-bool KeepsTwoDisjointPaths(const Graph& g, const std::vector<uint32_t>& label,
-                           uint32_t c, NodeId u, NodeId v) {
-  const NodeId n = g.num_nodes();
+/// (its view in `views`, which still holds the edge {u,v}) once the edge
+/// is removed. By Menger's theorem that holds exactly when the block
+/// minus the edge is still one block with the same members: a cut vertex
+/// of it would have to separate u from v, since adding the edge back
+/// restores the block. Unit-capacity vertex-disjoint flow over the
+/// block's local ids: one BFS finds a first u–v path P, then one BFS
+/// looks for an augmenting path in the residual graph where every vertex
+/// but u and v is split into an in and an out copy.
+bool KeepsTwoDisjointPaths(const ComponentViews& views, uint32_t c,
+                           NodeId global_u, NodeId global_v) {
+  const NodeId n = views.size(c);
+  const NodeId u = views.ToLocal(c, global_u);
+  const NodeId v = views.ToLocal(c, global_v);
+  SAPHYRA_CHECK(u != kInvalidNode && v != kInvalidNode);
   // Visit the arcs x -> y of block c minus the edge {u,v}; `fn` returns
   // true to stop the scan.
   auto for_each_arc = [&](NodeId x, const auto& fn) {
-    const EdgeIndex base = g.offset(x);
-    const auto nbr = g.neighbors(x);
-    for (size_t i = 0; i < nbr.size(); ++i) {
-      const NodeId y = nbr[i];
-      if (label[base + i] != c || (x == u && y == v) || (x == v && y == u)) {
-        continue;
-      }
+    for (NodeId y : views.Neighbors(c, x)) {
+      if ((x == u && y == v) || (x == v && y == u)) continue;
       if (fn(y)) return true;
     }
     return false;
@@ -167,10 +174,10 @@ bool KeepsTwoDisjointPaths(const Graph& g, const std::vector<uint32_t>& label,
   return false;
 }
 
-/// Whether relabeling `labels` — the new CSR's arc labels, with only the
-/// two arcs of the mutated edge {u,v} of `block` added or removed —
-/// keeps every component's smallest arc in id order, so the old ids are
-/// still canonical. The block's smallest arc lies in the list of its
+/// Whether deleting the edge {u,v} of `block` — `labels` are the new
+/// CSR's arc labels, the old ones minus the edge's two arcs — keeps every
+/// component's smallest arc in id order, so the old ids are still
+/// canonical. The block's smallest arc lies in the list of its
 /// smallest member, so only a mutation there can move it; then one pass
 /// checks that ids first appear in ascending order.
 bool KeepsCanonicalIds(const BiconnectedComponents& old_bcc, uint32_t block,
@@ -214,162 +221,291 @@ std::vector<T> SpliceArcs(const std::vector<T>& old, bool insert,
   return out;
 }
 
+/// rev_arc carried onto the new CSR: a surviving arc's reverse moves with
+/// it, and the mutated arcs (`lo` < `hi`) are each other's reverse.
+std::vector<EdgeIndex> SpliceRevArcs(const std::vector<EdgeIndex>& old,
+                                     bool insert, EdgeIndex lo,
+                                     EdgeIndex hi) {
+  return SpliceArcs(old, insert, lo, hi, hi, lo, [&](EdgeIndex e) {
+    return insert ? e + (e >= lo) + (e + 1 >= hi) : e - (e > lo) - (e > hi);
+  });
+}
+
+/// The partition stands: the node-level fields carry over (the member
+/// lists are shared, not copied) and the arc arrays shift around the two
+/// mutated arcs. Nothing is relabeled.
+BiconnectedComponents KeepPartition(const BiconnectedComponents& old,
+                                    std::vector<uint32_t> labels, bool insert,
+                                    EdgeIndex lo, EdgeIndex hi) {
+  BiconnectedComponents out;
+  out.num_components = old.num_components;
+  out.arc_component = std::move(labels);
+  out.is_cutpoint = old.is_cutpoint;
+  out.component_nodes = old.component_nodes;
+  out.node_component = old.node_component;
+  out.cutpoint_comp_count_ = old.cutpoint_comp_count_;
+  out.rev_arc = SpliceRevArcs(old.rev_arc, insert, lo, hi);
+  return out;
+}
+
+/// Insert {u,v} (new arcs at `lo` < `hi`) whose block-cut-tree path is
+/// `path`: the path blocks and the new edge become one block, spliced
+/// into the old decomposition (see the file comment). A one-block path
+/// whose id does not move keeps the partition.
+BiconnectedComponents MergePath(const Graph& old_graph,
+                                const BiconnectedComponents& old,
+                                const ComponentViews& old_views,
+                                EdgeIndex lo, EdgeIndex hi, BlockPath path,
+                                IncrementalBicompStats* stats) {
+  const uint32_t num_old = old.num_components;
+  // The merged block's smallest arc is the first path block's (first in
+  // its smallest member's list) or the new arc lo. In the second case the
+  // blocks ahead of it are those whose smallest arc precedes lo: by the
+  // canonical order, the labels found before lo.
+  const uint32_t first = path.blocks[0];
+  EdgeIndex e = old_graph.offset(old.component_nodes[first][0]);
+  while (old.arc_component[e] != first) ++e;
+  uint32_t merged_id = first;
+  if (lo < e + (e >= lo) + (e + 1 >= hi)) {
+    merged_id = lo == 0 ? 0
+                        : 1 + *std::max_element(old.arc_component.begin(),
+                                                old.arc_component.begin() + lo);
+  }
+  if (path.blocks.size() == 1 && merged_id == first) {
+    stats->kept_partition = true;
+    return KeepPartition(
+        old,
+        SpliceArcs(old.arc_component, true, lo, hi, first, first,
+                   [](uint32_t c) { return c; }),
+        true, lo, hi);
+  }
+
+  // Every other block keeps its order: its rank among them, shifted past
+  // the merged block.
+  BlockMerge& m = stats->merge;
+  m.blocks = std::move(path.blocks);
+  m.cutpoints = std::move(path.cutpoints);
+  const std::vector<uint32_t>& blocks = m.blocks;
+  m.merged_id = merged_id;
+  m.next_old = num_old;
+  std::vector<uint32_t> renumber(num_old);
+  uint32_t rank = 0;
+  for (uint32_t c = 0, b = 0; c < num_old; ++c) {
+    if (b < blocks.size() && blocks[b] == c) {
+      renumber[c] = merged_id;
+      ++b;
+      continue;
+    }
+    if (rank == merged_id && m.next_old == num_old) m.next_old = c;
+    renumber[c] = rank + (rank >= merged_id ? 1 : 0);
+    ++rank;
+  }
+  stats->dirty_arcs = 2;
+  for (uint32_t b : blocks) stats->dirty_arcs += old_views.num_arcs(b);
+
+  BiconnectedComponents out;
+  out.num_components = num_old - static_cast<uint32_t>(blocks.size()) + 1;
+  out.arc_component =
+      SpliceArcs(old.arc_component, true, lo, hi, merged_id, merged_id,
+                 [&](uint32_t c) { return renumber[c]; });
+  out.rev_arc = SpliceRevArcs(old.rev_arc, true, lo, hi);
+
+  // The merged members: the union of the path blocks', smallest first so
+  // the large block is merged once.
+  std::vector<uint32_t> by_size = blocks;
+  std::sort(by_size.begin(), by_size.end(), [&](uint32_t a, uint32_t b) {
+    return old.component_nodes[a].size() < old.component_nodes[b].size();
+  });
+  std::vector<NodeId> members;
+  std::vector<NodeId> merged;
+  for (uint32_t b : by_size) {
+    const auto add = old.component_nodes[b];
+    merged.clear();
+    std::set_union(members.begin(), members.end(), add.begin(), add.end(),
+                   std::back_inserter(merged));
+    members.swap(merged);
+  }
+  uint64_t path_members = 0;
+  for (uint32_t b : blocks) path_members += old.component_nodes[b].size();
+  SAPHYRA_CHECK(members.size() + m.cutpoints.size() == path_members);
+
+  const std::span<const uint64_t> old_begin =
+      old.component_nodes.begin().span();
+  std::vector<uint64_t> begin{0};
+  begin.reserve(out.num_components + 1);
+  m.Walk(
+      num_old, [](uint32_t c) { return uint64_t{c}; },
+      [&](uint64_t from, uint64_t to) {
+        for (uint64_t c = from; c < to; ++c) {
+          begin.push_back(begin.back() + old_begin[c + 1] - old_begin[c]);
+        }
+      },
+      [&] { begin.push_back(begin.back() + members.size()); });
+  std::vector<NodeId> nodes = m.Splice(
+      old.component_nodes.nodes().span(), num_old,
+      [&](uint32_t c) { return old_begin[c]; }, members.size());
+  std::copy(members.begin(), members.end(),
+            nodes.begin() + static_cast<ptrdiff_t>(begin[merged_id]));
+  out.component_nodes = ComponentMembers(ShareArray(std::move(begin)),
+                                         ShareArray(std::move(nodes)));
+
+  // Node fields: a node's smallest block is renumbered, or is the merged
+  // block; each path cutpoint loses one membership and stops being a
+  // cutpoint at one.
+  const NodeId n = old_graph.num_nodes();
+  std::vector<uint32_t> node_component(n);
+  for (NodeId x = 0; x < n; ++x) {
+    const uint32_t c = old.node_component[x];
+    node_component[x] = c == kInvalidComp ? c : renumber[c];
+  }
+  for (NodeId x : members) {
+    node_component[x] = std::min(node_component[x], merged_id);
+  }
+  out.node_component = ShareArray(std::move(node_component));
+  std::vector<uint32_t> counts(old.cutpoint_comp_count_.begin(),
+                               old.cutpoint_comp_count_.end());
+  bool cutpoints_change = false;
+  for (NodeId x : m.cutpoints) {
+    if (--counts[x] == 1) cutpoints_change = true;
+  }
+  out.cutpoint_comp_count_ = ShareArray(std::move(counts));
+  if (cutpoints_change) {
+    std::vector<uint8_t> is_cutpoint(old.is_cutpoint.begin(),
+                                     old.is_cutpoint.end());
+    for (NodeId x : m.cutpoints) {
+      is_cutpoint[x] = out.cutpoint_comp_count_[x] > 1 ? 1 : 0;
+    }
+    out.is_cutpoint = ShareArray(std::move(is_cutpoint));
+  } else {
+    out.is_cutpoint = old.is_cutpoint;
+  }
+  return out;
+}
+
 }  // namespace
 
 BiconnectedComponents RepairBiconnectedComponents(
     const Graph& old_graph, const BiconnectedComponents& old_bcc,
-    const Graph& new_graph, const EdgeMutation& mut,
-    const IncrementalBicompOptions& opts, IncrementalBicompStats* stats) {
+    const ComponentViews& old_views, const Graph& new_graph,
+    const EdgeMutation& mut, const IncrementalBicompOptions& opts,
+    IncrementalBicompStats* stats) {
   const NodeId n = new_graph.num_nodes();
   SAPHYRA_CHECK(old_graph.num_nodes() == n);
   const bool insert = mut.kind == EdgeMutationKind::kInsert;
   SAPHYRA_CHECK(new_graph.num_arcs() ==
                 old_graph.num_arcs() + (insert ? 2 : -2));
+  SAPHYRA_CHECK(old_views.num_components() == old_bcc.num_components);
   IncrementalBicompStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = IncrementalBicompStats();
 
-  // 1. Transfer the old per-arc labels onto the new CSR. The two graphs
-  // differ by one slot in u's list and one in v's list — the mutated
-  // arcs, at positions in the new CSR for an insert and in the old one
-  // for a delete — so the label array is the old one with two positions
-  // inserted (as kInvalidComp, marking the new arcs dirty) or erased.
+  // The two graphs differ by one slot in u's list and one in v's list —
+  // the mutated arcs, at positions in the new CSR for an insert and in
+  // the old one for a delete.
   const Graph& with_edge = insert ? new_graph : old_graph;
   EdgeIndex lo = ArcIndexOf(with_edge, mut.u, mut.v);
   EdgeIndex hi = ArcIndexOf(with_edge, mut.v, mut.u);
   if (lo > hi) std::swap(lo, hi);
-  std::vector<uint32_t> labels =
-      SpliceArcs(old_bcc.arc_component, insert, lo, hi, kInvalidComp,
-                 kInvalidComp, [](uint32_t c) { return c; });
-  std::vector<uint32_t> dirty;  // old blocks the mutation touches
-  // The block whose member lists survive the mutation unchanged, if any:
-  // the shared block of an insert's endpoints, or a delete's block when
-  // the two-path test holds.
-  uint32_t kept = kInvalidComp;
-  if (insert) {
-    kept = SharedBlock(old_graph, old_bcc, mut.u, mut.v);
-    if (kept != kInvalidComp) {
-      dirty.push_back(kept);
-      labels[lo] = labels[hi] = kept;
-    } else {
-      BlockCutPath(old_graph, old_bcc, mut.u, mut.v, &dirty);
-    }
-  } else {
-    const uint32_t block = old_bcc.arc_component[lo];
-    dirty.push_back(block);
-    if (old_bcc.component_nodes[block].size() > 2 &&
-        KeepsTwoDisjointPaths(old_graph, old_bcc.arc_component, block,
-                              mut.u, mut.v)) {
-      kept = block;
-    }
-  }
-  stats->dirty_blocks = static_cast<uint32_t>(dirty.size());
-
-  if (kept != kInvalidComp &&
-      KeepsCanonicalIds(old_bcc, kept, mut.u, mut.v, labels)) {
-    // The partition stands: the node-level fields carry over (the member
-    // lists are shared, not copied) and the arc arrays shift around the
-    // two mutated arcs. Nothing is relabeled.
-    stats->kept_partition = true;
-    BiconnectedComponents out;
-    out.num_components = old_bcc.num_components;
-    out.arc_component = std::move(labels);
-    out.is_cutpoint = old_bcc.is_cutpoint;
-    out.component_nodes = old_bcc.component_nodes;
-    out.node_component = old_bcc.node_component;
-    out.cutpoint_comp_count_ = old_bcc.cutpoint_comp_count_;
-    // A surviving arc's reverse moves with it.
-    out.rev_arc = SpliceArcs(
-        old_bcc.rev_arc, insert, lo, hi, hi, lo, [&](EdgeIndex e) {
-          return insert ? e + (e >= lo) + (e + 1 >= hi)
-                        : e - (e > lo) - (e > hi);
-        });
-    return out;
-  }
-
-  // 2. Measure the dirty region: the old dirty-block arcs that survive,
-  // plus the inserted arcs.
-  std::vector<uint8_t> is_dirty(old_bcc.num_components, 0);
-  for (uint32_t c : dirty) is_dirty[c] = 1;
-  uint64_t dirty_arcs = 0;
-  for (uint32_t c : labels) {
-    if (c == kInvalidComp || is_dirty[c]) ++dirty_arcs;
-  }
-  stats->dirty_arcs = dirty_arcs;
-
   uint32_t label_space = old_bcc.num_components;
+  std::vector<uint32_t> labels;
   if (insert) {
-    // 3a. Insert, closed form: the blocks on the block-cut-tree path and
-    // the new edge become exactly one block (with an empty path, the new
-    // edge alone — a bridge block). One fresh label, no recomputation.
-    for (uint32_t& c : labels) {
-      if (c == kInvalidComp || is_dirty[c]) c = label_space;
+    BlockPath path;
+    if (BlockCutPath(old_graph, old_bcc, mut.u, mut.v, &path)) {
+      stats->dirty_blocks = static_cast<uint32_t>(path.blocks.size());
+      return MergePath(old_graph, old_bcc, old_views, lo, hi,
+                       std::move(path), stats);
     }
+    // Across connected components the new edge is a bridge block of its
+    // own: one fresh label.
+    labels = SpliceArcs(old_bcc.arc_component, true, lo, hi, label_space,
+                        label_space, [](uint32_t c) { return c; });
     ++label_space;
-  } else if (static_cast<double>(dirty_arcs) >
-             opts.max_dirty_fraction *
-                 static_cast<double>(new_graph.num_arcs())) {
-    // Past the budget a full pass is cheaper than recomputing the split
-    // block, and the canonicalization contract makes it emit the same
-    // bytes.
-    stats->fell_back = true;
-    return ComputeBiconnectedComponentsParallel(new_graph,
-                                                opts.fallback_threads);
-  } else if (dirty_arcs != 0) {
-    // 3b. Delete: recompute the decomposition of the surviving arcs of the
-    // block that lost the edge, on a compact subgraph. Local ids are
-    // order-preserving (sorted dirty vertex list), so sub adjacency order
-    // matches the global CSR order and the graft below is a per-vertex
-    // two-pointer walk.
-    std::vector<NodeId> dirty_nodes;
-    for (NodeId x = 0; x < n; ++x) {
-      const EdgeIndex base = new_graph.offset(x);
-      const NodeId deg = new_graph.degree(x);
-      for (NodeId i = 0; i < deg; ++i) {
-        if (is_dirty[labels[base + i]]) {
-          dirty_nodes.push_back(x);
-          break;
+    stats->dirty_arcs = 2;
+  } else {
+    // Transfer the old per-arc labels onto the new CSR: the old array
+    // with the two deleted positions erased.
+    labels = SpliceArcs(old_bcc.arc_component, false, lo, hi, kInvalidComp,
+                        kInvalidComp, [](uint32_t c) { return c; });
+    const uint32_t block = old_bcc.arc_component[lo];
+    stats->dirty_blocks = 1;
+    if (old_bcc.component_nodes[block].size() > 2 &&
+        KeepsTwoDisjointPaths(old_views, block, mut.u, mut.v) &&
+        KeepsCanonicalIds(old_bcc, block, mut.u, mut.v, labels)) {
+      stats->kept_partition = true;
+      return KeepPartition(old_bcc, std::move(labels), false, lo, hi);
+    }
+
+    // Measure the dirty region: the block's surviving arcs.
+    uint64_t dirty_arcs = 0;
+    for (uint32_t c : labels) dirty_arcs += c == block ? 1 : 0;
+    stats->dirty_arcs = dirty_arcs;
+    if (static_cast<double>(dirty_arcs) >
+        opts.max_dirty_fraction * static_cast<double>(new_graph.num_arcs())) {
+      // Past the budget a full pass is cheaper than recomputing the split
+      // block, and the canonicalization contract makes it emit the same
+      // bytes.
+      stats->fell_back = true;
+      return ComputeBiconnectedComponentsParallel(new_graph,
+                                                  opts.fallback_threads);
+    }
+    if (dirty_arcs != 0) {
+      // Recompute the decomposition of the surviving arcs of the block
+      // that lost the edge, on a compact subgraph. Local ids are
+      // order-preserving (sorted dirty vertex list), so sub adjacency
+      // order matches the global CSR order and the graft below is a
+      // per-vertex two-pointer walk.
+      std::vector<NodeId> dirty_nodes;
+      for (NodeId x = 0; x < n; ++x) {
+        const EdgeIndex base = new_graph.offset(x);
+        const NodeId deg = new_graph.degree(x);
+        for (NodeId i = 0; i < deg; ++i) {
+          if (labels[base + i] == block) {
+            dirty_nodes.push_back(x);
+            break;
+          }
         }
       }
-    }
-    std::vector<NodeId> local_id(n, kInvalidNode);
-    for (size_t i = 0; i < dirty_nodes.size(); ++i) {
-      local_id[dirty_nodes[i]] = static_cast<NodeId>(i);
-    }
-    GraphBuilder builder;
-    for (NodeId x : dirty_nodes) {
-      const EdgeIndex base = new_graph.offset(x);
-      const auto nbr = new_graph.neighbors(x);
-      for (size_t i = 0; i < nbr.size(); ++i) {
-        if (is_dirty[labels[base + i]] && x < nbr[i]) {
-          builder.AddEdge(local_id[x], local_id[nbr[i]]);
+      std::vector<NodeId> local_id(n, kInvalidNode);
+      for (size_t i = 0; i < dirty_nodes.size(); ++i) {
+        local_id[dirty_nodes[i]] = static_cast<NodeId>(i);
+      }
+      GraphBuilder builder;
+      for (NodeId x : dirty_nodes) {
+        const EdgeIndex base = new_graph.offset(x);
+        const auto nbr = new_graph.neighbors(x);
+        for (size_t i = 0; i < nbr.size(); ++i) {
+          if (labels[base + i] == block && x < nbr[i]) {
+            builder.AddEdge(local_id[x], local_id[nbr[i]]);
+          }
         }
       }
-    }
-    Graph sub;
-    Status st = builder.Build(static_cast<NodeId>(dirty_nodes.size()), &sub);
-    SAPHYRA_CHECK_MSG(st.ok(), st.ToString().c_str());
-    const BiconnectedComponents sub_bcc = ComputeBiconnectedComponents(sub);
-    // Graft the sub-labels back, offset past the old label space so clean
-    // and recomputed labels never collide before the canonical renumber.
-    for (NodeId lx = 0; lx < sub.num_nodes(); ++lx) {
-      const NodeId gx = dirty_nodes[lx];
-      const auto sub_nbr = sub.neighbors(lx);
-      const auto new_nbr = new_graph.neighbors(gx);
-      const EdgeIndex gbase = new_graph.offset(gx);
-      size_t gi = 0;
-      for (size_t si = 0; si < sub_nbr.size(); ++si) {
-        const NodeId gy = dirty_nodes[sub_nbr[si]];
-        while (new_nbr[gi] != gy) ++gi;
-        labels[gbase + gi] =
-            label_space + sub_bcc.arc_component[sub.offset(lx) + si];
-        ++gi;
+      Graph sub;
+      Status st =
+          builder.Build(static_cast<NodeId>(dirty_nodes.size()), &sub);
+      SAPHYRA_CHECK_MSG(st.ok(), st.ToString().c_str());
+      const BiconnectedComponents sub_bcc = ComputeBiconnectedComponents(sub);
+      // Graft the sub-labels back, offset past the old label space so
+      // clean and recomputed labels never collide before the canonical
+      // renumber.
+      for (NodeId lx = 0; lx < sub.num_nodes(); ++lx) {
+        const NodeId gx = dirty_nodes[lx];
+        const auto sub_nbr = sub.neighbors(lx);
+        const auto new_nbr = new_graph.neighbors(gx);
+        const EdgeIndex gbase = new_graph.offset(gx);
+        size_t gi = 0;
+        for (size_t si = 0; si < sub_nbr.size(); ++si) {
+          const NodeId gy = dirty_nodes[sub_nbr[si]];
+          while (new_nbr[gi] != gy) ++gi;
+          labels[gbase + gi] =
+              label_space + sub_bcc.arc_component[sub.offset(lx) + si];
+          ++gi;
+        }
       }
+      label_space += sub_bcc.num_components;
     }
-    label_space += sub_bcc.num_components;
+    // Deleting a bridge leaves dirty_arcs == 0 with no new labels: its old
+    // label simply disappears and the renumber closes the gap.
   }
-  // Deleting a bridge leaves dirty_arcs == 0 with no new labels: its old
-  // label simply disappears and the renumber closes the gap.
 
   BiconnectedComponents out;
   out.arc_component = std::move(labels);

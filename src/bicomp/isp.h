@@ -63,16 +63,24 @@ class IspIndex {
   IspIndex(const Graph& g, GraphCache&& cache);
 
   /// \brief The index of `g`, which is `parent`'s graph with the single
-  /// edge mutation `mut` applied, given g's decomposition `bcc` with the
-  /// parent's block partition: the same member lists under the same
-  /// canonical ids (IncrementalBicompStats::kept_partition). Connectivity,
-  /// the block-cut tree and every table derived from them (γ, W_i, bc_a,
-  /// alias tables) are pure functions of that partition, so they are
-  /// shared with the parent, not recomputed; only the mutated block's
-  /// views are patched (ComponentViews::WithEdge). Either index may be
-  /// destroyed first.
+  /// edge mutation `mut` applied, given g's decomposition `bcc` as
+  /// RepairBiconnectedComponents produced it and that repair's `route`,
+  /// which must have kept the partition or merged blocks.
+  ///   - kept (IncrementalBicompStats::kept_partition): the same member
+  ///     lists under the same canonical ids. Connectivity, the block-cut
+  ///     tree and every table derived from them (γ, W_i, bc_a, alias
+  ///     tables) are pure functions of that partition, so they are shared
+  ///     with the parent, not recomputed; only the mutated block's views
+  ///     are patched (ComponentViews::WithEdge).
+  ///   - merged (IncrementalBicompStats::merge): connectivity is shared,
+  ///     and every block off the merged path keeps its views, out-reach,
+  ///     W_i and alias tables under its new id — one splice per table.
+  ///     Only the merged block's view, out-reach and tables are derived;
+  ///     Σ W_i, γ and bc_a are re-summed in block order, so every bit
+  ///     equals a fresh build's.
+  /// Either index may be destroyed first.
   IspIndex(const Graph& g, const IspIndex& parent, BiconnectedComponents bcc,
-           const EdgeMutation& mut);
+           const EdgeMutation& mut, const IncrementalBicompStats& route);
 
   IspIndex(const IspIndex&) = delete;
   IspIndex& operator=(const IspIndex&) = delete;
@@ -80,7 +88,7 @@ class IspIndex {
   const Graph& graph() const { return *g_; }
   const BiconnectedComponents& bcc() const { return bcc_; }
   const BlockCutTree& tree() const { return tables_->tree; }
-  const ComponentLabels& conn() const { return tables_->conn; }
+  const ComponentLabels& conn() const { return tables_->tree.conn(); }
 
   /// \brief Compact relabeled CSR of every biconnected component; the
   /// substrate of the Gen_bc sampler's restricted BFS.
@@ -128,30 +136,48 @@ class IspIndex {
  private:
   /// Everything that is a pure function of the block partition (and of
   /// n): built once, then shared by every later epoch whose update kept
-  /// the partition. Holds no pointer into any epoch — the tree keeps its
-  /// node-level inputs itself — so no epoch's lifetime bounds another's.
+  /// the partition, and spliced by one that merged blocks. Holds no
+  /// pointer into any epoch — the tree keeps its node-level inputs itself
+  /// — so no epoch's lifetime bounds another's.
   struct PartitionTables {
-    ComponentLabels conn;
     BlockCutTree tree;
     double gamma = 0.0;
     double total_weight = 0.0;
     std::vector<double> comp_weight;
-    std::vector<double> bca;
-    // Alias tables per component, indices into component_nodes[c].
-    std::vector<AliasTable> source_alias;
-    std::vector<AliasTable> target_alias;
-    // Per-component out-reach values aligned with component_nodes[c],
-    // plus their sum (= csize): needed for the no-rejection fallback in
-    // SampleTarget when one node holds most of the r-mass.
-    std::vector<std::vector<double>> target_weights;
+    // Per-component sum of the out-reach values (= csize): needed for the
+    // no-rejection fallback in SampleTarget when one node holds most of
+    // the r-mass.
     std::vector<double> target_mass;
+    std::vector<double> bca;
+    // Alias tables of Algorithm 2's stages 2 and 3, one slice per
+    // component laid out like the flat member array (tree.reach()), with
+    // indices into component_nodes[c].
+    std::vector<double> source_prob;
+    std::vector<uint32_t> source_alias;
+    std::vector<double> target_prob;
+    std::vector<uint32_t> target_alias;
   };
 
-  /// The closed-form tables derived from a decomposition, its connectivity
-  /// and its tree (γ, W_i, bc_a, alias tables).
+  /// The closed-form tables derived from a decomposition and its tree
+  /// (γ, W_i, bc_a, alias tables).
   static std::shared_ptr<const PartitionTables> BuildTables(
-      NodeId n, const BiconnectedComponents& bcc, ComponentLabels conn,
-      BlockCutTree tree);
+      NodeId n, const BiconnectedComponents& bcc, BlockCutTree tree);
+
+  /// `parent`'s tables (over the member layout `parent_bcc`) carried
+  /// across `merge` onto the merged decomposition `bcc`.
+  static std::shared_ptr<const PartitionTables> MergeTables(
+      NodeId n, const PartitionTables& parent,
+      const BiconnectedComponents& parent_bcc,
+      const BiconnectedComponents& bcc, const BlockMerge& merge);
+
+  /// W_c, the r-mass and the two alias slices of component c, from the
+  /// tree's out-reach; `t`'s arrays are already sized.
+  static void FillComponent(uint32_t c, const BiconnectedComponents& bcc,
+                            PartitionTables* t);
+
+  /// Σ W_i, γ and bc_a, summed in component order.
+  static void SumTotals(NodeId n, const BiconnectedComponents& bcc,
+                        PartitionTables* t);
 
   const Graph* g_;
   BiconnectedComponents bcc_;

@@ -262,16 +262,7 @@ Status WriteSgr(const std::string& path, const Graph& g,
   // The cut-reach table flattens to (key, reach) pairs, sorted by key so the
   // bytes are deterministic for a given decomposition.
   std::vector<uint64_t> cut_reach_flat;
-  if (with_decomp) {
-    std::vector<std::pair<uint64_t, uint64_t>> pairs(tree->cut_reach().begin(),
-                                                     tree->cut_reach().end());
-    std::sort(pairs.begin(), pairs.end());
-    cut_reach_flat.reserve(2 * pairs.size());
-    for (const auto& [key, reach] : pairs) {
-      cut_reach_flat.push_back(key);
-      cut_reach_flat.push_back(reach);
-    }
-  }
+  if (with_decomp) cut_reach_flat = tree->CutReachTable();
 
   std::vector<PendingSection> pending;
   auto add = [&](uint32_t kind, uint32_t elem_bytes, uint64_t count,
@@ -484,14 +475,8 @@ Status LoadSgr(const std::string& path, GraphCache* out,
   if (cut_reach_flat.size() % 2 != 0) {
     return Status::IOError(".sgr cut_reach table has odd length");
   }
-  std::vector<std::pair<uint64_t, uint64_t>> cut_reach;
-  cut_reach.reserve(cut_reach_flat.size() / 2);
-  for (size_t i = 0; i < cut_reach_flat.size(); i += 2) {
-    cut_reach.emplace_back(cut_reach_flat[i], cut_reach_flat[i + 1]);
-  }
-  out->tree = BlockCutTree::FromParts(bcc, out->conn,
-                                      std::move(conn_size_of_comp), cut_reach);
-  return Status::OK();
+  return BlockCutTree::FromParts(bcc, out->conn, std::move(conn_size_of_comp),
+                                 cut_reach_flat, &out->tree);
 }
 
 std::string SgrCachePathFor(const std::string& source_path) {

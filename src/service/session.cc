@@ -115,15 +115,19 @@ Status QuerySession::ApplyUpdate(const EdgeMutation& mut, UpdateOutcome* out) {
   // decomposition seeds the next repair).
   IncrementalBicompStats repair_stats;
   const IspIndex& parent = cur->isp();
-  BiconnectedComponents bcc =
-      RepairBiconnectedComponents(cur->graph(), parent.bcc(), next->graph_,
-                                  mut, options_.repair, &repair_stats);
-  if (repair_stats.kept_partition) {
-    // Same partition: the new index shares the parent's tables and is
-    // ready before the epoch is published.
+  BiconnectedComponents bcc = RepairBiconnectedComponents(
+      cur->graph(), parent.bcc(), parent.views(), next->graph_, mut,
+      options_.repair, &repair_stats);
+  const bool index_reused =
+      repair_stats.kept_partition || repair_stats.merged();
+  if (index_reused) {
+    // The partition stood or blocks merged: the new index shares or
+    // splices the parent's tables and is ready before the epoch is
+    // published.
     std::call_once(next->isp_once_, [&] {
       next->isp_ = std::make_unique<IspIndex>(next->graph_, parent,
-                                              std::move(bcc), mut);
+                                              std::move(bcc), mut,
+                                              repair_stats);
     });
   } else {
     // The new epoch adopts the rest lazily, exactly like a `.sgr` cache
@@ -156,6 +160,7 @@ Status QuerySession::ApplyUpdate(const EdgeMutation& mut, UpdateOutcome* out) {
     out->compacted = compacted;
     out->repair_fell_back = repair_stats.fell_back;
     out->repair_dirty_arcs = repair_stats.dirty_arcs;
+    out->index_reused = index_reused;
   }
   return Status::OK();
 }

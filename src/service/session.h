@@ -17,10 +17,14 @@
 /// {"op":"update"} produces epoch e+1 via a DeltaOverlay mutation +
 /// incremental bicomp repair (bicomp/incremental.h), then atomically
 /// publishes the new snapshot. When the update keeps the block partition
-/// (IncrementalBicompStats::kept_partition), the new epoch's IspIndex is
-/// built before publishing from the parent's, sharing its partition
-/// tables (connectivity, block-cut tree, γ, W_i, bc_a, alias tables);
-/// otherwise the epoch adopts its repaired decomposition lazily on its
+/// (IncrementalBicompStats::kept_partition) or merges blocks (an insert
+/// inside one connected component), the new epoch's IspIndex is built
+/// before publishing from the parent's: a kept partition shares its
+/// partition tables (connectivity, block-cut tree, γ, W_i, bc_a, alias
+/// tables), and a merge shares connectivity and splices every other
+/// table, re-deriving only the merged block's. Bridge deletes,
+/// splitting deletes and inserts across connected components rebuild
+/// instead: the epoch adopts its repaired decomposition lazily on its
 /// first index use, like a `.sgr` load. Queries pin the snapshot current
 /// at their admission and run it to completion — snapshot isolation: an
 /// update never changes bits of an in-flight query, and a query admitted
@@ -114,7 +118,7 @@ class GraphSnapshot {
   Graph graph_;
   /// Decomposition waiting for the IspIndex to adopt it (epoch 0: loaded
   /// from the `.sgr` cache when present; epoch e+1: the repaired one,
-  /// unless the update kept the partition and the index already exists).
+  /// unless the index was already built from the parent's at publish).
   mutable GraphCache cache_;
   uint64_t fingerprint_ = 0;
   uint64_t epoch_ = 0;
@@ -132,6 +136,10 @@ struct UpdateOutcome {
   /// either route yields the same bytes).
   bool repair_fell_back = false;
   uint64_t repair_dirty_arcs = 0;
+  /// The new epoch's index was built from the parent's before publishing
+  /// (the update kept the block partition or merged blocks); otherwise
+  /// the epoch's first index use adopts the rebuilt decomposition.
+  bool index_reused = false;
 };
 
 /// \brief Fingerprint of epoch `epoch` obtained by applying (kind, u, v)
@@ -189,10 +197,10 @@ class QuerySession {
   /// missing edge, endpoint out of range, self loop → INVALID_ARGUMENT)
   /// the session is unchanged. On success the new epoch's decomposition
   /// is repaired incrementally (bicomp/incremental.h) — bitwise identical
-  /// to a from-scratch pass; an update that keeps the block partition
-  /// also gets its index here, from the current epoch's — and `*out`,
-  /// when non-null, reports the new epoch/fingerprint and the repair
-  /// route taken.
+  /// to a from-scratch pass; an update that keeps the block partition or
+  /// merges blocks also gets its index here, from the current epoch's —
+  /// and `*out`, when non-null, reports the new epoch/fingerprint and the
+  /// repair route taken.
   Status ApplyUpdate(const EdgeMutation& mut, UpdateOutcome* out = nullptr);
 
   /// \brief Answer one query on the warm state. `req` is canonicalized

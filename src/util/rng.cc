@@ -1,5 +1,6 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace saphyra {
@@ -68,11 +69,17 @@ size_t Rng::WeightedIndex(const std::vector<double>& weights) {
 
 Rng Rng::Split() { return Rng(Next()); }
 
-AliasTable::AliasTable(const std::vector<double>& weights) {
+AliasTable::AliasTable(const std::vector<double>& weights)
+    : prob_(weights.size()), alias_(weights.size()) {
+  if (!weights.empty()) Build(weights, prob_, alias_);
+}
+
+void AliasTable::Build(std::span<const double> weights, std::span<double> prob,
+                       std::span<uint32_t> alias) {
   const size_t k = weights.size();
-  prob_.assign(k, 0.0);
-  alias_.assign(k, 0);
-  if (k == 0) return;
+  assert(prob.size() == k && alias.size() == k && k > 0);
+  std::fill(prob.begin(), prob.end(), 0.0);
+  std::fill(alias.begin(), alias.end(), 0);
   double total = 0.0;
   for (double w : weights) {
     assert(w >= 0.0);
@@ -93,25 +100,26 @@ AliasTable::AliasTable(const std::vector<double>& weights) {
     small.pop_back();
     uint32_t l = large.back();
     large.pop_back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
+    prob[s] = scaled[s];
+    alias[s] = l;
     scaled[l] = (scaled[l] + scaled[s]) - 1.0;
     (scaled[l] < 1.0 ? small : large).push_back(l);
   }
   while (!large.empty()) {
-    prob_[large.back()] = 1.0;
+    prob[large.back()] = 1.0;
     large.pop_back();
   }
   while (!small.empty()) {
-    prob_[small.back()] = 1.0;
+    prob[small.back()] = 1.0;
     small.pop_back();
   }
 }
 
-size_t AliasTable::Sample(Rng* rng) const {
-  assert(!prob_.empty());
-  size_t i = rng->UniformInt(prob_.size());
-  return rng->UniformDouble() < prob_[i] ? i : alias_[i];
+size_t AliasTable::Sample(std::span<const double> prob,
+                          std::span<const uint32_t> alias, Rng* rng) {
+  assert(!prob.empty());
+  size_t i = rng->UniformInt(prob.size());
+  return rng->UniformDouble() < prob[i] ? i : alias[i];
 }
 
 }  // namespace saphyra

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace saphyra {
@@ -58,6 +59,9 @@ class Rng {
 /// Built once in O(k) from a weight vector; each Sample() costs one random
 /// draw and one comparison. Used by the multistage sampler where the
 /// bi-component / source-node distributions are fixed for the whole run.
+/// The static Build/Sample pair runs the same construction and draw on
+/// caller-owned storage, so many tables can share flat arrays (IspIndex
+/// keeps one slice per biconnected component).
 class AliasTable {
  public:
   AliasTable() = default;
@@ -70,7 +74,16 @@ class AliasTable {
   bool empty() const { return prob_.empty(); }
 
   /// \brief Draw an index in [0, size()). Requires a non-empty table.
-  size_t Sample(Rng* rng) const;
+  size_t Sample(Rng* rng) const { return Sample(prob_, alias_, rng); }
+
+  /// \brief Vose's construction over `weights` (non-negative, positive
+  /// total) into `prob` and `alias`, both sized like `weights`.
+  static void Build(std::span<const double> weights, std::span<double> prob,
+                    std::span<uint32_t> alias);
+
+  /// \brief Draw from a table Build() wrote. Requires a non-empty table.
+  static size_t Sample(std::span<const double> prob,
+                       std::span<const uint32_t> alias, Rng* rng);
 
  private:
   std::vector<double> prob_;

@@ -3,9 +3,12 @@
 
 // Shared canonicalizer for biconnected decompositions, used by
 // biconnected_test.cc and bicomp_differential_test.cc to run the serial,
-// bounded, and parallel passes over one table of expectations.
+// bounded, and parallel passes over one table of expectations, and the
+// bitwise comparisons of decompositions and ISP indexes the incremental
+// and serving tests pin against fresh builds.
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "bicomp/biconnected.h"
+#include "bicomp/isp.h"
 #include "graph/graph.h"
 #include "util/logging.h"
 
@@ -112,6 +116,61 @@ inline void ExpectBccBitwiseEqual(const BiconnectedComponents& a,
   EXPECT_EQ(a.node_component, b.node_component) << what;
   EXPECT_EQ(a.rev_arc, b.rev_arc) << what;
   EXPECT_EQ(a.cutpoint_comp_count_, b.cutpoint_comp_count_) << what;
+}
+
+/// Every field of `got` equals a fresh index of the same CSR, and a fixed
+/// Rng draws the same component/source/target sequence from both.
+inline void ExpectSameIndex(const IspIndex& got, const IspIndex& want,
+                     const std::string& what) {
+  ExpectBccBitwiseEqual(got.bcc(), want.bcc(), what);
+  EXPECT_EQ(got.conn().component, want.conn().component) << what;
+  EXPECT_EQ(got.conn().size, want.conn().size) << what;
+  EXPECT_TRUE(std::ranges::equal(got.views().raw_node_begin(),
+                                 want.views().raw_node_begin()))
+      << what;
+  EXPECT_TRUE(
+      std::ranges::equal(got.views().raw_nodes(), want.views().raw_nodes()))
+      << what;
+  EXPECT_TRUE(std::ranges::equal(got.views().raw_offsets(),
+                                 want.views().raw_offsets()))
+      << what;
+  EXPECT_TRUE(
+      std::ranges::equal(got.views().raw_adj(), want.views().raw_adj()))
+      << what;
+  EXPECT_EQ(got.views().max_component_size(),
+            want.views().max_component_size())
+      << what;
+  EXPECT_TRUE(std::ranges::equal(got.tree().reach(), want.tree().reach()))
+      << what;
+  EXPECT_EQ(got.tree().conn_size_of_comp_table(),
+            want.tree().conn_size_of_comp_table())
+      << what;
+  EXPECT_EQ(got.gamma(), want.gamma()) << what;
+  EXPECT_EQ(got.total_weight(), want.total_weight()) << what;
+  for (uint32_t c = 0; c < want.num_components(); ++c) {
+    EXPECT_EQ(got.comp_weight(c), want.comp_weight(c)) << what << " W_" << c;
+  }
+  const NodeId n = want.graph().num_nodes();
+  for (NodeId v = 0; v < n; ++v) {
+    EXPECT_EQ(got.bca(v), want.bca(v)) << what << " bc_a(" << v << ")";
+  }
+  std::vector<NodeId> targets;
+  for (NodeId v = 0; v < std::min<NodeId>(n, 24); ++v) targets.push_back(v);
+  const PersonalizedSpace got_space(got, targets);
+  const PersonalizedSpace want_space(want, targets);
+  ASSERT_EQ(got_space.eta(), want_space.eta()) << what;
+  if (want_space.eta() == 0.0) return;
+  Rng got_rng(97);
+  Rng want_rng(97);
+  for (int i = 0; i < 64; ++i) {
+    const uint32_t c = got_space.SampleComponent(&got_rng);
+    ASSERT_EQ(c, want_space.SampleComponent(&want_rng)) << what;
+    const NodeId s = got.SampleSource(c, &got_rng);
+    ASSERT_EQ(s, want.SampleSource(c, &want_rng)) << what;
+    ASSERT_EQ(got.SampleTarget(c, s, &got_rng),
+              want.SampleTarget(c, s, &want_rng))
+        << what;
+  }
 }
 
 }  // namespace testing

@@ -1,5 +1,9 @@
 #include "bicomp/block_cut_tree.h"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
@@ -154,6 +158,44 @@ TEST(BlockCutTree, DisconnectedGraphUsesComponentSizes) {
     uint64_t sum = 0;
     for (NodeId v : d.bcc.component_nodes[c]) sum += d.tree.OutReach(c, v);
     EXPECT_EQ(sum, d.tree.conn_size_of_comp(c));
+  }
+}
+
+// The persisted out-reach table round-trips, and an entry that names no
+// cutpoint membership or carries an impossible reach is an IOError, not
+// an out-of-bounds write.
+TEST(BlockCutTree, FromPartsChecksTheCutReachTable) {
+  Decomposition d(PaperFig2Graph());
+  const std::vector<uint64_t> table = d.tree.CutReachTable();
+  ASSERT_FALSE(table.empty());
+  BlockCutTree back;
+  ASSERT_TRUE(BlockCutTree::FromParts(d.bcc, d.conn,
+                                      d.tree.conn_size_of_comp_table(), table,
+                                      &back)
+                  .ok());
+  EXPECT_TRUE(std::ranges::equal(back.reach(), d.tree.reach()));
+
+  const uint64_t key = table[0];
+  const uint32_t comp = static_cast<uint32_t>(key >> 32);
+  // Node 0 (a) is no cutpoint; node 2 (c) is one but not in the bridge
+  // d-f.
+  const uint32_t df = CompOf(d, 3, 5);
+  const std::vector<std::pair<uint64_t, uint64_t>> bad = {
+      {(uint64_t{comp} << 32) | 0, 1},                    // not a cutpoint
+      {(uint64_t{df} << 32) | 2, 1},                      // not a member
+      {(uint64_t{d.bcc.num_components} << 32) | 2, 1},    // no such block
+      {(uint64_t{comp} << 32) | 0xFFFFFFFFu, 1},          // no such node
+      {key, 0},                                           // reach 0
+      {key, d.tree.conn_size_of_comp(comp) + 1},          // past |conn|
+  };
+  for (const auto& [k, r] : bad) {
+    std::vector<uint64_t> corrupt = table;
+    corrupt[0] = k;
+    corrupt[1] = r;
+    const Status st =
+        BlockCutTree::FromParts(d.bcc, d.conn, d.tree.conn_size_of_comp_table(),
+                                corrupt, &back);
+    EXPECT_EQ(st.code(), StatusCode::kIOError) << k << " -> " << r;
   }
 }
 

@@ -7,7 +7,8 @@
 // streams over the generator sweep chain repairs for hundreds of steps,
 // including the forced-fallback route for deletes. Property sweeps pin
 // that the partition-keeping route is taken exactly when the oracle's
-// member lists do not change.
+// member lists do not change, and the merge cases pin that the index
+// spliced across a merge equals a fresh one.
 
 #include <algorithm>
 #include <set>
@@ -19,6 +20,7 @@
 
 #include "bicomp/biconnected.h"
 #include "bicomp/incremental.h"
+#include "bicomp/isp.h"
 #include "bicomp_test_util.h"
 #include "graph/delta_overlay.h"
 #include "graph/generators.h"
@@ -54,8 +56,8 @@ Applied ApplyAndCheck(const Graph& g, const BiconnectedComponents& bcc,
   }
   Applied out;
   out.graph = overlay.Materialize();
-  out.bcc = RepairBiconnectedComponents(g, bcc, out.graph, {kind, u, v},
-                                        opts, stats);
+  out.bcc = RepairBiconnectedComponents(g, bcc, ComponentViews(g, bcc),
+                                        out.graph, {kind, u, v}, opts, stats);
   ExpectBccBitwiseEqual(out.bcc, ComputeBiconnectedComponents(out.graph),
                         what);
   return out;
@@ -324,11 +326,123 @@ TEST(IncrementalBicompTest, InBlockInsertThatReordersIdsIsRelabeled) {
                                IncrementalBicompOptions{}, "chord 0-1",
                                &stats);
   EXPECT_FALSE(stats.kept_partition);
+  EXPECT_TRUE(stats.merged());
   EXPECT_EQ(stats.dirty_blocks, 1u);
   EXPECT_GT(stats.dirty_arcs, 0u);
   EXPECT_EQ(next.bcc.num_components, bcc.num_components);
   EXPECT_NE(next.bcc.arc_component[next.graph.offset(0) + 1],
             bcc.arc_component[g.offset(0)]);
+}
+
+/// Inserts {u,v} into `g`, which must merge blocks, and checks the merge
+/// route end to end: the repaired decomposition equals the serial
+/// oracle's, and the index spliced from a fresh index of `g` equals a
+/// fresh index of the new graph, sharing the parent's connectivity.
+IncrementalBicompStats MergeAndCheck(const Graph& g, NodeId u, NodeId v,
+                                     const std::string& what,
+                                     Graph* next = nullptr) {
+  const IspIndex parent(g);
+  DeltaOverlay overlay(&g);
+  EXPECT_TRUE(overlay.Insert(u, v).ok()) << what;
+  Graph merged_graph = overlay.Materialize();
+  const EdgeMutation mut{EdgeMutationKind::kInsert, u, v};
+  IncrementalBicompStats stats;
+  BiconnectedComponents bcc =
+      RepairBiconnectedComponents(g, parent.bcc(), parent.views(),
+                                  merged_graph, mut, {}, &stats);
+  ExpectBccBitwiseEqual(bcc, ComputeBiconnectedComponents(merged_graph),
+                        what);
+  EXPECT_TRUE(stats.merged()) << what;
+  EXPECT_FALSE(stats.kept_partition) << what;
+  if (stats.merged()) {
+    const IspIndex spliced(merged_graph, parent, std::move(bcc), mut, stats);
+    testing::ExpectSameIndex(spliced, IspIndex(merged_graph), what);
+    EXPECT_EQ(&spliced.conn(), &parent.conn()) << what;
+  }
+  if (next != nullptr) *next = std::move(merged_graph);
+  return stats;
+}
+
+// The core K4 {0,1,2,3} with leaves 4 and 5 on node 0 and leaf 6 on node
+// 1: the merge route's shapes on a leaf-heavy graph.
+Graph CoreWithLeaves() {
+  return MakeGraph(7, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3},
+                       {0, 4}, {0, 5}, {1, 6}});
+}
+
+TEST(IncrementalBicompTest, MergeLeafIntoCore) {
+  Graph next;
+  const IncrementalBicompStats stats =
+      MergeAndCheck(CoreWithLeaves(), 4, 2, "leaf 4 to core", &next);
+  EXPECT_EQ(stats.merge.blocks.size(), 2u);
+  EXPECT_EQ(stats.merge.cutpoints, std::vector<NodeId>{0});
+  // Node 0 keeps leaf 5, so it stays a cutpoint.
+  EXPECT_EQ(ComputeBiconnectedComponents(next).is_cutpoint[0], 1);
+}
+
+TEST(IncrementalBicompTest, MergeLeafToLeafThroughTheCore) {
+  Graph next;
+  const IncrementalBicompStats stats =
+      MergeAndCheck(CoreWithLeaves(), 4, 6, "leaf 4 to leaf 6", &next);
+  EXPECT_EQ(stats.merge.blocks.size(), 3u);
+  EXPECT_EQ(stats.merge.cutpoints, (std::vector<NodeId>{0, 1}));
+  // Node 1 loses its only other block; node 0 keeps leaf 5.
+  const BiconnectedComponents bcc = ComputeBiconnectedComponents(next);
+  EXPECT_EQ(bcc.is_cutpoint[0], 1);
+  EXPECT_EQ(bcc.is_cutpoint[1], 0);
+}
+
+TEST(IncrementalBicompTest, MergeTwoLeavesOfOneHubIntoATriangle) {
+  Graph next;
+  const IncrementalBicompStats stats =
+      MergeAndCheck(CoreWithLeaves(), 4, 5, "leaves 4-5", &next);
+  EXPECT_EQ(stats.merge.blocks.size(), 2u);
+  EXPECT_EQ(stats.merge.cutpoints, std::vector<NodeId>{0});
+  const BiconnectedComponents bcc = ComputeBiconnectedComponents(next);
+  EXPECT_EQ(bcc.component_nodes[stats.merge.merged_id].size(), 3u);
+  EXPECT_EQ(bcc.is_cutpoint[0], 1);
+}
+
+// A path cutpoint whose only two blocks merge stops being a cutpoint.
+TEST(IncrementalBicompTest, MergeRetiresAPathCutpoint) {
+  const Graph g = MakeGraph(
+      5, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}, {0, 4}});
+  Graph next;
+  const IncrementalBicompStats stats =
+      MergeAndCheck(g, 4, 1, "leaf 4 to core", &next);
+  EXPECT_EQ(stats.merge.cutpoints, std::vector<NodeId>{0});
+  const BiconnectedComponents bcc = ComputeBiconnectedComponents(next);
+  EXPECT_EQ(bcc.num_components, 1u);
+  EXPECT_EQ(bcc.is_cutpoint[0], 0);
+}
+
+// Bridges {0,3} (id 0) and {0,5} (id 1), then the triangle {2,5,6}. The
+// new edge 0-2 joins {0,5} and the triangle, and its arc 0->2 comes
+// before every old arc, so the merged block takes id 0 and the bridge
+// {0,3} moves behind it.
+TEST(IncrementalBicompTest, MergeWhoseNewArcIsSmallestMovesItsId) {
+  const Graph g = MakeGraph(7, {{0, 3}, {0, 5}, {5, 6}, {6, 2}, {2, 5}});
+  const IncrementalBicompStats stats = MergeAndCheck(g, 0, 2, "merge 0-2");
+  EXPECT_EQ(stats.merge.blocks, (std::vector<uint32_t>{1, 2}));
+  EXPECT_EQ(stats.merge.merged_id, 0u);
+  EXPECT_EQ(stats.merge.next_old, 0u);
+  EXPECT_EQ(stats.merge.cutpoints, std::vector<NodeId>{5});
+}
+
+// Node 4 sits in three blocks — bridges to leaves 5 and 6, then its
+// bridge to the core {0,1,2,9} — and the core (id 0) merges with the
+// last one: 4's break-point sum now starts with the merged block, ahead
+// of the two leaf bridges, and must be re-summed in that order.
+TEST(IncrementalBicompTest, MergeReordersAThreeBlockCutpointsSum) {
+  const Graph g = MakeGraph(
+      10, {{0, 1}, {0, 2}, {0, 9}, {1, 2}, {1, 9}, {2, 9}, {0, 3}, {1, 7},
+           {2, 8}, {4, 5}, {4, 6}, {4, 9}});
+  const BiconnectedComponents before = ComputeBiconnectedComponents(g);
+  ASSERT_EQ(before.NumComponentsOf(4), 3u);
+  const IncrementalBicompStats stats = MergeAndCheck(g, 4, 1, "merge 4-1");
+  EXPECT_EQ(stats.merge.merged_id, 0u);
+  EXPECT_EQ(stats.merge.blocks.size(), 2u);
+  EXPECT_GT(stats.merge.blocks[1], before.node_component[4]);
 }
 
 // Random mutation streams over the generator sweep: repairs chain (each

@@ -2,8 +2,10 @@
 // through {"op":"update"} requests (delta overlay + incremental bicomp
 // repair + epoch swap) must answer every query bitwise identically to a
 // COLD session opened on a from-scratch re-conversion of the same edge
-// set. Pinned over a generator sweep (ER, BA, WS, road grid, SBM), random
-// insert/delete streams, repair fallback thread counts {1, 8}, scheduler
+// set. Pinned over a generator sweep (ER, BA, WS, road grid, SBM, and a
+// core with pendant leaves whose stream merges leaves into the core and
+// cuts them loose again), random insert/delete streams, repair fallback
+// thread counts {1, 8}, scheduler
 // admission concurrency {1, 8}, and both the local sampling path and the
 // sharded worker tier (whose workers follow the coordinator through
 // BroadcastUpdate + mutation-log replay).
@@ -43,6 +45,7 @@
 #include "service/session_pool.h"
 #include "service/shard.h"
 #include "service/shard_worker.h"
+#include "test_util.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -243,10 +246,19 @@ bool StillConnectedWithout(NodeId n, const EdgeSet& edges, NodeId u, NodeId v) {
   return false;
 }
 
-/// Deterministic connectivity-preserving mutation stream: inserts of
-/// absent edges and deletes of present-but-not-bridge edges, interleaved.
+/// Deterministic mutation stream: inserts of absent edges and deletes of
+/// present-but-not-bridge edges, interleaved. With `cut_leaves` a delete
+/// may also cut a leaf's only edge — a bridge delete that isolates the
+/// leaf and leaves the rest connected; a later insert at that node then
+/// joins two connected components.
 std::vector<EdgeMutation> MakeStream(NodeId n, const EdgeSet& initial,
-                                     size_t count, uint64_t seed) {
+                                     size_t count, uint64_t seed,
+                                     bool cut_leaves = false) {
+  auto degree = [](const EdgeSet& edges, NodeId x) {
+    size_t d = 0;
+    for (const auto& [a, b] : edges) d += (a == x || b == x) ? 1 : 0;
+    return d;
+  };
   Rng rng(seed);
   EdgeSet edges = initial;
   std::vector<EdgeMutation> stream;
@@ -259,7 +271,9 @@ std::vector<EdgeMutation> MakeStream(NodeId n, const EdgeSet& initial,
     const bool present = edges.count({u, v}) != 0;
     const bool want_delete = rng.UniformDouble() < 0.45;
     if (want_delete && present) {
-      if (!StillConnectedWithout(n, edges, u, v)) continue;
+      const bool leaf_cut =
+          cut_leaves && (degree(edges, u) == 1 || degree(edges, v) == 1);
+      if (!leaf_cut && !StillConnectedWithout(n, edges, u, v)) continue;
       edges.erase({u, v});
       stream.push_back({EdgeMutationKind::kDelete, u, v});
     } else if (!want_delete && !present) {
@@ -284,6 +298,9 @@ std::vector<GeneratorCase> GeneratorSweep() {
   cases.push_back({"road", RoadGrid(8, 6, 0.85, 404).graph});
   cases.push_back(
       {"sbm", PatchConnect(StochasticBlockModel(48, 4, 0.3, 0.02, 505), 505)});
+  // The serving workload's shape: a core block with pendant leaves, whose
+  // inserts mostly merge a leaf's bridge into the core.
+  cases.push_back({"core", testing::BaCoreWithLeaves(34, 14, 606)});
   return cases;
 }
 
@@ -340,9 +357,12 @@ TEST(MutationDifferentialTest, OverlayServingMatchesFromScratchReconvert) {
     const NodeId n = gcase.graph.num_nodes();
     GraphFiles base(gcase.graph, std::string(gcase.name) + "_base");
     EdgeSet edges = EdgesOf(gcase.graph);
+    const bool core = std::string(gcase.name) == "core";
     const std::vector<EdgeMutation> stream =
-        MakeStream(n, edges, kMutations, ++stream_seed);
+        MakeStream(n, edges, core ? 3 * kMutations : kMutations,
+                   ++stream_seed, /*cut_leaves=*/core);
     const std::vector<QueryRequest> workload = Workload(n);
+    int merges = 0;  // updates the first variant served by the merge route
 
     // The sweep under test: bicomp fallback threads x admission
     // concurrency, plus the sharded tier.
@@ -364,6 +384,8 @@ TEST(MutationDifferentialTest, OverlayServingMatchesFromScratchReconvert) {
           edges.erase({mut.u, mut.v});
         }
         uint64_t fingerprint = 0;
+        const std::shared_ptr<const GraphSnapshot> before =
+            variants[0]->session->snapshot();
         for (auto& variant : variants) {
           const QueryResult res = variant->scheduler->Run(
               UpdateRequest(mut.kind, mut.u, mut.v));
@@ -379,6 +401,14 @@ TEST(MutationDifferentialTest, OverlayServingMatchesFromScratchReconvert) {
             ASSERT_EQ(res.fingerprint, fingerprint)
                 << variant->label << " mutation " << i;
           }
+        }
+        // A merge builds the epoch's index at publish with a new tree over
+        // the parent's connectivity; a kept partition shares the tree.
+        const std::shared_ptr<const GraphSnapshot> after =
+            variants[0]->session->snapshot();
+        if (after->index_built() &&
+            &after->isp().tree() != &before->isp().tree()) {
+          ++merges;
         }
       }
 
@@ -410,6 +440,9 @@ TEST(MutationDifferentialTest, OverlayServingMatchesFromScratchReconvert) {
     }
     for (auto& variant : variants) {
       if (variant->supervisor != nullptr) variant->supervisor->Shutdown();
+    }
+    if (core) {
+      EXPECT_GE(merges, 1);
     }
   }
 }

@@ -34,6 +34,7 @@
 namespace saphyra {
 namespace {
 
+using testing::ExpectSameIndex;
 using testing::PaperFig2Graph;
 using testing::RandomConnectedGraph;
 
@@ -940,60 +941,6 @@ struct SgrFile {
   ~SgrFile() { std::remove(path.c_str()); }
 };
 
-/// Every field of `got` equals a fresh index of the same CSR, and a fixed
-/// Rng draws the same component/source/target sequence from both.
-void ExpectSameIndex(const IspIndex& got, const IspIndex& want,
-                     const std::string& what) {
-  testing::ExpectBccBitwiseEqual(got.bcc(), want.bcc(), what);
-  EXPECT_EQ(got.conn().component, want.conn().component) << what;
-  EXPECT_EQ(got.conn().size, want.conn().size) << what;
-  EXPECT_TRUE(std::ranges::equal(got.views().raw_node_begin(),
-                                 want.views().raw_node_begin()))
-      << what;
-  EXPECT_TRUE(
-      std::ranges::equal(got.views().raw_nodes(), want.views().raw_nodes()))
-      << what;
-  EXPECT_TRUE(std::ranges::equal(got.views().raw_offsets(),
-                                 want.views().raw_offsets()))
-      << what;
-  EXPECT_TRUE(
-      std::ranges::equal(got.views().raw_adj(), want.views().raw_adj()))
-      << what;
-  EXPECT_EQ(got.views().max_component_size(),
-            want.views().max_component_size())
-      << what;
-  EXPECT_TRUE(got.tree().cut_reach() == want.tree().cut_reach()) << what;
-  EXPECT_EQ(got.tree().conn_size_of_comp_table(),
-            want.tree().conn_size_of_comp_table())
-      << what;
-  EXPECT_EQ(got.gamma(), want.gamma()) << what;
-  EXPECT_EQ(got.total_weight(), want.total_weight()) << what;
-  for (uint32_t c = 0; c < want.num_components(); ++c) {
-    EXPECT_EQ(got.comp_weight(c), want.comp_weight(c)) << what << " W_" << c;
-  }
-  const NodeId n = want.graph().num_nodes();
-  for (NodeId v = 0; v < n; ++v) {
-    EXPECT_EQ(got.bca(v), want.bca(v)) << what << " bc_a(" << v << ")";
-  }
-  std::vector<NodeId> targets;
-  for (NodeId v = 0; v < std::min<NodeId>(n, 24); ++v) targets.push_back(v);
-  const PersonalizedSpace got_space(got, targets);
-  const PersonalizedSpace want_space(want, targets);
-  ASSERT_EQ(got_space.eta(), want_space.eta()) << what;
-  if (want_space.eta() == 0.0) return;
-  Rng got_rng(97);
-  Rng want_rng(97);
-  for (int i = 0; i < 64; ++i) {
-    const uint32_t c = got_space.SampleComponent(&got_rng);
-    ASSERT_EQ(c, want_space.SampleComponent(&want_rng)) << what;
-    const NodeId s = got.SampleSource(c, &got_rng);
-    ASSERT_EQ(s, want.SampleSource(c, &want_rng)) << what;
-    ASSERT_EQ(got.SampleTarget(c, s, &got_rng),
-              want.SampleTarget(c, s, &want_rng))
-        << what;
-  }
-}
-
 /// A bc query's estimates on `snap`'s own (possibly shared) index and on a
 /// fresh index of the same graph are bitwise equal.
 void ExpectServesLikeAFreshIndex(const GraphSnapshot& snap) {
@@ -1006,10 +953,11 @@ void ExpectServesLikeAFreshIndex(const GraphSnapshot& snap) {
             RunSaphyraBc(fresh, targets, opts).bc);
 }
 
-// An update that keeps the block partition builds its epoch's index from
-// the parent's at publish time, sharing the partition tables. Over a
-// random stream of inserts and deletes, every epoch's index matches a
-// fresh IspIndex of its CSR field for field.
+// An update that keeps the block partition or merges blocks builds its
+// epoch's index from the parent's at publish time: a kept partition
+// shares the partition tables, a merge shares connectivity. Over a random
+// stream of inserts and deletes, every epoch's index matches a fresh
+// IspIndex of its CSR field for field.
 TEST(QuerySessionTest, EpochReuseMatchesAFreshIndex) {
   const Graph g = testing::BaCoreWithLeaves(300, 100, 7);
   SgrFile file(g, "reuse");
@@ -1017,6 +965,7 @@ TEST(QuerySessionTest, EpochReuseMatchesAFreshIndex) {
   ASSERT_TRUE(QuerySession::Open(file.path, SessionOptions(), &session).ok());
   Rng rng(11);
   int kept = 0;
+  int merged = 0;
   for (int step = 0; step < 200; ++step) {
     std::shared_ptr<const GraphSnapshot> prev = session->snapshot();
     const Graph& cur = prev->graph();
@@ -1029,21 +978,75 @@ TEST(QuerySessionTest, EpochReuseMatchesAFreshIndex) {
     } else if (u == v || cur.HasEdge(u, v)) {
       continue;
     }
-    ASSERT_TRUE(session->ApplyUpdate({kind, u, v}).ok());
+    UpdateOutcome outcome;
+    ASSERT_TRUE(session->ApplyUpdate({kind, u, v}, &outcome).ok());
     const std::string what = "step " + std::to_string(step);
     std::shared_ptr<const GraphSnapshot> next = session->snapshot();
-    // Only the reuse route builds the index before publishing.
-    if (next->index_built()) {
-      ++kept;
-      EXPECT_EQ(&next->isp().tree(), &prev->isp().tree()) << what;
+    // Only the reuse routes build the index before publishing.
+    EXPECT_EQ(next->index_built(), outcome.index_reused) << what;
+    if (outcome.index_reused) {
+      EXPECT_EQ(&next->isp().conn(), &prev->isp().conn()) << what;
+      if (&next->isp().tree() == &prev->isp().tree()) {
+        ++kept;
+      } else {
+        EXPECT_EQ(kind, EdgeMutationKind::kInsert) << what;
+        ++merged;
+      }
     }
     ExpectSameIndex(next->isp(), IspIndex(next->graph()), what);
   }
   EXPECT_GT(kept, 50);
+  EXPECT_GT(merged, 10);
 }
 
-// Parent and child epochs share one set of partition tables; dropping
-// either first leaves the other serving the bytes a fresh index would.
+// Leaves joined to the core, to each other and to their own hub, with
+// the odd leaf cut loose and re-attached: every merge builds its epoch's
+// index at publish, and every epoch matches a fresh index.
+TEST(QuerySessionTest, MergeHeavyStreamMatchesAFreshIndex) {
+  const NodeId core = 120;
+  const Graph g = testing::BaCoreWithLeaves(core, 120, 17);
+  SgrFile file(g, "merges");
+  std::unique_ptr<QuerySession> session;
+  ASSERT_TRUE(QuerySession::Open(file.path, SessionOptions(), &session).ok());
+  Rng rng(23);
+  int merges = 0;
+  for (int step = 0; step < 120; ++step) {
+    const Graph& cur = session->snapshot()->graph();
+    // A current leaf (degree 1) and a second endpoint: mostly a core
+    // node, sometimes another leaf; every tenth step deletes a bridge.
+    NodeId leaf = kInvalidNode;
+    for (int tries = 0; tries < 50 && leaf == kInvalidNode; ++tries) {
+      const NodeId x = core + static_cast<NodeId>(rng.UniformInt(120));
+      if (cur.degree(x) == 1) leaf = x;
+    }
+    if (leaf == kInvalidNode) break;
+    EdgeMutation mut{EdgeMutationKind::kInsert, leaf, kInvalidNode};
+    if (step % 10 == 9) {
+      mut = {EdgeMutationKind::kDelete, leaf, cur.neighbors(leaf)[0]};
+    } else if (step % 3 == 2) {
+      mut.v = core + static_cast<NodeId>(rng.UniformInt(120));
+    } else {
+      mut.v = static_cast<NodeId>(rng.UniformInt(core));
+    }
+    if (mut.u == mut.v || cur.HasEdge(mut.u, mut.v)) continue;
+    const bool joins_component = cur.degree(mut.v) > 0;
+    UpdateOutcome outcome;
+    ASSERT_TRUE(session->ApplyUpdate(mut, &outcome).ok());
+    const std::string what = "step " + std::to_string(step);
+    if (mut.kind == EdgeMutationKind::kInsert && joins_component) {
+      EXPECT_TRUE(outcome.index_reused) << what;
+      EXPECT_TRUE(session->snapshot()->index_built()) << what;
+      ++merges;
+    }
+    ExpectSameIndex(session->snapshot()->isp(),
+                    IspIndex(session->snapshot()->graph()), what);
+  }
+  EXPECT_GT(merges, 60);
+}
+
+// Parent and child epochs share one set of partition tables, or one
+// connectivity labeling after a merge; dropping either first leaves the
+// other serving the bytes a fresh index would.
 TEST(QuerySessionTest, SharedTablesOutliveEitherEpoch) {
   const Graph g = testing::BaCoreWithLeaves(200, 50, 13);
   SgrFile file(g, "lifetime");
@@ -1053,17 +1056,20 @@ TEST(QuerySessionTest, SharedTablesOutliveEitherEpoch) {
   ASSERT_TRUE(QuerySession::Open(file.path, sopts, &session).ok());
   const BiconnectedComponents& bcc = session->isp().bcc();
   // A non-edge inside node 0's block keeps the partition; joining leaf
-  // 200 (degree 1) to another core node merges blocks.
+  // 201 (degree 1) to another core node merges blocks; deleting leaf
+  // 200's only edge drops a bridge block.
   const auto block = bcc.component_nodes[bcc.node_component[0]];
   NodeId in_block = kInvalidNode;
   for (NodeId x : block) {
     if (x != 0 && !g.HasEdge(0, x)) in_block = x;
   }
   ASSERT_NE(in_block, kInvalidNode);
+  ASSERT_EQ(g.degree(200), 1u);
+  ASSERT_EQ(g.degree(201), 1u);
   const NodeId anchor = g.neighbors(200)[0];
-  const NodeId other = anchor == 1 ? 2 : 1;
+  const NodeId other = g.neighbors(201)[0] == 1 ? 2 : 1;
 
-  // Parent released first.
+  // Parent released first, after a kept partition and after a merge.
   std::shared_ptr<const GraphSnapshot> parent = session->snapshot();
   ASSERT_TRUE(
       session->ApplyUpdate({EdgeMutationKind::kInsert, 0, in_block}).ok());
@@ -1072,25 +1078,34 @@ TEST(QuerySessionTest, SharedTablesOutliveEitherEpoch) {
   ASSERT_EQ(&child->isp().tree(), &parent->isp().tree());
   parent.reset();
   ExpectServesLikeAFreshIndex(*child);
+  parent = std::move(child);
+  ASSERT_TRUE(
+      session->ApplyUpdate({EdgeMutationKind::kInsert, 201, other}).ok());
+  child = session->snapshot();
+  ASSERT_TRUE(child->index_built());
+  ASSERT_EQ(&child->isp().conn(), &parent->isp().conn());
+  parent.reset();
+  ExpectServesLikeAFreshIndex(*child);
 
   // Child released first: the pinned epoch's reuse child is replaced as
-  // the current epoch by a merging update, which drops it.
+  // the current epoch by a bridge delete, which rebuilds and drops it.
   parent = std::move(child);
   ASSERT_TRUE(
       session->ApplyUpdate({EdgeMutationKind::kDelete, 0, in_block}).ok());
   ASSERT_TRUE(session->snapshot()->index_built());
   ASSERT_EQ(&session->snapshot()->isp().tree(), &parent->isp().tree());
   ASSERT_TRUE(
-      session->ApplyUpdate({EdgeMutationKind::kInsert, 200, other}).ok());
+      session->ApplyUpdate({EdgeMutationKind::kDelete, 200, anchor}).ok());
   EXPECT_FALSE(session->snapshot()->index_built());
   ExpectServesLikeAFreshIndex(*parent);
   ExpectServesLikeAFreshIndex(*session->snapshot());
 }
 
 // Node 0 is the smallest member of the bridge {0,2} and of the cycle
-// 0-3-1-4-0; the chord 0-1 keeps the partition but swaps the two blocks'
-// canonical ids, so the session takes the rebuilding route.
-TEST(QuerySessionTest, InsertThatReordersBlockIdsRebuildsTheIndex) {
+// 0-3-1-4-0; the chord 0-1 keeps the members but swaps the two blocks'
+// canonical ids: a one-block merge that moves the cycle's id, spliced
+// into the index at publish.
+TEST(QuerySessionTest, InsertThatReordersBlockIdsSplicesTheIndex) {
   const Graph g =
       testing::MakeGraph(5, {{0, 2}, {0, 3}, {3, 1}, {1, 4}, {4, 0}});
   SgrFile file(g, "reorder");
@@ -1100,7 +1115,8 @@ TEST(QuerySessionTest, InsertThatReordersBlockIdsRebuildsTheIndex) {
   UpdateOutcome outcome;
   ASSERT_TRUE(
       session->ApplyUpdate({EdgeMutationKind::kInsert, 0, 1}, &outcome).ok());
-  EXPECT_FALSE(session->snapshot()->index_built());
+  EXPECT_TRUE(outcome.index_reused);
+  EXPECT_TRUE(session->snapshot()->index_built());
   EXPECT_GT(outcome.repair_dirty_arcs, 0u);
   ExpectSameIndex(session->snapshot()->isp(),
                   IspIndex(session->snapshot()->graph()), "chord 0-1");
