@@ -17,6 +17,7 @@
 #include <cstring>
 #include <fstream>
 #include <thread>
+#include <type_traits>
 
 #include "bc/brandes.h"
 #include "bc/exact_subspace.h"
@@ -105,8 +106,12 @@ const IspIndex& IspFixture(int which) {
 // Speedup suite: paired before/after measurements with explicit ratios.
 // ---------------------------------------------------------------------------
 
+/// One Gen_bc draw: the block, its endpoints as member indices (what the
+/// production sampler takes) and as global ids (what the seed sampler
+/// takes).
 struct GenBcTriple {
   uint32_t comp;
+  NodeId ls, lt;
   NodeId s, t;
 };
 
@@ -118,9 +123,10 @@ std::vector<GenBcTriple> DrawTriples(const IspIndex& isp,
   triples.reserve(count);
   while (triples.size() < count) {
     uint32_t c = space.SampleComponent(&rng);
-    NodeId s = isp.SampleSource(c, &rng);
-    NodeId t = isp.SampleTarget(c, s, &rng);
-    triples.push_back({c, s, t});
+    NodeId ls = isp.SampleSource(c, &rng);
+    NodeId lt = isp.SampleTarget(c, ls, &rng);
+    const auto members = isp.bcc().component_nodes[c];
+    triples.push_back({c, ls, lt, members[ls], members[lt]});
   }
   return triples;
 }
@@ -133,8 +139,14 @@ double TimeGenBcOnce(Sampler& sampler,
   Rng rng(seed);
   Timer timer;
   for (const GenBcTriple& x : triples) {
-    sampler.SampleUniformPath(x.s, x.t, x.comp,
-                              SamplingStrategy::kBidirectional, &rng, &path);
+    if constexpr (std::is_same_v<Sampler, PathSampler>) {
+      sampler.SampleRestrictedPath(x.comp, x.ls, x.lt,
+                                   SamplingStrategy::kBidirectional, &rng,
+                                   &path);
+    } else {
+      sampler.SampleUniformPath(x.s, x.t, x.comp,
+                                SamplingStrategy::kBidirectional, &rng, &path);
+    }
     benchmark::DoNotOptimize(path.length);
   }
   return timer.ElapsedSeconds();
@@ -902,7 +914,7 @@ void BM_PathSample(benchmark::State& state) {
     NodeId s = static_cast<NodeId>(rng.UniformInt(g.num_nodes()));
     NodeId t = static_cast<NodeId>(rng.UniformInt(g.num_nodes()));
     if (s == t) continue;
-    sampler.SampleUniformPath(s, t, kInvalidComp, strategy, &rng, &path);
+    sampler.SampleUniformPath(s, t, strategy, &rng, &path);
     benchmark::DoNotOptimize(path.num_paths);
   }
   state.SetItemsProcessed(state.iterations());
@@ -921,8 +933,8 @@ void BM_GenBcSampleView(benchmark::State& state) {
     uint32_t c = space.SampleComponent(&rng);
     NodeId s = isp.SampleSource(c, &rng);
     NodeId t = isp.SampleTarget(c, s, &rng);
-    sampler.SampleUniformPath(s, t, c, SamplingStrategy::kBidirectional,
-                              &rng, &path);
+    sampler.SampleRestrictedPath(c, s, t, SamplingStrategy::kBidirectional,
+                                 &rng, &path);
     benchmark::DoNotOptimize(path.length);
   }
   state.SetItemsProcessed(state.iterations());

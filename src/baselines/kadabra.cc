@@ -48,8 +48,7 @@ class KadabraProblem : public HypothesisRankingProblem {
       v = static_cast<NodeId>(rng->UniformInt(n));
     } while (v == u);
     // Unreachable pairs are zero-valued samples.
-    if (sampler_.SampleUniformPath(u, v, kInvalidComp, strategy_, rng,
-                                   &path_)) {
+    if (sampler_.SampleUniformPath(u, v, strategy_, rng, &path_)) {
       for (size_t i = 1; i + 1 < path_.nodes.size(); ++i) {
         hits->push_back(path_.nodes[i]);
       }

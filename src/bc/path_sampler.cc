@@ -61,6 +61,7 @@ PathSampler::PathSampler(const Graph& g, const ComponentViews* views)
 }
 
 void PathSampler::InitSide(Side* side, NodeId origin, uint64_t origin_cost) {
+  side->origin = origin;
   side->depth = 0;
   side->state[origin] = NodeState{epoch_, 0, 1.0};
   side->frontier.Clear();
@@ -234,7 +235,7 @@ template <class Adj>
 void PathSampler::WalkDown(const Adj& adj, const Side& side, NodeId v,
                            Rng* rng, std::vector<NodeId>* out) {
   NodeId cur = v;
-  while (side.state[cur].dist > 0) {
+  while (side.state[cur].dist > 1) {
     const uint32_t want = side.state[cur].dist - 1;
     // Weighted reservoir over predecessors: pick u with prob σ(u)/Σσ.
     double total = 0.0;
@@ -262,13 +263,42 @@ void PathSampler::WalkDown(const Adj& adj, const Side& side, NodeId v,
     out->push_back(pick);
     cur = pick;
   }
+  if (side.state[cur].dist == 1) {
+    // The last hop is implied: the side's origin is the only node at
+    // dist 0, with σ = 1, so the scan would find it alone and draw one
+    // number to keep it. Draw that number and skip the scan, so the RNG
+    // stream stays what the scan made it.
+    static_cast<void>(rng->UniformDouble());
+    out->push_back(side.origin);
+  }
 }
 
-bool PathSampler::SampleUniformPath(NodeId s, NodeId t, uint32_t comp,
+bool PathSampler::SampleUniformPath(NodeId s, NodeId t,
                                     SamplingStrategy strategy, Rng* rng,
                                     PathSample* out) {
   SAPHYRA_CHECK(s != t);
   SAPHYRA_CHECK(s < g_.num_nodes() && t < g_.num_nodes());
+  BeginSample(out);
+  return Dispatch(GlobalAdj{&g_}, s, t, strategy, rng, out);
+}
+
+bool PathSampler::SampleRestrictedPath(uint32_t comp, NodeId s, NodeId t,
+                                       SamplingStrategy strategy, Rng* rng,
+                                       PathSample* out) {
+  SAPHYRA_CHECK_MSG(views_ != nullptr,
+                    "component restriction needs component views");
+  SAPHYRA_CHECK(s != t);
+  SAPHYRA_CHECK_MSG(s < views_->size(comp) && t < views_->size(comp),
+                    "restricted endpoints must be local ids of the component");
+  BeginSample(out);
+  if (!Dispatch(ViewAdj{views_, comp}, s, t, strategy, rng, out)) {
+    return false;
+  }
+  for (NodeId& v : out->nodes) v = views_->ToGlobal(comp, v);
+  return true;
+}
+
+void PathSampler::BeginSample(PathSample* out) {
   if (++epoch_ == 0) {
     // 32-bit epoch wrapped: wipe the stamps once and restart at 1.
     for (Side* side : {&fwd_, &bwd_}) {
@@ -283,20 +313,6 @@ bool PathSampler::SampleUniformPath(NodeId s, NodeId t, uint32_t comp,
   out->num_paths = 0.0;
   out->length = 0;
   out->found = false;
-  if (comp == kInvalidComp) {
-    return Dispatch(GlobalAdj{&g_}, s, t, strategy, rng, out);
-  }
-  SAPHYRA_CHECK_MSG(views_ != nullptr,
-                    "component restriction needs component views");
-  const NodeId ls = views_->ToLocal(comp, s);
-  const NodeId lt = views_->ToLocal(comp, t);
-  SAPHYRA_CHECK_MSG(ls != kInvalidNode && lt != kInvalidNode,
-                    "restricted endpoints must belong to the component");
-  if (!Dispatch(ViewAdj{views_, comp}, ls, lt, strategy, rng, out)) {
-    return false;
-  }
-  for (NodeId& v : out->nodes) v = views_->ToGlobal(comp, v);
-  return true;
 }
 
 template <class Adj>

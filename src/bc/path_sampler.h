@@ -64,14 +64,20 @@ class PathSampler {
   /// a checked error.
   PathSampler(const Graph& g, const ComponentViews* views);
 
-  /// \brief Sample a uniform shortest path from s to t (s != t).
-  ///
-  /// If `comp != kInvalidComp`, only arcs of component `comp` are
-  /// traversed; s and t must then be members of that component. Returns
-  /// false (and found=false) if t is unreachable.
-  bool SampleUniformPath(NodeId s, NodeId t, uint32_t comp,
-                         SamplingStrategy strategy, Rng* rng,
-                         PathSample* out);
+  /// \brief Sample a uniform shortest path from s to t (s != t, global
+  /// ids) over the whole graph. Returns false (and found=false) if t is
+  /// unreachable.
+  bool SampleUniformPath(NodeId s, NodeId t, SamplingStrategy strategy,
+                         Rng* rng, PathSample* out);
+
+  /// \brief Sample a uniform shortest path between two members of
+  /// component `comp`, traversing only its arcs. `s` and `t` are local
+  /// ids of the component's view — member indices, as
+  /// IspIndex::SampleSource/SampleTarget return them; the emitted path is
+  /// in global ids.
+  bool SampleRestrictedPath(uint32_t comp, NodeId s, NodeId t,
+                            SamplingStrategy strategy, Rng* rng,
+                            PathSample* out);
 
   /// \brief How BFS levels are expanded (graph/frontier.h). Anything but
   /// kTopDown enables the direction-optimizing pull on both substrates
@@ -100,6 +106,8 @@ class PathSampler {
   };
   struct Side {
     std::vector<NodeState> state;
+    /// The node this side's search started from (dist 0, σ = 1).
+    NodeId origin = kInvalidNode;
     /// frontier/next hold one BFS level in FrontierSet's dual form: the
     /// sparse list drives top-down pushes (with the branchless-expansion
     /// slack slot), the epoch-reset bitmap serves bottom-up pulls.
@@ -121,6 +129,8 @@ class PathSampler {
     bool unvisited_valid = false;
   };
 
+  /// Open a new epoch and clear `out`.
+  void BeginSample(PathSample* out);
   void InitSide(Side* side, NodeId origin, uint64_t origin_cost);
 
   /// Frontier arc mass of a level of `cnt` nodes on a near-regular domain:
@@ -150,6 +160,8 @@ class PathSampler {
   template <class Adj>
   void ExpandLevelBottomUp(const Adj& adj, Side* side, const Side* other,
                            uint32_t new_depth);
+  /// Walk from `v` back to the side's origin, appending each predecessor
+  /// drawn with probability σ(u)/Σσ; the hop from dist 1 is implied.
   template <class Adj>
   void WalkDown(const Adj& adj, const Side& side, NodeId v, Rng* rng,
                 std::vector<NodeId>* out);

@@ -45,25 +45,26 @@ class SaphyraBcProblem : public HypothesisRankingProblem {
 
   void SampleApproxLosses(Rng* rng, std::vector<uint32_t>* hits) override {
     const IspIndex& isp = space_.isp();
-    PathSample path;
     // Algorithm 2: multistage sampling with rejection of exact-subspace
     // paths. Stage probabilities multiply to q_st/(γη σ_st), Lemma 20.
+    // Endpoints stay member indices of the block (its view's local ids)
+    // until the sampler emits the path in global ids.
     for (;;) {
       uint32_t comp = space_.SampleComponent(rng);
       NodeId s = isp.SampleSource(comp, rng);
       NodeId t = isp.SampleTarget(comp, s, rng);
-      bool ok = sampler_.SampleUniformPath(s, t, comp, options_.strategy,
-                                           rng, &path);
+      bool ok = sampler_.SampleRestrictedPath(comp, s, t, options_.strategy,
+                                              rng, &path_);
       SAPHYRA_CHECK_MSG(ok, "nodes of one bi-component must be connected");
-      if (options_.use_exact_subspace && InExactSubspace(space_, path.nodes)) {
+      if (options_.use_exact_subspace && InExactSubspace(space_, path_.nodes)) {
         rejected_->fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       break;
     }
     // Losses: h_v(p) = 1 iff v is an inner node of p (Eq. 6).
-    for (size_t i = 1; i + 1 < path.nodes.size(); ++i) {
-      int32_t h = space_.HypothesisIndex(path.nodes[i]);
+    for (size_t i = 1; i + 1 < path_.nodes.size(); ++i) {
+      int32_t h = space_.HypothesisIndex(path_.nodes[i]);
       if (h >= 0) hits->push_back(static_cast<uint32_t>(h));
     }
   }
@@ -91,6 +92,7 @@ class SaphyraBcProblem : public HypothesisRankingProblem {
   double vc_bound_;
   std::shared_ptr<std::atomic<uint64_t>> rejected_;
   PathSampler sampler_;
+  PathSample path_;  // scratch of SampleApproxLosses
   double exact_seconds_ = 0.0;
 };
 

@@ -11,46 +11,43 @@ namespace saphyra {
 
 namespace {
 
-/// BFS from `source` restricted to arcs of biconnected component `comp`.
-/// Returns the eccentricity within the component and, if `targets` is
-/// non-null, the maximum distance to any reached node with
-/// HypothesisIndex >= 0.
-struct RestrictedBfs {
-  explicit RestrictedBfs(NodeId n) : dist(n, kUnreachable) {}
-
-  uint32_t Run(const Graph& g, const BiconnectedComponents& bcc,
-               uint32_t comp, NodeId source,
-               const PersonalizedSpace* targets, uint32_t* max_target_dist) {
-    touched.clear();
+/// BFS from local node `source` over component `comp`'s view. Returns the
+/// eccentricity within the component and, if `space` is non-null, the
+/// maximum distance to any reached target (HypothesisIndex >= 0). The
+/// scratch grows to the largest component run, never to n.
+struct ViewBfs {
+  uint32_t Run(const ComponentViews& views, uint32_t comp, NodeId source,
+               const PersonalizedSpace* space, uint32_t* max_target_dist) {
+    if (dist.size() < views.size(comp)) {
+      dist.resize(views.size(comp), kUnreachable);
+    }
+    queue.clear();
     dist[source] = 0;
-    touched.push_back(source);
+    queue.push_back(source);
     uint32_t ecc = 0;
     uint32_t tgt = 0;
-    for (size_t head = 0; head < touched.size(); ++head) {
-      NodeId u = touched[head];
-      uint32_t du = dist[u];
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const NodeId u = queue[head];
+      const uint32_t du = dist[u];
       ecc = std::max(ecc, du);
-      if (targets != nullptr && targets->HypothesisIndex(u) >= 0) {
+      if (space != nullptr &&
+          space->HypothesisIndex(views.ToGlobal(comp, u)) >= 0) {
         tgt = std::max(tgt, du);
       }
-      EdgeIndex base = g.offset(u);
-      auto nbr = g.neighbors(u);
-      for (size_t i = 0; i < nbr.size(); ++i) {
-        if (bcc.arc_component[base + i] != comp) continue;
-        NodeId v = nbr[i];
+      for (NodeId v : views.Neighbors(comp, u)) {
         if (dist[v] == kUnreachable) {
           dist[v] = du + 1;
-          touched.push_back(v);
+          queue.push_back(v);
         }
       }
     }
-    for (NodeId v : touched) dist[v] = kUnreachable;  // cheap reset
+    for (NodeId v : queue) dist[v] = kUnreachable;  // cheap reset
     if (max_target_dist != nullptr) *max_target_dist = tgt;
     return ecc;
   }
 
   std::vector<uint32_t> dist;
-  std::vector<NodeId> touched;
+  std::vector<NodeId> queue;
 };
 
 double VcFromBs(double bs) {
@@ -62,7 +59,7 @@ double VcFromBs(double bs) {
 
 VcBcBounds ComputePersonalizedVcBounds(const PersonalizedSpace& space) {
   const IspIndex& isp = space.isp();
-  const Graph& g = isp.graph();
+  const ComponentViews& views = isp.views();
   const auto& bcc = isp.bcc();
   VcBcBounds out;
 
@@ -76,15 +73,15 @@ VcBcBounds ComputePersonalizedVcBounds(const PersonalizedSpace& space) {
     }
   }
 
-  RestrictedBfs bfs(g.num_nodes());
+  ViewBfs bfs;
   double bs = 0.0;
   for (uint32_t c : space.component_ids()) {
-    const size_t comp_size = bcc.component_nodes[c].size();
-    if (comp_size < 3) continue;  // a bridge has no inner nodes
+    if (views.size(c) < 3) continue;  // a bridge has no inner nodes
     // One BFS from a target member gives both an upper bound on VD(C_i)
     // (2·ecc) and on VD(A ∩ C_i) (2·max distance to a target).
     uint32_t max_tgt = 0;
-    uint32_t ecc = bfs.Run(g, bcc, c, a_rep[c], &space, &max_tgt);
+    uint32_t ecc =
+        bfs.Run(views, c, views.ToLocal(c, a_rep[c]), &space, &max_tgt);
     uint32_t vd_ci_ub = 2 * ecc;
     uint32_t vd_a_ub = 2 * max_tgt;
     out.bd_upper = std::max(out.bd_upper, vd_ci_ub);
@@ -100,14 +97,12 @@ VcBcBounds ComputePersonalizedVcBounds(const PersonalizedSpace& space) {
 }
 
 double FullNetworkVcBound(const IspIndex& isp, uint32_t* bd_upper) {
-  const Graph& g = isp.graph();
-  const auto& bcc = isp.bcc();
-  RestrictedBfs bfs(g.num_nodes());
+  const ComponentViews& views = isp.views();
+  ViewBfs bfs;
   uint32_t bd = 0;
-  for (uint32_t c = 0; c < bcc.num_components; ++c) {
-    if (bcc.component_nodes[c].size() < 3) continue;
-    uint32_t ecc =
-        bfs.Run(g, bcc, c, bcc.component_nodes[c][0], nullptr, nullptr);
+  for (uint32_t c = 0; c < views.num_components(); ++c) {
+    if (views.size(c) < 3) continue;
+    uint32_t ecc = bfs.Run(views, c, 0, nullptr, nullptr);
     bd = std::max(bd, 2 * ecc);
   }
   if (bd_upper != nullptr) *bd_upper = bd;

@@ -15,9 +15,10 @@ namespace saphyra {
 /// per component (Lemma 23) by
 ///   min( VD(C_i) − 1,  VD(A ∩ C_i) + 1,  |A ∩ C_i| ).
 /// Exact diameters are too expensive, so the bounds below use the sound
-/// 2·eccentricity upper bound from a single restricted BFS per component,
-/// exactly as the paper suggests ("VD(A′) cannot be bigger than double of
-/// the maximum distance from s to a node t ∈ A′").
+/// 2·eccentricity upper bound from a single BFS per component over its
+/// compact view (IspIndex::views()), exactly as the paper suggests
+/// ("VD(A′) cannot be bigger than double of the maximum distance from s to
+/// a node t ∈ A′").
 struct VcBcBounds {
   /// Upper bound on BS(A) (0 if no component can host a target inner node).
   double bs_bound = 0.0;
@@ -30,12 +31,12 @@ struct VcBcBounds {
 };
 
 /// \brief Personalized bounds for the subset of `space` (Corollary 22 +
-/// Lemma 23). Runs one restricted BFS per component in I(A).
+/// Lemma 23). Runs one BFS per component in I(A), on its view.
 VcBcBounds ComputePersonalizedVcBounds(const PersonalizedSpace& space);
 
 /// \brief Full-network SaPHyRa_bc bound: ⌊log₂(BD(V)−1)⌋ + 1 with BD(V)
 /// the maximum bi-component diameter (Table I row 2, column 1).
-/// One restricted BFS per component: O(n + m) total.
+/// One BFS per component, on its view: O(Σ|C_i| + m) total.
 double FullNetworkVcBound(const IspIndex& isp, uint32_t* bd_upper = nullptr);
 
 /// \brief Riondato–Kornaropoulos-style bound used by the baselines

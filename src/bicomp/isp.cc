@@ -171,50 +171,47 @@ std::vector<uint32_t> IspIndex::ComponentsOf(NodeId v) const {
 NodeId IspIndex::SampleSource(uint32_t c, Rng* rng) const {
   const PartitionTables& t = *tables_;
   SAPHYRA_CHECK(t.comp_weight[c] > 0.0);
-  const auto nodes = bcc_.component_nodes[c];
+  const size_t size = bcc_.component_nodes[c].size();
   const uint64_t base = bcc_.component_nodes.begin()[c];
-  return nodes[AliasTable::Sample(
-      std::span(t.source_prob).subspan(base, nodes.size()),
-      std::span(t.source_alias).subspan(base, nodes.size()), rng)];
+  return static_cast<NodeId>(
+      AliasTable::Sample(std::span(t.source_prob).subspan(base, size),
+                         std::span(t.source_alias).subspan(base, size), rng));
 }
 
 NodeId IspIndex::SampleTarget(uint32_t c, NodeId s, Rng* rng) const {
-  const auto nodes = bcc_.component_nodes[c];
+  const size_t size = bcc_.component_nodes[c].size();
   // A 2-node component (bridge) has only one possible target. This is also
   // the case where rejection sampling degenerates: a bridge below a hub has
   // r(hub) = csize−1, so rejecting t == hub would loop ~csize times.
-  if (nodes.size() == 2) {
-    return nodes[0] == s ? nodes[1] : nodes[0];
-  }
+  if (size == 2) return 1 - s;
   const PartitionTables& t = *tables_;
   const uint64_t base = bcc_.component_nodes.begin()[c];
-  const std::span<const NodeId> reach =
-      t.tree.reach().subspan(base, nodes.size());
-  size_t s_index = static_cast<size_t>(
-      std::lower_bound(nodes.begin(), nodes.end(), s) - nodes.begin());
-  const double r_s = static_cast<double>(reach[s_index]);
+  const std::span<const NodeId> reach = t.tree.reach().subspan(base, size);
+  const double r_s = static_cast<double>(reach[s]);
   const double mass = t.target_mass[c];
   if (r_s < 0.5 * mass) {
     // Rejection from the unconditional r-weighted alias table realizes
     // Pr[t | t != s] = r(t)/(mass − r(s)) exactly; with r(s) below half the
     // mass the expected number of retries is at most 2.
-    const auto prob = std::span(t.target_prob).subspan(base, nodes.size());
-    const auto alias = std::span(t.target_alias).subspan(base, nodes.size());
+    const auto prob = std::span(t.target_prob).subspan(base, size);
+    const auto alias = std::span(t.target_alias).subspan(base, size);
     for (;;) {
-      NodeId target = nodes[AliasTable::Sample(prob, alias, rng)];
+      const NodeId target =
+          static_cast<NodeId>(AliasTable::Sample(prob, alias, rng));
       if (target != s) return target;
     }
   }
   // One node holds most of the r-mass: sample by inversion over the
   // remaining members, O(|C_c|). Rare (at most one such node per call).
   double x = rng->UniformDouble() * (mass - r_s);
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    if (i == s_index) continue;
+  for (NodeId i = 0; i < size; ++i) {
+    if (i == s) continue;
     x -= static_cast<double>(reach[i]);
-    if (x <= 0.0) return nodes[i];
+    if (x <= 0.0) return i;
   }
   // Floating-point slack: return the last non-s member.
-  return nodes.back() == s ? nodes[nodes.size() - 2] : nodes.back();
+  const NodeId last = static_cast<NodeId>(size - 1);
+  return last == s ? last - 1 : last;
 }
 
 PersonalizedSpace::PersonalizedSpace(const IspIndex& isp,

@@ -126,11 +126,14 @@ class IspIndex {
   std::vector<uint32_t> ComponentsOf(NodeId v) const;
 
   /// \brief Stage 2 of Algorithm 2: source s ∈ C_c with probability
-  /// r_c(s)(csize−r_c(s)) / W_c.
+  /// r_c(s)(csize−r_c(s)) / W_c. Returns s's index in
+  /// `bcc().component_nodes[c]` — its local id in `views()`, which is what
+  /// a restricted draw takes (PathSampler::SampleRestrictedPath).
   NodeId SampleSource(uint32_t c, Rng* rng) const;
 
   /// \brief Stage 3 of Algorithm 2: target t ∈ C_c \ {s} with probability
-  /// r_c(t) / (csize − r_c(s)).
+  /// r_c(t) / (csize − r_c(s)). `s` and the result are member indices of
+  /// c, like SampleSource's.
   NodeId SampleTarget(uint32_t c, NodeId s, Rng* rng) const;
 
  private:
@@ -151,7 +154,8 @@ class IspIndex {
     std::vector<double> bca;
     // Alias tables of Algorithm 2's stages 2 and 3, one slice per
     // component laid out like the flat member array (tree.reach()), with
-    // indices into component_nodes[c].
+    // indices into component_nodes[c] — the member indices the samplers
+    // return.
     std::vector<double> source_prob;
     std::vector<uint32_t> source_alias;
     std::vector<double> target_prob;

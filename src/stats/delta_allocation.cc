@@ -18,18 +18,24 @@ std::vector<double> AllocateDeltas(const std::vector<double>& pilot_variances,
 
   // Find a projected sample size N* at which every hypothesis can meet ε′
   // with some feasible δ_i; start at N0 and double (mirroring the main
-  // loop's schedule) up to Nmax.
+  // loop's schedule) up to Nmax. A hypothesis is feasible at N iff the
+  // bound at the cap δ0 = 0.5 reaches ε′ (SolveDeltaForEpsilon's own first
+  // test), so the rounds test only that, stopping at the first miss, and
+  // the δ solve runs once per hypothesis at the final N*.
   uint64_t n_star = n0;
-  std::vector<double> need(k, 0.0);
   for (;;) {
     bool all_feasible = true;
-    for (size_t i = 0; i < k; ++i) {
-      need[i] = SolveDeltaForEpsilon(n_star, pilot_variances[i],
-                                     epsilon_prime);
-      if (need[i] <= 0.0) all_feasible = false;
+    for (size_t i = 0; i < k && all_feasible; ++i) {
+      all_feasible = EmpiricalBernsteinEpsilon(n_star, 0.5,
+                                               pilot_variances[i]) <=
+                     epsilon_prime;
     }
     if (all_feasible || n_star >= n_max) break;
     n_star = std::min(n_star * 2, n_max);
+  }
+  std::vector<double> need(k);
+  for (size_t i = 0; i < k; ++i) {
+    need[i] = SolveDeltaForEpsilon(n_star, pilot_variances[i], epsilon_prime);
   }
   // Any still-infeasible hypothesis (variance too high even at Nmax) gets
   // the smallest positive need so the rescale below still covers it; the

@@ -112,7 +112,6 @@ TEST(BfsHybridDifferential, BrandesPolicyIndependentWithinTolerance) {
 /// sampled paths are bitwise identical — the contract that lets the
 /// determinism stress run with the hybrid kernel on and off.
 void ExpectSamplerPolicyInvariant(PathSampler& a, PathSampler& b,
-                                  uint32_t comp,
                                   const std::vector<NodeId>& nodes,
                                   SamplingStrategy strategy, uint64_t seed) {
   a.set_traversal(TraversalPolicy::kTopDown);
@@ -122,8 +121,8 @@ void ExpectSamplerPolicyInvariant(PathSampler& a, PathSampler& b,
   for (size_t i = 0; i + 1 < nodes.size(); ++i) {
     NodeId s = nodes[i], t = nodes[i + 1];
     if (s == t) continue;
-    bool ok_a = a.SampleUniformPath(s, t, comp, strategy, &rng_a, &pa);
-    bool ok_b = b.SampleUniformPath(s, t, comp, strategy, &rng_b, &pb);
+    bool ok_a = a.SampleUniformPath(s, t, strategy, &rng_a, &pa);
+    bool ok_b = b.SampleUniformPath(s, t, strategy, &rng_b, &pb);
     ASSERT_EQ(ok_a, ok_b);
     if (!ok_a) continue;
     EXPECT_EQ(pa.nodes, pb.nodes) << "s=" << s << " t=" << t;
@@ -142,7 +141,7 @@ TEST(PathSamplerHybridDifferential, GlobalSubstrateBothStrategies) {
   for (SamplingStrategy strategy : {SamplingStrategy::kBidirectional,
                                     SamplingStrategy::kUnidirectional}) {
     PathSampler a(g, nullptr), b(g, nullptr);
-    ExpectSamplerPolicyInvariant(a, b, kInvalidComp, nodes, strategy, 99);
+    ExpectSamplerPolicyInvariant(a, b, nodes, strategy, 99);
   }
 }
 
@@ -165,12 +164,10 @@ TEST(PathSamplerHybridDifferential, ComponentViewSubstrate) {
       NodeId ls = static_cast<NodeId>(pick.UniformInt(size));
       NodeId lt = static_cast<NodeId>(pick.UniformInt(size));
       if (ls == lt) continue;
-      NodeId s = isp.views().ToGlobal(c, ls);
-      NodeId t = isp.views().ToGlobal(c, lt);
-      ASSERT_TRUE(a.SampleUniformPath(s, t, c, SamplingStrategy::kBidirectional,
-                                      &rng_a, &pa));
-      ASSERT_TRUE(b.SampleUniformPath(s, t, c, SamplingStrategy::kBidirectional,
-                                      &rng_b, &pb));
+      ASSERT_TRUE(a.SampleRestrictedPath(
+          c, ls, lt, SamplingStrategy::kBidirectional, &rng_a, &pa));
+      ASSERT_TRUE(b.SampleRestrictedPath(
+          c, ls, lt, SamplingStrategy::kBidirectional, &rng_b, &pb));
       EXPECT_EQ(pa.nodes, pb.nodes);
       EXPECT_EQ(pa.num_paths, pb.num_paths);
     }
@@ -189,8 +186,7 @@ TEST(PathSamplerHybridDifferential, HybridFiresOnDenseComponent) {
   uint32_t bottom_up = 0;
   for (NodeId t = 1; t <= 50; ++t) {
     ASSERT_TRUE(sampler.SampleUniformPath(
-        1, t == 1 ? 51 : t, kInvalidComp,
-        SamplingStrategy::kUnidirectional, &rng, &path));
+        1, t == 1 ? 51 : t, SamplingStrategy::kUnidirectional, &rng, &path));
     bottom_up += sampler.last_bottom_up_levels();
   }
   EXPECT_GT(bottom_up, 0u);

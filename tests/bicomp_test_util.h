@@ -118,8 +118,10 @@ inline void ExpectBccBitwiseEqual(const BiconnectedComponents& a,
   EXPECT_EQ(a.cutpoint_comp_count_, b.cutpoint_comp_count_) << what;
 }
 
-/// Every field of `got` equals a fresh index of the same CSR, and a fixed
-/// Rng draws the same component/source/target sequence from both.
+/// Every field of `got` equals a fresh index of the same CSR, `got`'s views
+/// list each block's members as its decomposition does (so a member index
+/// is a local id, which restricted draws rely on), and a fixed Rng draws
+/// the same component/source/target sequence from both.
 inline void ExpectSameIndex(const IspIndex& got, const IspIndex& want,
                      const std::string& what) {
   ExpectBccBitwiseEqual(got.bcc(), want.bcc(), what);
@@ -140,6 +142,12 @@ inline void ExpectSameIndex(const IspIndex& got, const IspIndex& want,
   EXPECT_EQ(got.views().max_component_size(),
             want.views().max_component_size())
       << what;
+  ASSERT_EQ(got.views().num_components(), got.num_components()) << what;
+  for (uint32_t c = 0; c < got.num_components(); ++c) {
+    EXPECT_TRUE(std::ranges::equal(got.views().nodes(c),
+                                   got.bcc().component_nodes[c]))
+        << what << " members of block " << c;
+  }
   EXPECT_TRUE(std::ranges::equal(got.tree().reach(), want.tree().reach()))
       << what;
   EXPECT_EQ(got.tree().conn_size_of_comp_table(),

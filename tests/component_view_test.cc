@@ -204,14 +204,14 @@ TEST(ComponentViewSampling, RestrictedPathsStayInComponent) {
   std::set<NodeId> pent_nodes(isp.bcc().component_nodes[pent].begin(),
                               isp.bcc().component_nodes[pent].end());
   for (int i = 0; i < 2000; ++i) {
-    NodeId s = isp.bcc().component_nodes[pent][rng.UniformInt(5)];
-    NodeId t = isp.bcc().component_nodes[pent][rng.UniformInt(5)];
-    if (s == t) continue;
-    ASSERT_TRUE(sampler.SampleUniformPath(s, t, pent,
-                                          SamplingStrategy::kBidirectional,
-                                          &rng, &path));
-    EXPECT_EQ(path.nodes.front(), s);
-    EXPECT_EQ(path.nodes.back(), t);
+    const NodeId ls = static_cast<NodeId>(rng.UniformInt(5));
+    const NodeId lt = static_cast<NodeId>(rng.UniformInt(5));
+    if (ls == lt) continue;
+    ASSERT_TRUE(sampler.SampleRestrictedPath(pent, ls, lt,
+                                             SamplingStrategy::kBidirectional,
+                                             &rng, &path));
+    EXPECT_EQ(path.nodes.front(), isp.bcc().component_nodes[pent][ls]);
+    EXPECT_EQ(path.nodes.back(), isp.bcc().component_nodes[pent][lt]);
     for (NodeId v : path.nodes) ASSERT_TRUE(pent_nodes.count(v) > 0);
     for (size_t j = 1; j < path.nodes.size(); ++j) {
       EXPECT_TRUE(g.HasEdge(path.nodes[j - 1], path.nodes[j]));
@@ -248,11 +248,11 @@ TEST(ComponentViewSampling, Fig2DistributionMatchesExactLaw) {
   PathSample path;
   Rng rng(21);
   for (int i = 0; i < kDraws; ++i) {
-    NodeId s = members[rng.UniformInt(5)];
-    NodeId t = members[rng.UniformInt(5)];
-    if (s == t) continue;
-    ASSERT_TRUE(view.SampleUniformPath(
-        s, t, pent, SamplingStrategy::kBidirectional, &rng, &path));
+    const NodeId ls = static_cast<NodeId>(rng.UniformInt(5));
+    const NodeId lt = static_cast<NodeId>(rng.UniformInt(5));
+    if (ls == lt) continue;
+    ASSERT_TRUE(view.SampleRestrictedPath(
+        pent, ls, lt, SamplingStrategy::kBidirectional, &rng, &path));
     ++view_counts[PathKey(path.nodes)];
   }
   // Same support...
@@ -311,9 +311,8 @@ TEST(ComponentViewSampling, SigmaMatchesBlockSubgraphBfsOnRandomGraphs) {
       const NodeId ls = static_cast<NodeId>(rng.UniformInt(nodes.size()));
       const NodeId lt = static_cast<NodeId>(rng.UniformInt(nodes.size()));
       if (ls == lt) continue;
-      ASSERT_TRUE(view.SampleUniformPath(nodes[ls], nodes[lt], c,
-                                         SamplingStrategy::kBidirectional,
-                                         &rng, &pv));
+      ASSERT_TRUE(view.SampleRestrictedPath(
+          c, ls, lt, SamplingStrategy::kBidirectional, &rng, &pv));
       // σ_st and the shortest-path length are deterministic quantities:
       // the view sampler must reproduce the block subgraph's BFS exactly.
       const SpDag dag = BfsWithCounts(BlockSubgraph(g, nodes), ls);
@@ -334,21 +333,21 @@ TEST(ComponentViewSampling, UnidirectionalAgreesWithBidirectional) {
         static_cast<uint32_t>(rng.UniformInt(isp.bcc().num_components));
     const auto& nodes = isp.bcc().component_nodes[c];
     if (nodes.size() < 2) continue;
-    NodeId s = nodes[rng.UniformInt(nodes.size())];
-    NodeId t = nodes[rng.UniformInt(nodes.size())];
+    const NodeId s = static_cast<NodeId>(rng.UniformInt(nodes.size()));
+    const NodeId t = static_cast<NodeId>(rng.UniformInt(nodes.size()));
     if (s == t) continue;
-    ASSERT_TRUE(sampler.SampleUniformPath(
-        s, t, c, SamplingStrategy::kBidirectional, &rng, &bi));
-    ASSERT_TRUE(sampler.SampleUniformPath(
-        s, t, c, SamplingStrategy::kUnidirectional, &rng, &uni));
+    ASSERT_TRUE(sampler.SampleRestrictedPath(
+        c, s, t, SamplingStrategy::kBidirectional, &rng, &bi));
+    ASSERT_TRUE(sampler.SampleRestrictedPath(
+        c, s, t, SamplingStrategy::kUnidirectional, &rng, &uni));
     EXPECT_EQ(bi.length, uni.length);
     EXPECT_DOUBLE_EQ(bi.num_paths, uni.num_paths);
   }
 }
 
 TEST(ComponentViewSampling, UnrestrictedSamplingStillWorks) {
-  // A views-constructed sampler must still serve comp == kInvalidComp
-  // requests over the global graph.
+  // A views-constructed sampler must still serve unrestricted requests
+  // over the global graph.
   Graph g = MakeGraph(4, {{0, 1}, {1, 2}, {2, 3}});
   auto bcc = ComputeBiconnectedComponents(g);
   ComponentViews views(g, bcc);
@@ -356,7 +355,7 @@ TEST(ComponentViewSampling, UnrestrictedSamplingStillWorks) {
   Rng rng(1);
   PathSample path;
   ASSERT_TRUE(sampler.SampleUniformPath(
-      0, 3, kInvalidComp, SamplingStrategy::kBidirectional, &rng, &path));
+      0, 3, SamplingStrategy::kBidirectional, &rng, &path));
   EXPECT_EQ(path.nodes, (std::vector<NodeId>{0, 1, 2, 3}));
 }
 

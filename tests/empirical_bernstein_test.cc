@@ -1,6 +1,8 @@
 #include "stats/empirical_bernstein.h"
 
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -94,6 +96,87 @@ TEST(SolveDelta, ReturnsTinyWhenTrivial) {
 TEST(SolveDelta, ReturnsZeroWhenInfeasible) {
   // Tiny n, large variance, absurd target.
   EXPECT_DOUBLE_EQ(SolveDeltaForEpsilon(2, 0.25, 1e-9), 0.0);
+}
+
+// The 100-step log-bisection SolveDeltaForEpsilon ran before its closed-form
+// threshold and fixed-point exit, kept verbatim as the reference.
+double ReferenceSolveDelta(uint64_t n, double var, double target) {
+  if (EmpiricalBernsteinEpsilon(n, 0.5, var) > target) return 0.0;
+  double lo = 1e-300;
+  if (EmpiricalBernsteinEpsilon(n, lo, var) <= target) return lo;
+  double log_lo = std::log(lo), log_hi = std::log(0.5);
+  for (int iter = 0; iter < 100; ++iter) {
+    double mid = 0.5 * (log_lo + log_hi);
+    if (EmpiricalBernsteinEpsilon(n, std::exp(mid), var) <= target) {
+      log_hi = mid;
+    } else {
+      log_lo = mid;
+    }
+  }
+  return std::exp(log_hi);
+}
+
+// A seeded sweep over sample sizes, variances and targets, weighted toward
+// the edges: V = 0, n = 2, huge n, targets on the δ0 = 0.5 feasibility
+// edge and thresholds near 1e-300 and near 0.5. Every answer must carry the
+// reference's exact bits.
+TEST(SolveDelta, BitIdenticalToReferenceBisection) {
+  Rng rng(0x5eed);
+  constexpr int kCases = 120000;
+  int bisected = 0;
+  for (int i = 0; i < kCases; ++i) {
+    const uint64_t n_kind = rng.UniformInt(4);
+    uint64_t n = 2;
+    if (n_kind == 1) {
+      n += rng.UniformInt(100);
+    } else if (n_kind == 2) {
+      n += static_cast<uint64_t>(std::pow(1e12, rng.UniformDouble()));
+    } else if (n_kind == 3) {
+      n = (uint64_t{1} << 62) + rng.UniformInt(1000);
+    }
+    const uint64_t var_kind = rng.UniformInt(4);
+    double var = 0.0;
+    if (var_kind == 1) {
+      var = BernoulliSampleVariance(rng.UniformInt(n + 1), n);
+    } else if (var_kind == 2) {
+      var = 0.5 * rng.UniformDouble();
+    } else if (var_kind == 3) {
+      var = std::exp(-700.0 * rng.UniformDouble());
+    }
+    // δ0 whose bound becomes the target, or a free target.
+    double target;
+    const uint64_t mode = rng.UniformInt(6);
+    if (mode == 0) {
+      target = std::exp(std::log(1e-6) + rng.UniformDouble() * std::log(1e7));
+    } else {
+      double d0;
+      if (mode == 1) {
+        d0 = 0.5;  // the feasibility edge itself
+      } else if (mode == 2) {
+        d0 = 1e-300;  // the lower end of the bracket
+      } else if (mode == 3) {
+        d0 = 0.5 * (1.0 - std::exp(-40.0 * rng.UniformDouble()));
+      } else if (mode == 4) {
+        d0 = 1e-300 * (1.0 + std::exp(-40.0 * rng.UniformDouble()) * 1e3);
+      } else {
+        d0 = std::exp(std::log(1e-300) * rng.UniformDouble()) * 0.5;
+      }
+      target = EmpiricalBernsteinEpsilon(n, d0, var);
+      // Step a few ulps either way so both sides of every edge show up.
+      const int steps = static_cast<int>(rng.UniformInt(7)) - 3;
+      for (int k = 0; k < steps; ++k) {
+        target = std::nextafter(target, std::numeric_limits<double>::max());
+      }
+      for (int k = 0; k > steps; --k) target = std::nextafter(target, 0.0);
+    }
+    const double want = ReferenceSolveDelta(n, var, target);
+    const double got = SolveDeltaForEpsilon(n, var, target);
+    ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+        << "n=" << n << " var=" << var << " target=" << target;
+    bisected += want > 1e-300 && want <= 0.5;
+  }
+  // The sweep must mostly reach the bisection, not the early returns.
+  EXPECT_GT(bisected, kCases / 3);
 }
 
 // Statistical coverage property: the two-sided empirical Bernstein bound at

@@ -4,6 +4,7 @@
 // SampleTarget fallback paths (bridges, dominant-out-reach cutpoints) must
 // produce the exact conditional distribution.
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <string>
@@ -12,13 +13,17 @@
 
 #include "bc/exact_subspace.h"
 #include "bc/path_sampler.h"
+#include "bc/saphyra_bc.h"
 #include "bicomp/isp.h"
+#include "graph/generators.h"
 #include "test_util.h"
+#include "util/hash.h"
 
 namespace saphyra {
 namespace {
 
 using testing::AllShortestPaths;
+using testing::BaCoreWithLeaves;
 using testing::MakeGraph;
 using testing::PaperFig2Graph;
 
@@ -77,8 +82,8 @@ void RunDistributionCheck(const Graph& g, const std::vector<NodeId>& targets,
       uint32_t c = space.SampleComponent(&rng);
       NodeId s = isp.SampleSource(c, &rng);
       NodeId t = isp.SampleTarget(c, s, &rng);
-      ASSERT_TRUE(sampler.SampleUniformPath(
-          s, t, c, SamplingStrategy::kBidirectional, &rng, &path));
+      ASSERT_TRUE(sampler.SampleRestrictedPath(
+          c, s, t, SamplingStrategy::kBidirectional, &rng, &path));
       if (InExactSubspace(space, path.nodes)) continue;
       break;
     }
@@ -158,6 +163,10 @@ TEST(GenBcDistribution, TargetSamplingConditionalOnSource) {
   // r(1) = r(2) = 1.
   EXPECT_EQ(isp.OutReach(comp, 0), 5u);
   EXPECT_EQ(isp.OutReach(comp, 1), 1u);
+  // The triangle's members are {0, 1, 2}, so its member indices, which
+  // SampleTarget takes and returns, equal the node ids.
+  ASSERT_TRUE(std::ranges::equal(isp.bcc().component_nodes[comp],
+                                 std::vector<NodeId>{0, 1, 2}));
   // Conditional on s = 0: t ∈ {1,2} each with prob 1/2.
   Rng rng(6);
   int ones = 0;
@@ -176,6 +185,87 @@ TEST(GenBcDistribution, TargetSamplingConditionalOnSource) {
     zeros += (t == 0);
   }
   EXPECT_NEAR(zeros / static_cast<double>(kDraws), 5.0 / 6.0, 0.02);
+}
+
+// Golden sample streams. Gen_bc's output for a fixed seed is part of the
+// determinism contract (served bytes are a pure function of the seed), so
+// a kernel change that only makes sampling faster must leave these digests
+// alone. Each digest folds 2,000 draws and the Rng's next draw after them,
+// so a change in how many random numbers a draw consumes shows too.
+constexpr int kGoldenDraws = 2000;
+
+// FNV-1a over the hit lists of SampleApproxLosses with every node a
+// target: each draw's hits are its path's inner nodes, in path order.
+uint64_t ApproxLossStreamDigest(const Graph& g, uint64_t seed) {
+  IspIndex isp(g);
+  std::vector<NodeId> all(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) all[v] = v;
+  SaphyraBcOptions options;
+  auto problem = MakeSaphyraBcSamplingProblem(isp, all, options);
+  Rng rng(seed);
+  Fnv1a64 h;
+  std::vector<uint32_t> hits;
+  for (int i = 0; i < kGoldenDraws; ++i) {
+    hits.clear();
+    problem->SampleApproxLosses(&rng, &hits);
+    h.UpdateValue(static_cast<uint64_t>(hits.size()));
+    for (uint32_t x : hits) h.UpdateValue(x);
+  }
+  h.UpdateValue(rng.Next());
+  return h.Digest();
+}
+
+// FNV-1a over the multistage draw (Algorithm 2, no rejection) of the whole
+// ISP space: every path's nodes, σ_st and length, alternating the
+// bidirectional and unidirectional strategies.
+uint64_t KernelStreamDigest(const Graph& g, uint64_t seed) {
+  IspIndex isp(g);
+  std::vector<NodeId> all(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) all[v] = v;
+  PersonalizedSpace space(isp, all);
+  PathSampler sampler(g, &isp.views());
+  Rng rng(seed);
+  Fnv1a64 h;
+  PathSample path;
+  for (int i = 0; i < kGoldenDraws; ++i) {
+    const SamplingStrategy strategy = i % 2 == 0
+                                          ? SamplingStrategy::kBidirectional
+                                          : SamplingStrategy::kUnidirectional;
+    const uint32_t c = space.SampleComponent(&rng);
+    const NodeId s = isp.SampleSource(c, &rng);
+    const NodeId t = isp.SampleTarget(c, s, &rng);
+    EXPECT_TRUE(sampler.SampleRestrictedPath(c, s, t, strategy, &rng, &path));
+    h.UpdateValue(c);
+    h.UpdateValue(static_cast<uint64_t>(path.nodes.size()));
+    for (NodeId v : path.nodes) h.UpdateValue(v);
+    h.UpdateValue(path.num_paths);
+    h.UpdateValue(path.length);
+  }
+  h.UpdateValue(rng.Next());
+  return h.Digest();
+}
+
+Graph GoldenSocialGraph() { return BaCoreWithLeaves(300, 300, 11); }
+Graph GoldenRoadGraph() { return RoadGrid(24, 24, 0.8, 13).graph; }
+
+TEST(GenBcGoldenStream, ApproxLossesSocial) {
+  EXPECT_EQ(ApproxLossStreamDigest(GoldenSocialGraph(), 21),
+            16049274538243907970ULL);
+}
+
+TEST(GenBcGoldenStream, ApproxLossesRoad) {
+  EXPECT_EQ(ApproxLossStreamDigest(GoldenRoadGraph(), 22),
+            13295307494812954908ULL);
+}
+
+TEST(GenBcGoldenStream, KernelSocial) {
+  EXPECT_EQ(KernelStreamDigest(GoldenSocialGraph(), 23),
+            6625237654003446669ULL);
+}
+
+TEST(GenBcGoldenStream, KernelRoad) {
+  EXPECT_EQ(KernelStreamDigest(GoldenRoadGraph(), 24),
+            11072268100609402253ULL);
 }
 
 }  // namespace

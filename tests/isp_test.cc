@@ -140,7 +140,12 @@ TEST(IspIndex, MultistageSamplingMatchesPairMass) {
     uint32_t c = space.SampleComponent(&rng);
     NodeId s = isp.SampleSource(c, &rng);
     NodeId t = isp.SampleTarget(c, s, &rng);
-    ++counts[{s, t}];
+    // Both draws are member indices of c.
+    const auto& members = isp.bcc().component_nodes[c];
+    ASSERT_LT(s, members.size());
+    ASSERT_LT(t, members.size());
+    ASSERT_NE(s, t);
+    ++counts[{members[s], members[t]}];
   }
   // Compare a handful of representative pairs.
   double total_checked = 0.0;

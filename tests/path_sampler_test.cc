@@ -35,8 +35,7 @@ TEST_P(PathSamplerStrategies, FindsTheUniquePath) {
   PathSampler sampler(g, nullptr);
   Rng rng(1);
   PathSample path;
-  ASSERT_TRUE(sampler.SampleUniformPath(0, 3, kInvalidComp, GetParam(), &rng,
-                                        &path));
+  ASSERT_TRUE(sampler.SampleUniformPath(0, 3, GetParam(), &rng, &path));
   EXPECT_EQ(path.nodes, (std::vector<NodeId>{0, 1, 2, 3}));
   EXPECT_EQ(path.length, 3u);
   EXPECT_DOUBLE_EQ(path.num_paths, 1.0);
@@ -47,8 +46,7 @@ TEST_P(PathSamplerStrategies, AdjacentPairIsLengthOne) {
   PathSampler sampler(g, nullptr);
   Rng rng(2);
   PathSample path;
-  ASSERT_TRUE(sampler.SampleUniformPath(0, 1, kInvalidComp, GetParam(), &rng,
-                                        &path));
+  ASSERT_TRUE(sampler.SampleUniformPath(0, 1, GetParam(), &rng, &path));
   EXPECT_EQ(path.nodes, (std::vector<NodeId>{0, 1}));
   EXPECT_EQ(path.length, 1u);
 }
@@ -58,8 +56,7 @@ TEST_P(PathSamplerStrategies, UnreachableReturnsFalse) {
   PathSampler sampler(g, nullptr);
   Rng rng(3);
   PathSample path;
-  EXPECT_FALSE(sampler.SampleUniformPath(0, 3, kInvalidComp, GetParam(), &rng,
-                                         &path));
+  EXPECT_FALSE(sampler.SampleUniformPath(0, 3, GetParam(), &rng, &path));
   EXPECT_FALSE(path.found);
 }
 
@@ -69,8 +66,7 @@ TEST_P(PathSamplerStrategies, CountsAllShortestPaths) {
   PathSampler sampler(g, nullptr);
   Rng rng(4);
   PathSample path;
-  ASSERT_TRUE(sampler.SampleUniformPath(0, 2, kInvalidComp, GetParam(), &rng,
-                                        &path));
+  ASSERT_TRUE(sampler.SampleUniformPath(0, 2, GetParam(), &rng, &path));
   EXPECT_DOUBLE_EQ(path.num_paths, 2.0);
   EXPECT_EQ(path.length, 2u);
 }
@@ -85,8 +81,7 @@ TEST_P(PathSamplerStrategies, SigmaMatchesEnumerationOnRandomGraphs) {
       for (NodeId t = 0; t < g.num_nodes(); t += 2) {
         if (s == t) continue;
         auto paths = AllShortestPaths(g, s, t);
-        ASSERT_TRUE(sampler.SampleUniformPath(s, t, kInvalidComp, GetParam(),
-                                              &rng, &path));
+        ASSERT_TRUE(sampler.SampleUniformPath(s, t, GetParam(), &rng, &path));
         EXPECT_DOUBLE_EQ(path.num_paths,
                          static_cast<double>(paths.size()))
             << s << "->" << t;
@@ -105,8 +100,7 @@ TEST_P(PathSamplerStrategies, SampledPathsAreValidShortestPaths) {
     NodeId s = static_cast<NodeId>(rng.UniformInt(g.num_nodes()));
     NodeId t = static_cast<NodeId>(rng.UniformInt(g.num_nodes()));
     if (s == t) continue;
-    ASSERT_TRUE(sampler.SampleUniformPath(s, t, kInvalidComp, GetParam(),
-                                          &rng, &path));
+    ASSERT_TRUE(sampler.SampleUniformPath(s, t, GetParam(), &rng, &path));
     ASSERT_GE(path.nodes.size(), 2u);
     EXPECT_EQ(path.nodes.front(), s);
     EXPECT_EQ(path.nodes.back(), t);
@@ -129,8 +123,7 @@ TEST_P(PathSamplerStrategies, UniformOverAllShortestPaths) {
   std::map<std::string, int> counts;
   constexpr int kDraws = 20000;
   for (int i = 0; i < kDraws; ++i) {
-    ASSERT_TRUE(sampler.SampleUniformPath(0, 5, kInvalidComp, GetParam(),
-                                          &rng, &path));
+    ASSERT_TRUE(sampler.SampleUniformPath(0, 5, GetParam(), &rng, &path));
     ++counts[PathKey(path.nodes)];
   }
   ASSERT_EQ(counts.size(), 2u);
@@ -151,8 +144,7 @@ TEST_P(PathSamplerStrategies, UniformityOnDiamondLattice) {
   std::map<std::string, int> counts;
   constexpr int kDraws = 30000;
   for (int i = 0; i < kDraws; ++i) {
-    ASSERT_TRUE(sampler.SampleUniformPath(0, 5, kInvalidComp, GetParam(),
-                                          &rng, &path));
+    ASSERT_TRUE(sampler.SampleUniformPath(0, 5, GetParam(), &rng, &path));
     ++counts[PathKey(path.nodes)];
   }
   ASSERT_EQ(counts.size(), 3u);
@@ -178,12 +170,12 @@ TEST(PathSampler, ComponentRestrictionStaysInComponent) {
                               bcc.component_nodes[pent].end());
   for (int i = 0; i < 2000; ++i) {
     // Sample paths between pentagon members only.
-    NodeId s = bcc.component_nodes[pent][rng.UniformInt(5)];
-    NodeId t = bcc.component_nodes[pent][rng.UniformInt(5)];
+    const NodeId s = static_cast<NodeId>(rng.UniformInt(5));
+    const NodeId t = static_cast<NodeId>(rng.UniformInt(5));
     if (s == t) continue;
-    ASSERT_TRUE(sampler.SampleUniformPath(s, t, pent,
-                                          SamplingStrategy::kBidirectional,
-                                          &rng, &path));
+    ASSERT_TRUE(sampler.SampleRestrictedPath(pent, s, t,
+                                             SamplingStrategy::kBidirectional,
+                                             &rng, &path));
     for (NodeId v : path.nodes) ASSERT_TRUE(pent_nodes.count(v) > 0);
   }
 }
@@ -198,9 +190,9 @@ TEST(PathSampler, RestrictionChangesDistances) {
   PathSampler sampler(g, &views);
   Rng rng(10);
   PathSample path;
-  ASSERT_TRUE(sampler.SampleUniformPath(0, 2, square,
-                                        SamplingStrategy::kBidirectional,
-                                        &rng, &path));
+  ASSERT_TRUE(sampler.SampleRestrictedPath(
+      square, views.ToLocal(square, 0), views.ToLocal(square, 2),
+      SamplingStrategy::kBidirectional, &rng, &path));
   EXPECT_EQ(path.length, 2u);
   EXPECT_DOUBLE_EQ(path.num_paths, 2.0);
 }
@@ -215,9 +207,9 @@ TEST(PathSampler, BidirectionalAgreesWithUnidirectionalSigma) {
     NodeId t = static_cast<NodeId>(rng.UniformInt(g.num_nodes()));
     if (s == t) continue;
     ASSERT_TRUE(sampler.SampleUniformPath(
-        s, t, kInvalidComp, SamplingStrategy::kBidirectional, &rng, &bi));
+        s, t, SamplingStrategy::kBidirectional, &rng, &bi));
     ASSERT_TRUE(sampler.SampleUniformPath(
-        s, t, kInvalidComp, SamplingStrategy::kUnidirectional, &rng, &uni));
+        s, t, SamplingStrategy::kUnidirectional, &rng, &uni));
     EXPECT_EQ(bi.length, uni.length);
     EXPECT_DOUBLE_EQ(bi.num_paths, uni.num_paths);
   }
@@ -228,7 +220,7 @@ TEST(PathSampler, ArcsScannedReported) {
   PathSampler sampler(g, nullptr);
   Rng rng(61);
   PathSample path;
-  ASSERT_TRUE(sampler.SampleUniformPath(0, 49, kInvalidComp,
+  ASSERT_TRUE(sampler.SampleUniformPath(0, 49,
                                         SamplingStrategy::kBidirectional,
                                         &rng, &path));
   EXPECT_GT(sampler.last_arcs_scanned(), 0u);
