@@ -48,16 +48,19 @@ struct ViewAdj {
 PathSampler::PathSampler(const Graph& g, const ComponentViews* views)
     : g_(g),
       views_(views),
-      regular_domain_(g.max_degree() <= kRegularGraphMaxDegree) {
-  // Local ids never exceed global ones, so n-sized scratch covers both the
-  // unrestricted global path and every component view; restricted samples
-  // only ever touch the first |C| entries of the state array.
+      regular_domain_(g.max_degree() <= kRegularGraphMaxDegree) {}
+
+void PathSampler::ReserveScratch(NodeId domain) {
+  if (domain <= scratch_size_) return;
+  // Fresh slots carry epoch 0, which no open epoch ever equals, so they
+  // read as unvisited; the frontiers are cleared by InitSide anyway.
   for (Side* side : {&fwd_, &bwd_}) {
-    side->state.assign(g.num_nodes(), NodeState{0, kNoDist, 0.0});
-    side->frontier.Reset(g.num_nodes());
-    side->next.Reset(g.num_nodes());
-    side->unvisited.resize(g.num_nodes());
+    side->state.resize(domain, NodeState{0, kNoDist, 0.0});
+    side->frontier.Reset(domain);
+    side->next.Reset(domain);
+    side->unvisited.resize(domain);
   }
+  scratch_size_ = domain;
 }
 
 void PathSampler::InitSide(Side* side, NodeId origin, uint64_t origin_cost) {
@@ -278,6 +281,7 @@ bool PathSampler::SampleUniformPath(NodeId s, NodeId t,
                                     PathSample* out) {
   SAPHYRA_CHECK(s != t);
   SAPHYRA_CHECK(s < g_.num_nodes() && t < g_.num_nodes());
+  ReserveScratch(g_.num_nodes());
   BeginSample(out);
   return Dispatch(GlobalAdj{&g_}, s, t, strategy, rng, out);
 }
@@ -290,6 +294,9 @@ bool PathSampler::SampleRestrictedPath(uint32_t comp, NodeId s, NodeId t,
   SAPHYRA_CHECK(s != t);
   SAPHYRA_CHECK_MSG(s < views_->size(comp) && t < views_->size(comp),
                     "restricted endpoints must be local ids of the component");
+  // Sized once for the largest block; size(comp) guards a max_size read
+  // from a file that understates it.
+  ReserveScratch(std::max(views_->max_component_size(), views_->size(comp)));
   BeginSample(out);
   if (!Dispatch(ViewAdj{views_, comp}, s, t, strategy, rng, out)) {
     return false;

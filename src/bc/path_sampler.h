@@ -54,8 +54,11 @@ enum class SamplingStrategy {
 ///
 /// All scratch memory is owned by the sampler and reset in O(touched) via
 /// epoch counters, so one instance can serve millions of samples with no
-/// allocation in the steady state. Instances are not thread-safe; create
-/// one per thread.
+/// allocation in the steady state. It is allocated at the first draw and
+/// sized to the domain that draw traverses — the largest block for
+/// restricted draws, n for unrestricted ones — so a sampler that never
+/// draws (an engine's clonability probe) costs O(1). Instances are not
+/// thread-safe; create one per thread.
 class PathSampler {
  public:
   /// \brief Restricted samples traverse `views`' compact per-component
@@ -129,6 +132,8 @@ class PathSampler {
     bool unvisited_valid = false;
   };
 
+  /// Grow both sides' scratch to cover local ids [0, domain).
+  void ReserveScratch(NodeId domain);
   /// Open a new epoch and clear `out`.
   void BeginSample(PathSample* out);
   void InitSide(Side* side, NodeId origin, uint64_t origin_cost);
@@ -188,6 +193,8 @@ class PathSampler {
   /// estimate above.
   bool regular_domain_ = false;
   Side fwd_, bwd_;
+  /// Ids both sides' scratch covers (ReserveScratch).
+  NodeId scratch_size_ = 0;
   uint32_t epoch_ = 0;
   uint64_t arcs_scanned_ = 0;
   uint32_t bottom_up_levels_ = 0;

@@ -93,15 +93,13 @@ SampleEngine::SampleEngine(HypothesisRankingProblem* problem,
   // pool may run workers concurrently. One probe clone is made either way,
   // because clonability must decide the logical worker count identically
   // for pooled and inline runs — a different count partitions the RNG
-  // streams differently. For the same reason clonability is all-or-
-  // nothing: a problem that clones once must keep cloning (partial
-  // clonability would silently give the two execution modes different
-  // worker counts), so a later nullptr is a hard error, not a degrade.
+  // streams differently — and inline runs drop it once it has answered.
+  // For the same reason clonability is all-or-nothing: a problem that
+  // clones once must keep cloning (partial clonability would silently give
+  // the two execution modes different worker counts), so a later nullptr
+  // is a hard error, not a degrade.
   if (num_workers > 1 && pool_ == nullptr) {
-    auto probe = problem->CloneForSampling();
-    if (probe != nullptr) {
-      clones_.push_back(std::move(probe));
-      workers_.push_back(clones_.back().get());
+    if (problem->CloneForSampling() != nullptr) {
       workers_.resize(num_workers, problem);
     }
   } else {

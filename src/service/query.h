@@ -151,7 +151,7 @@ QueryCacheKey MakeQueryCacheKey(uint64_t graph_fingerprint,
 /// \brief How a result was produced, for the latency accounting.
 enum class ServeMode : uint8_t {
   kComputed = 0,  ///< ran the estimator
-  kMemoized = 1,  ///< copied from the completed-results LRU
+  kMemoized = 1,  ///< copied from the completed-results memo
   kDeduped = 2,   ///< shared another in-flight execution of the same key
 };
 

@@ -11,27 +11,17 @@
 #include "util/timer.h"
 
 namespace saphyra {
-namespace {
-
-// Actual footprint of a memo entry: the canonical encoding is stored
-// twice (LRU node + index key), the result's payload vectors dominate
-// everything else, and the fixed overhead stands in for the two node
-// structures and the QueryResult scalars.
-size_t MemoEntryCost(const std::string& canonical, const QueryResult& res) {
-  return 2 * canonical.size() + res.id.size() + res.graph.size() +
-         res.nodes.size() * sizeof(NodeId) +
-         res.estimates.size() * sizeof(double) + 160;
-}
-
-}  // namespace
-
 BatchScheduler::BatchScheduler(QuerySession* session,
                                const SchedulerOptions& options)
-    : session_(session), options_(options) {}
+    : session_(session),
+      options_(options),
+      memo_(options.memo_capacity, options.memo_capacity_bytes) {}
 
 BatchScheduler::BatchScheduler(SessionPool* pool,
                                const SchedulerOptions& options)
-    : pool_(pool), options_(options) {}
+    : pool_(pool),
+      options_(options),
+      memo_(options.memo_capacity, options.memo_capacity_bytes) {}
 
 Status BatchScheduler::ResolveSession(const std::string& graph,
                                       std::shared_ptr<QuerySession>* out) {
@@ -46,44 +36,6 @@ Status BatchScheduler::ResolveSession(const std::string& graph,
   *out = std::shared_ptr<QuerySession>(std::shared_ptr<QuerySession>(),
                                        session_);
   return Status::OK();
-}
-
-std::shared_ptr<const QueryResult> BatchScheduler::LookupMemoLocked(
-    const QueryCacheKey& key) {
-  auto it = memo_index_.find(key.canonical);
-  if (it == memo_index_.end()) return nullptr;
-  memo_.splice(memo_.begin(), memo_, it->second);  // touch
-  return it->second->result;
-}
-
-void BatchScheduler::InsertMemoLocked(
-    const QueryCacheKey& key, std::shared_ptr<const QueryResult> result) {
-  if (options_.memo_capacity == 0) return;
-  auto it = memo_index_.find(key.canonical);
-  if (it != memo_index_.end()) {
-    // A racing duplicate already inserted; the determinism contract says
-    // the bytes are identical, so just refresh recency.
-    memo_.splice(memo_.begin(), memo_, it->second);
-    return;
-  }
-  const size_t cost = MemoEntryCost(key.canonical, *result);
-  if (options_.memo_capacity_bytes != 0 &&
-      cost > options_.memo_capacity_bytes) {
-    // Caching this one result would evict the entire memo and still bust
-    // the budget; serve it uncached instead.
-    return;
-  }
-  memo_.push_front({key.canonical, cost, std::move(result)});
-  memo_bytes_ += cost;
-  memo_index_[key.canonical] = memo_.begin();
-  while (memo_.size() > options_.memo_capacity ||
-         (options_.memo_capacity_bytes != 0 &&
-          memo_bytes_ > options_.memo_capacity_bytes)) {
-    memo_bytes_ -= memo_.back().bytes;
-    memo_index_.erase(memo_.back().canonical);
-    memo_.pop_back();
-    ++stats_.evictions;
-  }
 }
 
 QueryResult BatchScheduler::RunUpdate(QuerySession* session,
@@ -191,7 +143,7 @@ QueryResult BatchScheduler::Run(const QueryRequest& request) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     ++stats_.queries;
-    memo_hit = LookupMemoLocked(key);
+    memo_hit = memo_.Lookup(key.canonical);
     if (memo_hit != nullptr) {
       ++stats_.memo_hits;
     } else {
@@ -318,7 +270,11 @@ QueryResult BatchScheduler::Run(const QueryRequest& request) {
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (memo_entry != nullptr) InsertMemoLocked(key, std::move(memo_entry));
+    // Charged with the run's own compute seconds (shard RPCs included):
+    // the eviction rule keeps what is dear to recompute.
+    if (memo_entry != nullptr) {
+      memo_.Insert(key.canonical, std::move(memo_entry), res.seconds);
+    }
     if (!res.status.ok()) {
       ++stats_.errors;  // shed/expired/failed: visible in the error count
       if (res.status.code() == StatusCode::kCancelled) ++stats_.cancelled;
@@ -364,7 +320,9 @@ std::vector<QueryResult> BatchScheduler::RunBatch(
 SchedulerStats BatchScheduler::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   SchedulerStats snapshot = stats_;
-  snapshot.memo_bytes = memo_bytes_;
+  snapshot.evictions = memo_.evictions();
+  snapshot.memo_bytes = memo_.bytes();
+  snapshot.memo_saved_seconds = memo_.saved_seconds();
   snapshot.queued = waiting_;
   return snapshot;
 }

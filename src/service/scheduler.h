@@ -7,8 +7,11 @@
 /// runs on its own driver thread; sample generation inside them shares
 /// SharedThreadPool through per-call task groups), collapses identical
 /// in-flight requests onto one execution, and memoizes completed results
-/// in an LRU keyed by the canonical query encoding — which includes the
-/// graph's content fingerprint, so results can never leak across graphs.
+/// keyed by the canonical query encoding — which includes the graph's
+/// content fingerprint, so results can never leak across graphs. The memo
+/// (service/memo_cache.h) evicts by GreedyDual-frequency credit, charged
+/// with each result's measured compute time, so it keeps the answers that
+/// are dearest to recompute and still asked for.
 ///
 /// A scheduler fronts either one QuerySession (the single-graph servers
 /// and tests) or a SessionPool (multi-graph tenancy): each admitted
@@ -38,12 +41,12 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
 
+#include "service/memo_cache.h"
 #include "service/query.h"
 #include "service/session.h"
 #include "service/session_pool.h"
@@ -58,15 +61,15 @@ struct SchedulerOptions {
   /// also the RunBatch driver count. Enforced inside Run(), so direct
   /// concurrent callers queue for a slot too.
   uint32_t max_concurrent = 1;
-  /// Completed-result LRU capacity in entries (0 disables memoization).
+  /// Completed-result memo capacity in entries (0 disables memoization).
   size_t memo_capacity = 64;
-  /// Byte budget of the memo LRU (0 = unbounded). Entries are charged
-  /// their actual footprint — O(|targets|) for subset queries but O(n)
-  /// for whole-network results (bc-full, targetless baselines) — so one
-  /// big result displaces proportionally many small ones instead of
-  /// counting as "1 of 64". A result larger than the whole budget is
-  /// served but not cached. Evictions happen when either this or
-  /// memo_capacity is exceeded.
+  /// Byte budget of the memo (0 = unbounded). Entries are charged their
+  /// actual footprint (MemoCache::EntryBytes) — O(|targets|) for subset
+  /// queries but O(n) for whole-network results (bc-full, targetless
+  /// baselines) — so one big result displaces proportionally many small
+  /// ones instead of counting as "1 of 64". A result larger than the
+  /// whole budget is served but not cached. Evictions happen when either
+  /// this or memo_capacity is exceeded.
   size_t memo_capacity_bytes = 64ull << 20;
   /// Admission bound: queries queued for an execution slot beyond this
   /// many are shed immediately with RESOURCE_EXHAUSTED instead of
@@ -99,15 +102,18 @@ struct SchedulerStats {
   /// publish (UpdateOutcome::index_reused).
   uint64_t updates_index_reused = 0;
   uint64_t computed = 0;     ///< estimator executions
-  uint64_t memo_hits = 0;    ///< served from the LRU
+  uint64_t memo_hits = 0;    ///< served from the memo
   uint64_t dedup_hits = 0;   ///< shared an in-flight execution
   uint64_t errors = 0;       ///< requests answered with an error status
-  uint64_t evictions = 0;    ///< LRU entries displaced
+  uint64_t evictions = 0;    ///< memo entries displaced
   uint64_t shed = 0;         ///< rejected at admission (RESOURCE_EXHAUSTED)
   uint64_t degraded = 0;     ///< answered from a deadline-truncated run
   uint64_t cancelled = 0;    ///< answered CANCELLED (server shutdown)
-  uint64_t memo_bytes = 0;   ///< gauge: current memo LRU footprint
+  uint64_t memo_bytes = 0;   ///< gauge: current memo footprint
   uint64_t queued = 0;       ///< gauge: queries waiting for a slot now
+  /// Σ over memo hits of the hit entry's recorded compute seconds: the
+  /// estimator time the memo spared.
+  double memo_saved_seconds = 0.0;
 };
 
 /// \brief Concurrent query front door over warm sessions.
@@ -142,16 +148,6 @@ class BatchScheduler {
     QueryResult result;
     std::condition_variable cv;
   };
-  /// Memoized results are immutable and shared by pointer, so a hit under
-  /// the lock is a refcount bump, not an O(|result|) copy — the per-caller
-  /// copy (id/mode adjustment) happens outside mu_.
-  struct MemoEntry {
-    std::string canonical;
-    /// Byte cost charged against memo_capacity_bytes, fixed at insertion.
-    size_t bytes = 0;
-    std::shared_ptr<const QueryResult> result;
-  };
-
   /// Pin the session the request routes to: the pool's (loading it if
   /// cold) in pool mode, the borrowed single session otherwise.
   Status ResolveSession(const std::string& graph,
@@ -165,13 +161,6 @@ class BatchScheduler {
   /// the coordinator and its workers.
   QueryResult RunUpdate(QuerySession* session, const QueryRequest& request,
                         const QueryRequest& canonical);
-
-  /// Memo lookup + LRU touch; non-null on hit. Caller holds mu_.
-  std::shared_ptr<const QueryResult> LookupMemoLocked(
-      const QueryCacheKey& key);
-  /// Insert a completed ok result. Caller holds mu_.
-  void InsertMemoLocked(const QueryCacheKey& key,
-                        std::shared_ptr<const QueryResult> result);
 
   QuerySession* session_ = nullptr;  ///< single-graph mode
   SessionPool* pool_ = nullptr;      ///< multi-graph mode
@@ -191,10 +180,9 @@ class BatchScheduler {
   uint32_t running_ = 0;
   size_t waiting_ = 0;
   std::condition_variable slot_cv_;
-  /// LRU list, most-recent first, with an index by canonical encoding.
-  std::list<MemoEntry> memo_;
-  size_t memo_bytes_ = 0;
-  std::map<std::string, std::list<MemoEntry>::iterator> memo_index_;
+  /// Completed ok results, guarded by mu_; a hit hands out the shared
+  /// immutable result and the per-caller copy happens outside mu_.
+  MemoCache memo_;
   std::map<std::string, std::shared_ptr<Inflight>> inflight_;
 };
 

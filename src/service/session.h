@@ -97,7 +97,7 @@ class GraphSnapshot {
   /// \brief Epoch 0: the content digest of the loaded graph (from the
   /// `.sgr` header when recorded, computed otherwise). Epoch e+1: the
   /// previous epoch's fingerprint chained with the mutation
-  /// (ChainMutationFingerprint). Keys the scheduler's memo LRU and the
+  /// (ChainMutationFingerprint). Keys the scheduler's memo and the
   /// sharded tier's worker state, so results computed against one epoch
   /// can never serve another.
   uint64_t fingerprint() const { return fingerprint_; }

@@ -6,7 +6,7 @@
 /// stable, process-independent content digest: the `.sgr` graph content
 /// fingerprint (graph/binary_io.h) and the serving layer's canonical query
 /// cache keys (service/query.h). Not cryptographic — collisions are handled
-/// by the callers (the memo LRU compares full canonical encodings on hit).
+/// by the callers (the memo compares full canonical encodings on hit).
 
 #include <cstddef>
 #include <cstdint>

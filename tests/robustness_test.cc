@@ -5,7 +5,7 @@
 // failure, admission failure, deadline-degraded runs). The tests assert
 // the contract of DESIGN.md's "Degradation contract": truncation is
 // deterministic, errors are structured, and degraded or failed runs never
-// poison the memo LRU.
+// poison the memo.
 
 #include <unistd.h>
 

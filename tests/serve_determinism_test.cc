@@ -4,7 +4,7 @@
 //   * cold    — a fresh per-process-style session per query,
 //   * warm    — repeatedly on one long-lived session,
 //   * batched — concurrently with other queries through the scheduler,
-//   * memoized — served from the completed-results LRU,
+//   * memoized — served from the completed-results memo,
 // across estimator worker threads {1, 2, 8} and scheduler admission
 // concurrency {1, 2, 8}, and regardless of the text-vs-`.sgr` load path.
 // This is what makes the scheduler's memoization and dedup *correct*
@@ -178,7 +178,7 @@ TEST_F(ServeDeterminismTest, ColdEqualsWarmEqualsMemoized) {
   }
 
   // Memoized: a scheduler serves the workload twice; the second pass must
-  // come from the LRU and still carry the cold bytes.
+  // come from the memo and still carry the cold bytes.
   BatchScheduler scheduler(warm.get(), SchedulerOptions());
   for (size_t i = 0; i < workload.size(); ++i) {
     ExpectBitwiseEqual(cold[i], scheduler.Run(workload[i]),

@@ -1,6 +1,6 @@
 // Unit coverage of the serving layer's building blocks: request parsing,
 // canonicalization, cache-key semantics, QuerySession state, and the
-// BatchScheduler's memo/dedup/LRU machinery. The bitwise serving
+// BatchScheduler's memo/dedup machinery. The bitwise serving
 // determinism contract has its own suite (serve_determinism_test.cc).
 
 #include <unistd.h>
@@ -381,9 +381,14 @@ TEST(BatchSchedulerTest, MemoizationAndStats) {
   EXPECT_EQ(stats.computed, 2u);
   EXPECT_EQ(stats.memo_hits, 1u);
   EXPECT_EQ(stats.errors, 1u);
+  // The one hit spared exactly the compute time of the run it copied.
+  EXPECT_EQ(stats.memo_saved_seconds, first.seconds);
 }
 
-TEST(BatchSchedulerTest, LruEvicts) {
+// Real queries cost wall-clock noise, so which entry the memo evicts is
+// not asserted here (memo_cache_test.cc pins the order with explicit
+// costs); these checks hold under any eviction order.
+TEST(BatchSchedulerTest, MemoEvictsAtCapacity) {
   GraphFiles files(PaperFig2Graph());
   std::unique_ptr<QuerySession> session;
   ASSERT_TRUE(
@@ -397,21 +402,15 @@ TEST(BatchSchedulerTest, LruEvicts) {
   req.targets = {0, 1};
 
   req.seed = 1;
-  scheduler.Run(req);  // memo: {1}
+  EXPECT_EQ(scheduler.Run(req).mode, ServeMode::kComputed);
+  EXPECT_EQ(scheduler.Run(req).mode, ServeMode::kMemoized);  // within cap
   req.seed = 2;
-  scheduler.Run(req);  // memo: {2, 1}
-  req.seed = 1;
-  EXPECT_EQ(scheduler.Run(req).mode, ServeMode::kMemoized);  // touch 1
+  EXPECT_EQ(scheduler.Run(req).mode, ServeMode::kComputed);
+  EXPECT_EQ(scheduler.stats().evictions, 0u);
   req.seed = 3;
-  scheduler.Run(req);  // evicts 2 (least recent) -> memo: {3, 1}
-  req.seed = 2;
-  EXPECT_EQ(scheduler.Run(req).mode, ServeMode::kComputed);  // 2 is gone
-  // Re-inserting 2 evicted 1 -> memo: {2, 3}.
-  req.seed = 3;
-  EXPECT_EQ(scheduler.Run(req).mode, ServeMode::kMemoized);
-
-  const SchedulerStats stats = scheduler.stats();
-  EXPECT_GE(stats.evictions, 1u);
+  EXPECT_EQ(scheduler.Run(req).mode, ServeMode::kComputed);
+  // Three distinct results through two slots: exactly one was displaced.
+  EXPECT_EQ(scheduler.stats().evictions, 1u);
 
   // memo_capacity = 0 disables memoization entirely.
   SchedulerOptions off;
@@ -440,22 +439,17 @@ TEST(BatchSchedulerTest, MemoChargesBytesNotJustEntries) {
   ASSERT_GT(entry_bytes, 0u);
 
   // A budget of ~2.5 entries holds exactly two: the third insertion must
-  // evict the least-recent even though the 64-entry cap is nowhere near.
+  // evict one even though the 64-entry cap is nowhere near.
   SchedulerOptions opts;
   opts.memo_capacity_bytes = entry_bytes * 5 / 2;
   BatchScheduler scheduler(session.get(), opts);
-  req.seed = 1;
-  scheduler.Run(req);  // memo: {1}
-  req.seed = 2;
-  scheduler.Run(req);  // memo: {2, 1}
-  req.seed = 3;
-  scheduler.Run(req);  // bytes force out 1 -> memo: {3, 2}
-  EXPECT_GE(scheduler.stats().evictions, 1u);
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    req.seed = seed;
+    EXPECT_EQ(scheduler.Run(req).mode, ServeMode::kComputed);
+  }
+  EXPECT_EQ(scheduler.stats().evictions, 1u);
+  EXPECT_EQ(scheduler.stats().memo_bytes, 2 * entry_bytes);
   EXPECT_LE(scheduler.stats().memo_bytes, opts.memo_capacity_bytes);
-  req.seed = 2;
-  EXPECT_EQ(scheduler.Run(req).mode, ServeMode::kMemoized);
-  req.seed = 1;
-  EXPECT_EQ(scheduler.Run(req).mode, ServeMode::kComputed);
 
   // A result bigger than the whole budget is served but never cached —
   // caching it would purge the memo for a guaranteed miss.
@@ -463,7 +457,7 @@ TEST(BatchSchedulerTest, MemoChargesBytesNotJustEntries) {
   tiny.memo_capacity_bytes = entry_bytes / 2;
   BatchScheduler no_fit(session.get(), tiny);
   req.seed = 1;
-  EXPECT_EQ(no_fit.Run(req).mode, ServeMode::kComputed);
+  EXPECT_TRUE(no_fit.Run(req).status.ok());
   EXPECT_EQ(no_fit.Run(req).mode, ServeMode::kComputed);
   EXPECT_EQ(no_fit.stats().memo_bytes, 0u);
 

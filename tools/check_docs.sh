@@ -182,6 +182,26 @@ else
       fail=1
     fi
   done
+  # The memo's eviction rule and its two counters: saphyra_serve must keep
+  # emitting the keys, and serving.md must keep explaining them next to
+  # the credit formula they are read against.
+  for key in memo_evictions memo_saved_s; do
+    if ! grep -qF -- "\\\"$key\\\"" "$REPO_ROOT/tools/saphyra_serve.cc"; then
+      echo "check_docs: tools/saphyra_serve.cc no longer emits $key" >&2
+      fail=1
+    fi
+    if ! grep -qF -- "$key" "$serving_doc"; then
+      echo "check_docs: docs/serving.md no longer documents $key" >&2
+      fail=1
+    fi
+  done
+  for phrase in "Memo eviction rule (GreedyDual-frequency)" \
+                "H = L + uses × cost"; do
+    if ! grep -qF -- "$phrase" "$serving_doc"; then
+      echo "check_docs: docs/serving.md lost the memo eviction-rule paragraph ('$phrase')" >&2
+      fail=1
+    fi
+  done
   for code in INVALID_ARGUMENT DEADLINE_EXCEEDED RESOURCE_EXHAUSTED \
               CANCELLED INTERNAL UNAVAILABLE; do
     if ! grep -qF "\"$code\"" "$REPO_ROOT/src/util/status.cc"; then

@@ -9,9 +9,10 @@
 // pick their graph with a `"graph"` field ("" or absent = the first
 // registered graph); results are answered through the BatchScheduler:
 // concurrent admission, identical in-flight requests collapsed onto one
-// execution, completed results memoized in an LRU keyed by (graph
-// fingerprint, canonical query) — shared across graphs, partitioned by
-// the fingerprint. Heterogeneous queries — bc, k-path, closeness, ABRA,
+// execution, completed results memoized keyed by (graph fingerprint,
+// canonical query) — shared across graphs, partitioned by the
+// fingerprint, and evicted by GreedyDual-frequency credit charged with
+// each result's measured compute time. Heterogeneous queries — bc, k-path, closeness, ABRA,
 // KADABRA, each with its own ε/δ/seed/strategy/top-k — share the warm
 // index and thread pool.
 //
@@ -23,8 +24,8 @@
 //                 [--requests FILE]      (default: stdin; "-" = stdin)
 //                 [--concurrency N]      (default 1: serial admission)
 //                 [--threads T]          (default sampling threads, def. 1)
-//                 [--memo-capacity M]    (LRU entries, default 64; 0 = off)
-//                 [--memo-capacity-bytes B]  (LRU bytes, default 64 MiB;
+//                 [--memo-capacity M]    (memo entries, default 64; 0 = off)
+//                 [--memo-capacity-bytes B]  (memo bytes, default 64 MiB;
 //                                             0 = unbounded)
 //                 [--repeat R]           (serve the request list R times)
 //                 [--default-deadline-ms D]  (deadline for requests without
@@ -579,6 +580,8 @@ int main(int argc, char** argv) {
        << ",\"shed\":" << stats.shed
        << ",\"cancelled\":" << stats.cancelled
        << ",\"memo_bytes\":" << stats.memo_bytes
+       << ",\"memo_evictions\":" << stats.evictions
+       << ",\"memo_saved_s\":" << stats.memo_saved_seconds
        << ",\"drained\":" << (g_shutdown.load() ? "true" : "false")
        << ",\"output_closed\":" << (output_closed ? "true" : "false")
        << ",\"worker_restarts\":" << worker_restarts
