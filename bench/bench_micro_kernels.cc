@@ -86,14 +86,6 @@ const IspIndex& GridIsp() {
   return isp;
 }
 
-// Large synthetic fixture for the parallel-preprocessing measurement:
-// ~10x the other fixtures so the decomposition runs long enough for the
-// per-level barriers of the parallel pass to amortize.
-const Graph& BicompBenchFixture() {
-  static Graph g = SocialGraph(200000, 0.3, 5, 907);
-  return g;
-}
-
 const IspIndex& IspFixture(int which) {
   switch (which) {
     case 0: return SocialIsp();
@@ -590,39 +582,6 @@ Speedup MeasurePooledEngine() {
   return {"pooled_engine", base, opt};
 }
 
-/// Biconnected decomposition: the serial Hopcroft–Tarjan oracle vs the
-/// parallel Tarjan–Vishkin pass at 8 logical threads (the graph_convert
-/// default on an 8-way host). The parallel pass does ~2x the per-edge work
-/// of the serial DFS across its level-synchronous sweeps, so the ratio is
-/// hardware-bound: expect >= 2x on hosts with >= 4 physical cores and a
-/// ratio *below* 1x on single-core machines, where the sweeps run back to
-/// back (docs/benchmarks.md, "preprocess_parallel_speedup").
-Speedup MeasurePreprocessParallel() {
-  const Graph& g = BicompBenchFixture();
-  const uint32_t threads = 8;
-  {
-    // The measurement is only meaningful while the outputs stay identical.
-    BiconnectedComponents serial = ComputeBiconnectedComponents(g);
-    BiconnectedComponents par = ComputeBiconnectedComponentsParallel(g, threads);
-    SAPHYRA_CHECK(serial.arc_component == par.arc_component &&
-                  serial.is_cutpoint == par.is_cutpoint);
-  }
-  double base = 1e100, opt = 1e100;
-  for (int r = 0; r < 3; ++r) {
-    {
-      Timer timer;
-      benchmark::DoNotOptimize(ComputeBiconnectedComponents(g));
-      base = std::min(base, timer.ElapsedSeconds());
-    }
-    {
-      Timer timer;
-      benchmark::DoNotOptimize(ComputeBiconnectedComponentsParallel(g, threads));
-      opt = std::min(opt, timer.ElapsedSeconds());
-    }
-  }
-  return {"preprocess_parallel", base, opt};
-}
-
 /// Interleaved query/update serving vs the same query stream on a static
 /// warm session. Each dynamic round toggles one edge (insert on even
 /// rounds, delete on odd, so the edge set returns to base every two
@@ -737,21 +696,6 @@ void RunSpeedupSuite(const std::string& json_path) {
   results.push_back(MeasurePooledEngine());
   results.push_back(MeasureBinaryLoad());
   results.push_back(MeasureCachedPreprocess());
-  // Parallel biconnected decomposition (emitted as
-  // preprocess_parallel_speedup): serial oracle vs the Tarjan–Vishkin
-  // pass at 8 threads on the large synthetic fixture. Skipped on
-  // single-hardware-thread hosts — there the sweeps run back to back and
-  // the ratio can only measure the pass's ~2x work overhead, a hardware
-  // artifact, not a regression (docs/benchmarks.md). The JSON records the
-  // skip instead of a misleading sub-1x number.
-  const bool preprocess_parallel_skipped =
-      std::thread::hardware_concurrency() <= 1;
-  if (preprocess_parallel_skipped) {
-    std::printf("[speedup] %-28s skipped (single hardware thread)\n",
-                "preprocess_parallel");
-  } else {
-    results.push_back(MeasurePreprocessParallel());
-  }
   // Serving layer: warm-session amortization (emitted as
   // serve_warm_speedup) — the cold side repeats session open + index
   // adoption per query, the warm side pays them once.
@@ -819,14 +763,11 @@ void RunSpeedupSuite(const std::string& json_path) {
   out << "  \"mutation_query_seconds\": " << mut.mutating_query_s << ",\n";
   out << "  \"mutation_update_seconds\": " << mut.update_s << ",\n";
   out << "  \"mutation_query_overhead\": " << mut.overhead() << ",\n";
-  // Host context for the hardware-bound ratios (preprocess_parallel_*
-  // above all): a sub-1x parallel speedup on a 1-thread container is the
-  // expected reading, not a regression, and regression tooling can only
-  // tell the difference if the measurement records the machine.
+  // Host context for the hardware-bound ratios (pooled_engine above
+  // all): regression tooling can only tell a hardware artifact from a
+  // regression if the measurement records the machine.
   out << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
       << ",\n";
-  out << "  \"preprocess_parallel_skipped_single_core\": "
-      << (preprocess_parallel_skipped ? "true" : "false") << ",\n";
   out << "  \"path_sampling_speedup\": " << path_speedup << "\n}\n";
   std::printf("[speedup] wrote %s\n", json_path.c_str());
 }
@@ -883,17 +824,6 @@ void BM_BiconnectedDecomposition(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BiconnectedDecomposition)->Arg(0)->Arg(1);
-
-// The parallel pass on the same fixtures plus the large one (Arg 2).
-void BM_BiconnectedDecompositionParallel(benchmark::State& state) {
-  const Graph& g = state.range(0) == 0   ? SocialFixture()
-                   : state.range(0) == 1 ? RoadFixture()
-                                         : BicompBenchFixture();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ComputeBiconnectedComponentsParallel(g, 8));
-  }
-}
-BENCHMARK(BM_BiconnectedDecompositionParallel)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_IspIndexBuild(benchmark::State& state) {
   const Graph& g = state.range(0) == 0 ? SocialFixture() : RoadFixture();

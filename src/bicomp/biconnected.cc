@@ -1,7 +1,6 @@
 #include "bicomp/biconnected.h"
 
 #include <algorithm>
-#include <string>
 
 #include "util/logging.h"
 
@@ -72,18 +71,8 @@ constexpr EdgeIndex kNoArc = static_cast<EdgeIndex>(-1);
 }  // namespace
 
 BiconnectedComponents ComputeBiconnectedComponents(const Graph& g) {
-  BiconnectedComponents out;
-  // Unlimited depth cannot fail.
-  Status st = ComputeBiconnectedComponentsBounded(g, 0, &out);
-  SAPHYRA_CHECK(st.ok());
-  return out;
-}
-
-Status ComputeBiconnectedComponentsBounded(const Graph& g, uint64_t max_depth,
-                                           BiconnectedComponents* result) {
   const NodeId n = g.num_nodes();
-  BiconnectedComponents& out = *result;
-  out = BiconnectedComponents();
+  BiconnectedComponents out;
   out.arc_component.assign(g.num_arcs(), kInvalidComp);
   out.rev_arc = ComputeReverseArcs(g);
   std::vector<uint8_t> is_cutpoint(n, 0);
@@ -123,13 +112,6 @@ Status ComputeBiconnectedComponentsBounded(const Graph& g, uint64_t max_depth,
         }
         if (disc[w] == 0) {
           // Tree edge.
-          if (max_depth != 0 && stack.size() >= max_depth) {
-            return Status::FailedPrecondition(
-                "graph too deep for recursive decomposition (DFS depth > " +
-                std::to_string(max_depth) +
-                "); use the parallel-BCC pass "
-                "(ComputeBiconnectedComponentsParallel)");
-          }
           disc[w] = low[w] = ++timer;
           edge_stack.push_back(e);
           if (f.v == root) ++root_children;
@@ -161,17 +143,16 @@ Status ComputeBiconnectedComponentsBounded(const Graph& g, uint64_t max_depth,
     if (root_children >= 2) is_cutpoint[root] = 1;
   }
 
-  // Canonical numbering + derived node fields, shared with the parallel
-  // and incremental passes: components ordered by their smallest CSR arc
+  // Canonical numbering + derived node fields, shared with the
+  // incremental repair: components ordered by their smallest CSR arc
   // index rather than DFS pop order, making the labeling a pure function
   // of the graph. This is what keeps `.sgr` decomposition sections
-  // bitwise identical across --bicomp-threads settings and across
-  // incremental repairs.
+  // bitwise identical across incremental repairs.
   const uint32_t dfs_components = out.num_components;
   out.is_cutpoint = ShareArray(std::move(is_cutpoint));
   FinalizeBicompFields(g, dfs_components, /*derive_cutpoints=*/false, &out);
   SAPHYRA_CHECK(out.num_components == dfs_components);
-  return Status::OK();
+  return out;
 }
 
 void FinalizeBicompFields(const Graph& g, uint32_t label_space,

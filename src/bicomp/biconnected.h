@@ -8,7 +8,6 @@
 
 #include "graph/graph.h"
 #include "graph/storage.h"
-#include "util/status.h"
 
 namespace saphyra {
 
@@ -55,18 +54,17 @@ class ComponentMembers {
 /// \brief Biconnected (2-vertex-connected) decomposition of a graph.
 ///
 /// Computed with an iterative Hopcroft–Tarjan DFS (§IV-A of the paper,
-/// citing [43]) or the parallel Tarjan–Vishkin pass below. Every undirected
-/// edge belongs to exactly one biconnected component; a node belongs to
-/// every component one of its incident edges belongs to. Nodes in more than
-/// one component are cutpoints: removing one disconnects the graph (Fig. 2
-/// of the paper).
+/// citing [43]). Every undirected edge belongs to exactly one biconnected
+/// component; a node belongs to every component one of its incident edges
+/// belongs to. Nodes in more than one component are cutpoints: removing one
+/// disconnects the graph (Fig. 2 of the paper).
 ///
 /// Canonicalization contract: component ids are assigned in order of each
 /// component's smallest CSR arc index, which makes every field of this
-/// struct a pure function of the graph — independent of the algorithm,
-/// traversal order, and thread count that produced it. The serial and
-/// parallel passes both honor this, so persisted `.sgr` decomposition
-/// sections are bitwise identical whichever pass wrote them
+/// struct a pure function of the graph — independent of the traversal
+/// order that produced it. The full pass and the incremental repair
+/// (bicomp/incremental.h) both honor this, so persisted `.sgr`
+/// decomposition sections are bitwise identical whichever route wrote them
 /// (tests/bicomp_differential_test.cc pins this).
 ///
 /// The node-level fields (is_cutpoint, component_nodes, node_component,
@@ -130,35 +128,16 @@ class NodeComponentIndex {
   std::vector<NodeId> local_;    // size Σ|C_i|
 };
 
-/// \brief Run the serial decomposition. O(n + m).
+/// \brief Run the decomposition. O(n + m). The DFS stack lives on the
+/// heap, so a graph whose DFS tree is millions of levels deep does not
+/// recurse.
 BiconnectedComponents ComputeBiconnectedComponents(const Graph& g);
-
-/// \brief Parallel decomposition on SharedThreadPool: a Tarjan–Vishkin
-/// style vertex labeling over a BFS spanning forest (spanning forest +
-/// preorder ranges + low/high sweeps), with no recursion and no
-/// depth-proportional stack — safe on graphs whose DFS tree is millions of
-/// levels deep. Output is field-for-field identical to
-/// ComputeBiconnectedComponents (see the canonicalization contract above).
-///
-/// `num_threads` = 0 sizes the pass to the shared pool's width; 1 delegates
-/// to the serial oracle; N > 1 uses N logical chunks (chunk boundaries
-/// depend only on N, so results are reproducible even when the pool has
-/// fewer workers). Every setting produces the same bytes.
-BiconnectedComponents ComputeBiconnectedComponentsParallel(
-    const Graph& g, uint32_t num_threads = 0);
-
-/// \brief The decomposition with an explicit DFS depth guard: fails with
-/// FailedPrecondition once the (heap-allocated) DFS stack would exceed
-/// `max_depth` frames, instead of spending unbounded memory on a
-/// path-like graph. `max_depth` = 0 means unlimited. On error `*out` is
-/// left in an unspecified state and must not be used.
-Status ComputeBiconnectedComponentsBounded(const Graph& g, uint64_t max_depth,
-                                           BiconnectedComponents* out);
 
 /// \brief Compute the reverse-arc map alone (used by tests/samplers).
 std::vector<EdgeIndex> ComputeReverseArcs(const Graph& g);
 
-/// \brief Canonical finalization shared by the decomposition passes.
+/// \brief Canonical finalization shared by the full pass and the
+/// incremental repair.
 ///
 /// On entry `out->arc_component` holds a provisional per-arc labeling
 /// (values < `label_space`, both directions of an edge sharing a label)
@@ -174,9 +153,9 @@ std::vector<EdgeIndex> ComputeReverseArcs(const Graph& g);
 /// cutpoints this way). rev_arc is untouched.
 ///
 /// Because every derived field is a pure function of the arc partition,
-/// any pass that produces the correct partition — serial DFS, parallel
-/// labeling, or incremental repair — ends up bitwise identical after
-/// this finalization.
+/// any route that produces the correct partition — the full DFS or the
+/// incremental repair — ends up bitwise identical after this
+/// finalization.
 void FinalizeBicompFields(const Graph& g, uint32_t label_space,
                           bool derive_cutpoints, BiconnectedComponents* out);
 

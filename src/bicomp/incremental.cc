@@ -445,8 +445,7 @@ BiconnectedComponents RepairBiconnectedComponents(
       // block, and the canonicalization contract makes it emit the same
       // bytes.
       stats->fell_back = true;
-      return ComputeBiconnectedComponentsParallel(new_graph,
-                                                  opts.fallback_threads);
+      return ComputeBiconnectedComponents(new_graph);
     }
     if (dirty_arcs != 0) {
       // Recompute the decomposition of the surviving arcs of the block

@@ -39,10 +39,10 @@
 ///     finds two internally vertex-disjoint u–v paths in the block without
 ///     the edge. By Menger's theorem the block then stays one block with
 ///     the same members, so nothing is relabeled.
-///   - local recompute: the test fails, so the block splits; the serial
+///   - local recompute: the test fails, so the block splits; the
 ///     decomposition of its surviving arcs is grafted back.
 ///   - fallback: the split block is past `max_dirty_fraction` of the
-///     graph's arcs, and the full parallel pass runs instead.
+///     graph's arcs, and the full decomposition runs instead.
 /// When the partition stands (kept inserts and deletes) and no block's
 /// smallest arc moved past another's, the old node-level fields carry
 /// over unchanged — the member lists are shared, not copied — and only
@@ -63,8 +63,8 @@
 /// describes. The serving tier applies one update request at a time
 /// anyway, so the decomposition is exact after every apply.
 ///
-/// The fallback is invisible in the output bytes: the parallel pass
-/// honors the same canonicalization contract.
+/// The fallback is invisible in the output bytes: the full pass honors
+/// the same canonicalization contract.
 
 #include <cstdint>
 
@@ -86,14 +86,10 @@ struct EdgeMutation {
 };
 
 struct IncrementalBicompOptions {
-  /// Fall back to the full parallel pass when a delete's dirty region
+  /// Fall back to the full decomposition when a delete's dirty region
   /// exceeds this fraction of the new graph's arcs (inserts never fall
   /// back).
   double max_dirty_fraction = 0.25;
-  /// Thread count for the fallback pass (0 = shared pool width, 1 =
-  /// serial). Any value produces the same bytes (canonicalization
-  /// contract).
-  uint32_t fallback_threads = 1;
 };
 
 /// \brief How a merging insert reshaped the block partition: the old
@@ -161,7 +157,7 @@ struct BlockMerge {
 /// \brief Observability of one repair (tests pin the routing decisions),
 /// and the route IspIndex's reuse constructor follows.
 struct IncrementalBicompStats {
-  bool fell_back = false;      ///< full parallel pass ran instead
+  bool fell_back = false;      ///< full decomposition ran instead
   /// The block partition stood: the same member lists under the same
   /// canonical ids, so only arc_component and rev_arc changed (nothing
   /// relabeled, dirty_arcs 0) and every table derived from the partition

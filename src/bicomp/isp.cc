@@ -7,12 +7,8 @@
 
 namespace saphyra {
 
-IspIndex::IspIndex(const Graph& g, const IspOptions& opts)
-    : g_(&g),
-      bcc_(opts.bicomp_threads == 1
-               ? ComputeBiconnectedComponents(g)
-               : ComputeBiconnectedComponentsParallel(g,
-                                                      opts.bicomp_threads)) {
+IspIndex::IspIndex(const Graph& g)
+    : g_(&g), bcc_(ComputeBiconnectedComponents(g)) {
   tables_ = BuildTables(g.num_nodes(), bcc_,
                         BlockCutTree::Build(g, bcc_, ConnectedComponents(g)));
   views_ = ComponentViews(g, bcc_);

@@ -17,16 +17,6 @@ namespace saphyra {
 
 struct GraphCache;  // graph/binary_io.h
 
-/// \brief Index construction knobs.
-struct IspOptions {
-  /// Threads for the biconnected decomposition: 0 sizes the parallel pass
-  /// to the shared pool's width, 1 runs the serial Hopcroft–Tarjan oracle,
-  /// N > 1 runs the parallel pass with N logical chunks. Every setting
-  /// produces a bitwise-identical decomposition (the canonicalization
-  /// contract in bicomp/biconnected.h), so this is purely a speed knob.
-  uint32_t bicomp_threads = 0;
-};
-
 /// \brief Index over the intra-component shortest-path (ISP) sample space
 /// (§IV-A of the paper).
 ///
@@ -49,9 +39,8 @@ struct IspOptions {
 /// against exhaustive enumeration in the tests.
 class IspIndex {
  public:
-  /// \brief Build the full index. O(n + m). The decomposition runs on the
-  /// shared pool by default; see IspOptions::bicomp_threads.
-  explicit IspIndex(const Graph& g, const IspOptions& opts = IspOptions());
+  /// \brief Build the full index. O(n + m).
+  explicit IspIndex(const Graph& g);
 
   /// \brief Build the index from a persisted decomposition (a `.sgr` cache
   /// loaded by graph/binary_io.h), skipping the biconnected DFS, the

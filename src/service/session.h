@@ -73,8 +73,9 @@ struct SessionOptions {
   /// Off by default: sessions serving only ABRA/KADABRA/k-path/closeness
   /// never need it.
   bool eager_index = false;
-  /// Incremental decomposition repair knobs for ApplyUpdate (dirty-region
-  /// budget, fallback thread count). Every setting yields the same bytes.
+  /// Incremental decomposition repair knobs for ApplyUpdate (the
+  /// dirty-region budget past which a delete runs the full pass). Every
+  /// setting yields the same bytes.
   IncrementalBicompOptions repair;
   /// Rebuild the overlay onto a clean base CSR once this many deltas
   /// (inserted + tombstoned edges) accumulate; 0 compacts on every

@@ -2,8 +2,8 @@
 #define SAPHYRA_TESTS_BICOMP_TEST_UTIL_H_
 
 // Shared canonicalizer for biconnected decompositions, used by
-// biconnected_test.cc and bicomp_differential_test.cc to run the serial,
-// bounded, and parallel passes over one table of expectations, and the
+// biconnected_test.cc and bicomp_differential_test.cc to check the
+// decomposition against the independent recursive ReferenceBcc, and the
 // bitwise comparisons of decompositions and ISP indexes the incremental
 // and serving tests pin against fresh builds.
 
@@ -18,6 +18,7 @@
 #include "bicomp/biconnected.h"
 #include "bicomp/isp.h"
 #include "graph/graph.h"
+#include "test_util.h"
 #include "util/logging.h"
 
 namespace saphyra {
@@ -63,45 +64,23 @@ inline CanonicalBcc Canonicalize(const Graph& g,
   return out;
 }
 
-/// The three production variants of the decomposition. The bounded variant
-/// runs with an effectively-unlimited cap; its depth-guard behavior has its
-/// own tests.
-enum class BccVariant { kSerial, kBounded, kParallel2, kParallel8 };
-
-inline const char* BccVariantName(BccVariant v) {
-  switch (v) {
-    case BccVariant::kSerial: return "serial";
-    case BccVariant::kBounded: return "bounded";
-    case BccVariant::kParallel2: return "parallel2";
-    case BccVariant::kParallel8: return "parallel8";
+/// The canonical form of ReferenceBcc's textbook recursive Tarjan pass —
+/// the independent oracle the decomposition is checked against. Its
+/// recursion is as deep as the DFS tree: graphs of a few hundred nodes
+/// only.
+inline CanonicalBcc CanonicalReference(const Graph& g) {
+  const ReferenceBcc ref(g);
+  CanonicalBcc out;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (ref.is_cutpoint(v)) out.cutpoints.push_back(v);
   }
-  return "?";
-}
-
-inline BiconnectedComponents ComputeBccVariant(const Graph& g, BccVariant v) {
-  switch (v) {
-    case BccVariant::kSerial:
-      return ComputeBiconnectedComponents(g);
-    case BccVariant::kBounded: {
-      BiconnectedComponents out;
-      Status st = ComputeBiconnectedComponentsBounded(g, 0, &out);
-      SAPHYRA_CHECK_MSG(st.ok(), st.ToString().c_str());
-      return out;
-    }
-    case BccVariant::kParallel2:
-      return ComputeBiconnectedComponentsParallel(g, 2);
-    case BccVariant::kParallel8:
-      return ComputeBiconnectedComponentsParallel(g, 8);
+  out.components.resize(ref.num_groups());
+  // edge_group() iterates edges in sorted order, so each list is sorted.
+  for (const auto& [edge, group] : ref.edge_group()) {
+    out.components[group].push_back(edge);
   }
-  SAPHYRA_CHECK(false);
-  return {};
-}
-
-inline const std::vector<BccVariant>& AllBccVariants() {
-  static const std::vector<BccVariant> kAll = {
-      BccVariant::kSerial, BccVariant::kBounded, BccVariant::kParallel2,
-      BccVariant::kParallel8};
-  return kAll;
+  std::sort(out.components.begin(), out.components.end());
+  return out;
 }
 
 /// Every field equal — the bitwise contract behind `.sgr` invariance, not

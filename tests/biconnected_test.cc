@@ -1,6 +1,5 @@
 #include "bicomp/biconnected.h"
 
-#include <map>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -13,14 +12,11 @@
 namespace saphyra {
 namespace {
 
-using testing::AllBccVariants;
-using testing::BccVariant;
-using testing::BccVariantName;
-using testing::ComputeBccVariant;
+using testing::CanonicalReference;
+using testing::Canonicalize;
 using testing::MakeGraph;
 using testing::PaperFig2Graph;
 using testing::RandomConnectedGraph;
-using testing::ReferenceBcc;
 
 // Component id of the undirected edge {u, v}.
 uint32_t EdgeComp(const Graph& g, const BiconnectedComponents& bcc, NodeId u,
@@ -32,37 +28,29 @@ uint32_t EdgeComp(const Graph& g, const BiconnectedComponents& bcc, NodeId u,
   return kInvalidComp;
 }
 
-// One table of hand-graph structural expectations, run for every variant of
-// the decomposition (serial, bounded, parallel at 2 and 8 threads). The
-// expectations only use canonical structure — component counts, cutpoint
-// sets, label (in)equalities — so they hold for any correct implementation;
-// bitwise serial-vs-parallel identity is bicomp_differential_test.cc's job.
-class BiconnectedVariants : public ::testing::TestWithParam<BccVariant> {
- protected:
-  BiconnectedComponents Compute(const Graph& g) {
-    return ComputeBccVariant(g, GetParam());
-  }
-};
-
-TEST_P(BiconnectedVariants, SingleEdge) {
+// Hand-graph structural expectations. They only use canonical structure —
+// component counts, cutpoint sets, label (in)equalities — plus the id
+// order the canonicalization contract fixes; the generated-graph sweep
+// against the reference is bicomp_differential_test.cc's job.
+TEST(Biconnected, SingleEdge) {
   Graph g = MakeGraph(2, {{0, 1}});
-  auto bcc = Compute(g);
+  auto bcc = ComputeBiconnectedComponents(g);
   EXPECT_EQ(bcc.num_components, 1u);
   EXPECT_FALSE(bcc.is_cutpoint[0]);
   EXPECT_FALSE(bcc.is_cutpoint[1]);
 }
 
-TEST_P(BiconnectedVariants, TriangleIsOneComponent) {
+TEST(Biconnected, TriangleIsOneComponent) {
   Graph g = MakeGraph(3, {{0, 1}, {1, 2}, {2, 0}});
-  auto bcc = Compute(g);
+  auto bcc = ComputeBiconnectedComponents(g);
   EXPECT_EQ(bcc.num_components, 1u);
   for (NodeId v = 0; v < 3; ++v) EXPECT_FALSE(bcc.is_cutpoint[v]);
   EXPECT_EQ(bcc.component_nodes[0].size(), 3u);
 }
 
-TEST_P(BiconnectedVariants, PathGraphAllBridges) {
+TEST(Biconnected, PathGraphAllBridges) {
   Graph g = MakeGraph(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
-  auto bcc = Compute(g);
+  auto bcc = ComputeBiconnectedComponents(g);
   EXPECT_EQ(bcc.num_components, 4u);
   EXPECT_FALSE(bcc.is_cutpoint[0]);
   EXPECT_TRUE(bcc.is_cutpoint[1]);
@@ -71,9 +59,9 @@ TEST_P(BiconnectedVariants, PathGraphAllBridges) {
   EXPECT_FALSE(bcc.is_cutpoint[4]);
 }
 
-TEST_P(BiconnectedVariants, StarCenterIsCutpoint) {
+TEST(Biconnected, StarCenterIsCutpoint) {
   Graph g = MakeGraph(5, {{0, 1}, {0, 2}, {0, 3}, {0, 4}});
-  auto bcc = Compute(g);
+  auto bcc = ComputeBiconnectedComponents(g);
   EXPECT_EQ(bcc.num_components, 4u);
   EXPECT_TRUE(bcc.is_cutpoint[0]);
   EXPECT_EQ(bcc.NumComponentsOf(0), 4u);
@@ -83,9 +71,9 @@ TEST_P(BiconnectedVariants, StarCenterIsCutpoint) {
   }
 }
 
-TEST_P(BiconnectedVariants, PaperFig2Structure) {
+TEST(Biconnected, PaperFig2Structure) {
   Graph g = PaperFig2Graph();
-  auto bcc = Compute(g);
+  auto bcc = ComputeBiconnectedComponents(g);
   // Five components: pentagon {a,b,c,d,e}, triangle {c,g,h}, bridge {d,f},
   // bridge {d,i}, triangle {i,j,k}.
   EXPECT_EQ(bcc.num_components, 5u);
@@ -110,35 +98,35 @@ TEST_P(BiconnectedVariants, PaperFig2Structure) {
   EXPECT_EQ(bcc.NumComponentsOf(8), 2u);
 }
 
-TEST_P(BiconnectedVariants, BothArcDirectionsShareLabel) {
+TEST(Biconnected, BothArcDirectionsShareLabel) {
   Graph g = PaperFig2Graph();
-  auto bcc = Compute(g);
+  auto bcc = ComputeBiconnectedComponents(g);
   for (auto [u, v] : g.UndirectedEdges()) {
     EXPECT_EQ(EdgeComp(g, bcc, u, v), EdgeComp(g, bcc, v, u));
   }
 }
 
-TEST_P(BiconnectedVariants, DisconnectedGraphHandled) {
+TEST(Biconnected, DisconnectedGraphHandled) {
   // Triangle + separate path.
   Graph g = MakeGraph(6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}});
-  auto bcc = Compute(g);
+  auto bcc = ComputeBiconnectedComponents(g);
   EXPECT_EQ(bcc.num_components, 3u);
   EXPECT_TRUE(bcc.is_cutpoint[4]);
   EXPECT_FALSE(bcc.is_cutpoint[0]);
 }
 
-TEST_P(BiconnectedVariants, IsolatedNodeHasNoComponent) {
+TEST(Biconnected, IsolatedNodeHasNoComponent) {
   Graph g = MakeGraph(3, {{0, 1}});
-  auto bcc = Compute(g);
+  auto bcc = ComputeBiconnectedComponents(g);
   EXPECT_EQ(bcc.node_component[2], kInvalidComp);
   EXPECT_EQ(bcc.NumComponentsOf(2), 0u);
 }
 
-TEST_P(BiconnectedVariants, ComponentIdsAreCanonical) {
+TEST(Biconnected, ComponentIdsAreCanonical) {
   // The canonicalization contract (biconnected.h): component ids ascend
-  // with each component's smallest CSR arc index, for every variant.
+  // with each component's smallest CSR arc index.
   Graph g = PaperFig2Graph();
-  auto bcc = Compute(g);
+  auto bcc = ComputeBiconnectedComponents(g);
   std::vector<EdgeIndex> min_arc(bcc.num_components, g.num_arcs());
   for (EdgeIndex e = 0; e < g.num_arcs(); ++e) {
     uint32_t c = bcc.arc_component[e];
@@ -150,45 +138,22 @@ TEST_P(BiconnectedVariants, ComponentIdsAreCanonical) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllVariants, BiconnectedVariants,
-                         ::testing::ValuesIn(AllBccVariants()),
-                         [](const auto& info) {
-                           return std::string(BccVariantName(info.param));
-                         });
-
-// Property sweep against an independent recursive reference implementation,
-// again for every variant.
-class BiconnectedRandomized
-    : public ::testing::TestWithParam<std::tuple<uint64_t, BccVariant>> {};
+// Property sweep against an independent recursive reference implementation.
+class BiconnectedRandomized : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BiconnectedRandomized, MatchesReferenceImplementation) {
-  const uint64_t seed = std::get<0>(GetParam());
+  const uint64_t seed = GetParam();
   Rng rng(seed);
   NodeId n = 5 + static_cast<NodeId>(rng.UniformInt(40));
   double extra = rng.UniformDouble() * 0.15;
   Graph g = RandomConnectedGraph(n, extra, seed * 31 + 1);
-  auto bcc = ComputeBccVariant(g, std::get<1>(GetParam()));
-  ReferenceBcc ref(g);
-
-  EXPECT_EQ(static_cast<int>(bcc.num_components), ref.num_groups());
-  for (NodeId v = 0; v < n; ++v) {
-    EXPECT_EQ(bcc.is_cutpoint[v] != 0, ref.is_cutpoint(v)) << "node " << v;
-  }
-  // Edge partitions must agree up to relabeling: build the bijection.
-  std::map<uint32_t, int> ours_to_ref;
-  for (auto& [edge, gid] : ref.edge_group()) {
-    uint32_t ours = EdgeComp(g, bcc, edge.first, edge.second);
-    ASSERT_NE(ours, kInvalidComp);
-    auto [it, inserted] = ours_to_ref.emplace(ours, gid);
-    EXPECT_EQ(it->second, gid)
-        << "edge " << edge.first << "-" << edge.second;
-  }
+  EXPECT_EQ(Canonicalize(g, ComputeBiconnectedComponents(g)),
+            CanonicalReference(g));
 }
 
 TEST_P(BiconnectedRandomized, CutpointMatchesRemovalOracle) {
-  const uint64_t seed = std::get<0>(GetParam());
-  Graph g = RandomConnectedGraph(24, 0.08, seed + 500);
-  auto bcc = ComputeBccVariant(g, std::get<1>(GetParam()));
+  Graph g = RandomConnectedGraph(24, 0.08, GetParam() + 500);
+  auto bcc = ComputeBiconnectedComponents(g);
   ComponentLabels base = ConnectedComponents(g);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     // Remove v and count components among the remaining nodes.
@@ -206,14 +171,8 @@ TEST_P(BiconnectedRandomized, CutpointMatchesRemovalOracle) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, BiconnectedRandomized,
-    ::testing::Combine(::testing::Range<uint64_t>(0, 10),
-                       ::testing::ValuesIn(AllBccVariants())),
-    [](const auto& info) {
-      return "s" + std::to_string(std::get<0>(info.param)) + "_" +
-             BccVariantName(std::get<1>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Seeds, BiconnectedRandomized,
+                         ::testing::Range<uint64_t>(0, 10));
 
 TEST(ReverseArcs, InverseMapping) {
   Graph g = PaperFig2Graph();
@@ -226,60 +185,20 @@ TEST(ReverseArcs, InverseMapping) {
 }
 
 // Structured family: trees of varying size — every edge its own component,
-// every internal node a cutpoint. All variants share the table.
+// every internal node a cutpoint.
 class TreeBcc : public ::testing::TestWithParam<NodeId> {};
 
 TEST_P(TreeBcc, TreesDecomposeIntoBridges) {
   Graph g = RandomTree(GetParam(), 777);
-  for (BccVariant variant : AllBccVariants()) {
-    auto bcc = ComputeBccVariant(g, variant);
-    EXPECT_EQ(bcc.num_components, g.num_edges()) << BccVariantName(variant);
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      EXPECT_EQ(bcc.is_cutpoint[v] != 0, g.degree(v) >= 2)
-          << BccVariantName(variant);
-    }
+  auto bcc = ComputeBiconnectedComponents(g);
+  EXPECT_EQ(bcc.num_components, g.num_edges());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(bcc.is_cutpoint[v] != 0, g.degree(v) >= 2) << "node " << v;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, TreeBcc,
                          ::testing::Values(2, 3, 5, 10, 50, 200));
-
-// --- depth-bounded variant -------------------------------------------------
-
-Graph PathGraph(NodeId n) {
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  for (NodeId v = 0; v + 1 < n; ++v) edges.push_back({v, v + 1});
-  return MakeGraph(n, edges);
-}
-
-TEST(BiconnectedBounded, DepthCapFailsCleanlyOnLongPath) {
-  // A 300-node path drives the DFS stack ~300 frames deep; a 64-frame cap
-  // must surface a clear precondition error instead of burning memory.
-  Graph g = PathGraph(300);
-  BiconnectedComponents out;
-  Status st = ComputeBiconnectedComponentsBounded(g, 64, &out);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(st.message().find("graph too deep"), std::string::npos);
-  EXPECT_NE(st.message().find("parallel-BCC"), std::string::npos);
-}
-
-TEST(BiconnectedBounded, GenerousCapMatchesUnlimited) {
-  Graph g = PaperFig2Graph();
-  BiconnectedComponents bounded;
-  ASSERT_TRUE(ComputeBiconnectedComponentsBounded(g, 64, &bounded).ok());
-  auto unlimited = ComputeBiconnectedComponents(g);
-  EXPECT_EQ(bounded.num_components, unlimited.num_components);
-  EXPECT_EQ(bounded.arc_component, unlimited.arc_component);
-  EXPECT_EQ(bounded.is_cutpoint, unlimited.is_cutpoint);
-}
-
-TEST(BiconnectedBounded, ZeroMeansUnlimited) {
-  Graph g = PathGraph(300);
-  BiconnectedComponents out;
-  ASSERT_TRUE(ComputeBiconnectedComponentsBounded(g, 0, &out).ok());
-  EXPECT_EQ(out.num_components, 299u);  // every path edge is a bridge
-}
 
 }  // namespace
 }  // namespace saphyra

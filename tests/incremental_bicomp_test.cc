@@ -1,6 +1,5 @@
 // Incremental bicomp repair: every mutation's repaired decomposition must
-// be BITWISE identical to a from-scratch serial pass on the mutated graph
-// (and therefore to the parallel pass, by the canonicalization contract).
+// be BITWISE identical to a from-scratch pass on the mutated graph.
 // Directed cases pin each routing branch — same-block insert, path-merge
 // insert across cutpoints, bridge insert across components, isolated
 // endpoints, block-splitting delete, bridge delete — and random mutation
@@ -63,8 +62,7 @@ Applied ApplyAndCheck(const Graph& g, const BiconnectedComponents& bcc,
   return out;
 }
 
-const IncrementalBicompOptions kNeverFallBack{/*max_dirty_fraction=*/1.0,
-                                              /*fallback_threads=*/1};
+const IncrementalBicompOptions kNeverFallBack{/*max_dirty_fraction=*/1.0};
 
 TEST(IncrementalBicompTest, DirectedCasesOnThePaperGraph) {
   // Fig. 2: pentagon {a,b,c,d,e}, triangles {c,g,h} and {i,j,k}, bridges
@@ -146,7 +144,7 @@ TEST(IncrementalBicompTest, IsolatedEndpointsAndTinyGraphs) {
 TEST(IncrementalBicompTest, FallbackRouteIsBitwiseInvisible) {
   Graph g = WattsStrogatz(60, 4, 0.1, 31);
   BiconnectedComponents bcc = ComputeBiconnectedComponents(g);
-  // max_dirty_fraction = 0 forces the parallel-pass fallback on every
+  // max_dirty_fraction = 0 forces the full-pass fallback on every
   // delete that splits a block (inserts and deletes that keep the
   // partition never get there); the output must not change. The deleted
   // edge is the first one whose delete splits a block of three or more
@@ -170,8 +168,7 @@ TEST(IncrementalBicompTest, FallbackRouteIsBitwiseInvisible) {
     }
   }
   ASSERT_NE(u, kInvalidNode) << "no block-splitting delete in the graph";
-  IncrementalBicompOptions always_fall{/*max_dirty_fraction=*/0.0,
-                                       /*fallback_threads=*/8};
+  IncrementalBicompOptions always_fall{/*max_dirty_fraction=*/0.0};
   IncrementalBicompStats stats;
   ApplyAndCheck(g, bcc, EdgeMutationKind::kDelete, u, v, always_fall,
                 "forced fallback", &stats);

@@ -4,8 +4,8 @@
 // COLD session opened on a from-scratch re-conversion of the same edge
 // set. Pinned over a generator sweep (ER, BA, WS, road grid, SBM, and a
 // core with pendant leaves whose stream merges leaves into the core and
-// cuts them loose again), random insert/delete streams, repair fallback
-// thread counts {1, 8}, scheduler
+// cuts them loose again), random insert/delete streams, the default
+// repair budget and one that forces the full-pass fallback, scheduler
 // admission concurrency {1, 8}, and both the local sampling path and the
 // sharded worker tier (whose workers follow the coordinator through
 // BroadcastUpdate + mutation-log replay).
@@ -314,16 +314,17 @@ struct Variant {
   std::unique_ptr<BatchScheduler> scheduler;
 
   static std::unique_ptr<Variant> Make(const std::string& sgr_path,
-                                       uint32_t repair_threads,
+                                       bool force_fallback,
                                        uint32_t concurrency, bool sharded) {
     auto v = std::make_unique<Variant>();
-    v->label = "repair_threads=" + std::to_string(repair_threads) +
+    v->label = std::string(force_fallback ? "fallback=forced"
+                                          : "fallback=default") +
                " concurrency=" + std::to_string(concurrency) +
                (sharded ? " sharded" : " local");
     SessionOptions sopts;
-    sopts.repair.fallback_threads = repair_threads;
-    // Force the fallback pass often enough that the thread sweep matters.
-    sopts.repair.max_dirty_fraction = repair_threads > 1 ? 0.0 : 0.25;
+    // A zero budget sends every splitting delete down the full-pass
+    // fallback route.
+    if (force_fallback) sopts.repair.max_dirty_fraction = 0.0;
     SAPHYRA_CHECK(QuerySession::Open(sgr_path, sopts, &v->session).ok());
     SchedulerOptions schopts;
     schopts.max_concurrent = concurrency;
@@ -364,13 +365,13 @@ TEST(MutationDifferentialTest, OverlayServingMatchesFromScratchReconvert) {
     const std::vector<QueryRequest> workload = Workload(n);
     int merges = 0;  // updates the first variant served by the merge route
 
-    // The sweep under test: bicomp fallback threads x admission
-    // concurrency, plus the sharded tier.
+    // The sweep under test: repair route (default or forced fallback) x
+    // admission concurrency, plus the sharded tier.
     std::vector<std::unique_ptr<Variant>> variants;
-    variants.push_back(Variant::Make(base.sgr_path, 1, 1, false));
-    variants.push_back(Variant::Make(base.sgr_path, 8, 8, false));
-    variants.push_back(Variant::Make(base.sgr_path, 1, 8, false));
-    variants.push_back(Variant::Make(base.sgr_path, 8, 1, true));
+    variants.push_back(Variant::Make(base.sgr_path, false, 1, false));
+    variants.push_back(Variant::Make(base.sgr_path, true, 8, false));
+    variants.push_back(Variant::Make(base.sgr_path, false, 8, false));
+    variants.push_back(Variant::Make(base.sgr_path, true, 1, true));
 
     for (size_t start = 0; start < stream.size(); start += kBatch) {
       // Apply the batch to every variant (through the full request path)
@@ -488,7 +489,7 @@ TEST(MutationDifferentialTest, WorkerRestartReplaysMutationLog) {
       MakeStream(n, EdgesOf(g), 6, 8080);
   const std::vector<QueryRequest> workload = Workload(n);
 
-  auto variant = Variant::Make(files.sgr_path, 1, 1, true);
+  auto variant = Variant::Make(files.sgr_path, false, 1, true);
   EdgeSet edges = EdgesOf(g);
   for (size_t i = 0; i < stream.size(); ++i) {
     const EdgeMutation& mut = stream[i];

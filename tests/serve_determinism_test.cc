@@ -248,65 +248,6 @@ TEST_F(ServeDeterminismTest, ConcurrentDuplicatesShareOneExecutionBitwise) {
   EXPECT_EQ(scheduler.stats().computed, 1u);
 }
 
-TEST_F(ServeDeterminismTest, BicompThreadCountIsInertEndToEnd) {
-  // The preprocessing analog of the thread-inertness contract: a `.sgr`
-  // produced with the serial decomposition (--bicomp-threads 1) and one
-  // produced with the parallel pass at 8 threads must be bitwise-identical
-  // files, and sessions opened over either must serve bitwise-equal
-  // estimates.
-  Graph parsed;
-  ASSERT_TRUE(LoadSnapEdgeList(files_.text_path, &parsed).ok());
-
-  IspOptions serial_opts;
-  serial_opts.bicomp_threads = 1;
-  IspIndex serial(parsed, serial_opts);
-  IspOptions par_opts;
-  par_opts.bicomp_threads = 8;
-  IspIndex parallel(parsed, par_opts);
-
-  const std::string serial_path = TempPath("bicomp1.sgr");
-  const std::string par_path = TempPath("bicomp8.sgr");
-  SgrWriteOptions wopts;
-  wopts.source_path = files_.text_path;
-  ASSERT_TRUE(WriteSgr(serial_path, parsed, &serial.bcc(), &serial.conn(),
-                       &serial.views(), &serial.tree(), wopts)
-                  .ok());
-  ASSERT_TRUE(WriteSgr(par_path, parsed, &parallel.bcc(), &parallel.conn(),
-                       &parallel.views(), &parallel.tree(), wopts)
-                  .ok());
-
-  auto read_bytes = [](const std::string& path) {
-    std::string bytes;
-    FILE* f = std::fopen(path.c_str(), "rb");
-    SAPHYRA_CHECK(f != nullptr);
-    char buf[4096];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      bytes.append(buf, got);
-    }
-    std::fclose(f);
-    return bytes;
-  };
-  const std::string serial_bytes = read_bytes(serial_path);
-  ASSERT_FALSE(serial_bytes.empty());
-  EXPECT_TRUE(serial_bytes == read_bytes(par_path))
-      << "`.sgr` bytes differ between bicomp_threads 1 and 8";
-
-  // Query results over both caches are bitwise equal.
-  const std::vector<QueryRequest> workload = MixedWorkload();
-  SessionOptions sopts;
-  std::unique_ptr<QuerySession> from_serial;
-  std::unique_ptr<QuerySession> from_parallel;
-  ASSERT_TRUE(QuerySession::Open(serial_path, sopts, &from_serial).ok());
-  ASSERT_TRUE(QuerySession::Open(par_path, sopts, &from_parallel).ok());
-  for (const QueryRequest& req : workload) {
-    ExpectBitwiseEqual(from_serial->Run(req), from_parallel->Run(req),
-                       "bicomp-threads 1 vs 8, query " + req.id);
-  }
-  std::remove(serial_path.c_str());
-  std::remove(par_path.c_str());
-}
-
 TEST_F(ServeDeterminismTest, PooledTenancyMatchesSingleTenantBitwise) {
   // The tenancy extension of the contract: a query's bytes are identical
   // whether its graph is served single-tenant, pooled-and-resident, or

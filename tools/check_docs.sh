@@ -72,20 +72,11 @@ else
   done
 fi
 
-# --- 4b. the parallel-bicomp contract stays wired ---------------------------
-# graph_convert must keep parsing --bicomp-threads (the serial-oracle
-# escape hatch) and the preprocess_parallel_speedup metric must stay
-# documented next to its hardware caveat.
-if ! grep -qF -- '"--bicomp-threads"' "$REPO_ROOT/tools/graph_convert.cc"; then
-  echo "check_docs: tools/graph_convert.cc no longer parses --bicomp-threads" >&2
-  fail=1
-fi
-if ! grep -qF -- "--bicomp-threads" "$cli_doc"; then
-  echo "check_docs: docs/cli.md no longer documents --bicomp-threads" >&2
-  fail=1
-fi
-if ! grep -qF "preprocess_parallel_speedup" "$REPO_ROOT/docs/benchmarks.md"; then
-  echo "check_docs: docs/benchmarks.md no longer documents preprocess_parallel_speedup" >&2
+# --- 4b. the canonicalization contract stays documented ------------------
+# Every `.sgr` decomposition section and every served bit rests on the
+# canonical component numbering; docs/architecture.md must keep saying so.
+if ! grep -qF "Canonicalization contract" "$REPO_ROOT/docs/architecture.md"; then
+  echo "check_docs: docs/architecture.md lost its \"Canonicalization contract\" paragraph" >&2
   fail=1
 fi
 

@@ -10,20 +10,14 @@
 // Usage:
 //   graph_convert --input edges.txt [--format snap|dimacs]
 //                 [--output edges.txt.sgr] [--graph-only]
-//                 [--no-compact-ids] [--verify] [--bicomp-threads N]
+//                 [--no-compact-ids] [--verify]
 //
 //   --graph-only      write only the CSR graph, skip the decomposition
 //   --no-compact-ids  SNAP: keep raw node ids instead of renumbering
 //   --verify          re-load the cache and check it against the text
 //                     pipeline (round-trip structural equality)
-//   --bicomp-threads  threads for the biconnected decomposition: 0 (the
-//                     default) = parallel, sized to the machine; 1 = the
-//                     legacy serial pass, kept as the oracle. The output
-//                     bytes are identical either way (the decomposition is
-//                     canonicalized), so this is purely a speed knob.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -45,15 +39,13 @@ struct Args {
   bool graph_only = false;
   bool compact_ids = true;
   bool verify = false;
-  uint32_t bicomp_threads = 0;  // 0 = parallel on the shared pool's width
 };
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --input FILE [--format snap|dimacs]\n"
                "          [--output FILE.sgr] [--graph-only]\n"
-               "          [--no-compact-ids] [--verify]\n"
-               "          [--bicomp-threads N]\n",
+               "          [--no-compact-ids] [--verify]\n",
                argv0);
 }
 
@@ -76,15 +68,6 @@ bool Parse(int argc, char** argv, Args* args) {
       args->format = val;
     } else if (key == "--output" && (val = next())) {
       args->output = val;
-    } else if (key == "--bicomp-threads" && (val = next())) {
-      char* end = nullptr;
-      unsigned long parsed = std::strtoul(val, &end, 10);
-      if (end == val || *end != '\0') {
-        std::fprintf(stderr, "--bicomp-threads expects a number, got %s\n",
-                     val);
-        return false;
-      }
-      args->bicomp_threads = static_cast<uint32_t>(parsed);
     } else {
       std::fprintf(stderr, "unknown or incomplete option: %s\n", key.c_str());
       return false;
@@ -193,9 +176,7 @@ int main(int argc, char** argv) {
     st = WriteSgr(args.output, g, nullptr, nullptr, nullptr, nullptr, wopts);
   } else {
     timer.Restart();
-    IspOptions iopts;
-    iopts.bicomp_threads = args.bicomp_threads;
-    isp = std::make_unique<IspIndex>(g, iopts);
+    isp = std::make_unique<IspIndex>(g);
     std::fprintf(stderr,
                  "decomposition: %u bi-components in %s\n",
                  isp->num_components(),

@@ -22,17 +22,10 @@ BUILD_DIR="${BUILD_DIR:-$REPO_ROOT/build-release}"
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target bench_micro_kernels
 
-# Host context next to the numbers: the hardware-bound ratios
-# (preprocess_parallel_* above all) are only interpretable against the
-# machine they ran on, which the JSON records as hardware_threads. On a
-# single-hardware-thread host the suite skips preprocess_parallel_*
-# entirely and records "preprocess_parallel_skipped_single_core": true —
-# a sub-1x ratio there is a hardware artifact, not a regression.
+# Host context next to the numbers: the hardware-bound ratios are only
+# interpretable against the machine they ran on, which the JSON records as
+# hardware_threads.
 echo "bench host: $(uname -srm), $(nproc) hardware threads" >&2
-if [[ "$(nproc)" -le 1 ]]; then
-  echo "bench host has 1 hardware thread: preprocess_parallel_* will be" \
-       "skipped (recorded in the JSON)" >&2
-fi
 
 "$BUILD_DIR/bench_micro_kernels" \
   --speedup_json=BENCH_micro.json \
