@@ -29,33 +29,6 @@ std::vector<EdgeIndex> ComputeReverseArcs(const Graph& g) {
   return rev;
 }
 
-NodeComponentIndex::NodeComponentIndex(const BiconnectedComponents& bcc)
-    : first_(bcc.node_component.size() + 1, 0) {
-  const NodeId n = static_cast<NodeId>(bcc.node_component.size());
-  for (NodeId v = 0; v < n; ++v) {
-    first_[v + 1] = first_[v] + bcc.NumComponentsOf(v);
-  }
-  comp_.resize(first_[n]);
-  local_.resize(first_[n]);
-  std::vector<uint64_t> fill(first_.begin(), first_.end() - 1);
-  for (uint32_t c = 0; c < bcc.num_components; ++c) {
-    const auto& members = bcc.component_nodes[c];
-    for (size_t i = 0; i < members.size(); ++i) {
-      const uint64_t at = fill[members[i]]++;
-      SAPHYRA_CHECK(at < first_[members[i] + 1]);
-      comp_[at] = c;
-      local_[at] = static_cast<NodeId>(i);
-    }
-  }
-}
-
-NodeId NodeComponentIndex::LocalId(NodeId v, uint32_t c) const {
-  const auto comps = Components(v);
-  const auto it = std::lower_bound(comps.begin(), comps.end(), c);
-  SAPHYRA_CHECK(it != comps.end() && *it == c);
-  return local_[first_[v] + static_cast<uint64_t>(it - comps.begin())];
-}
-
 namespace {
 
 /// Explicit DFS frame for the iterative Hopcroft–Tarjan algorithm.
@@ -74,7 +47,7 @@ BiconnectedComponents ComputeBiconnectedComponents(const Graph& g) {
   const NodeId n = g.num_nodes();
   BiconnectedComponents out;
   out.arc_component.assign(g.num_arcs(), kInvalidComp);
-  out.rev_arc = ComputeReverseArcs(g);
+  const std::vector<EdgeIndex> rev_arc = ComputeReverseArcs(g);
   std::vector<uint8_t> is_cutpoint(n, 0);
 
   std::vector<uint32_t> disc(n, 0);  // 0 = unvisited; discovery times from 1
@@ -91,7 +64,7 @@ BiconnectedComponents ComputeBiconnectedComponents(const Graph& g) {
       EdgeIndex e = edge_stack.back();
       edge_stack.pop_back();
       out.arc_component[e] = comp;
-      out.arc_component[out.rev_arc[e]] = comp;
+      out.arc_component[rev_arc[e]] = comp;
       if (e == until_arc) break;
     }
   };
@@ -107,7 +80,7 @@ BiconnectedComponents ComputeBiconnectedComponents(const Graph& g) {
       if (f.arc < f.arc_end) {
         EdgeIndex e = f.arc++;
         NodeId w = g.neighbors(f.v)[e - g.offset(f.v)];
-        if (f.parent_arc != kNoArc && out.rev_arc[e] == f.parent_arc) {
+        if (f.parent_arc != kNoArc && rev_arc[e] == f.parent_arc) {
           continue;  // the tree edge back to the parent
         }
         if (disc[w] == 0) {
@@ -156,8 +129,8 @@ BiconnectedComponents ComputeBiconnectedComponents(const Graph& g) {
 }
 
 void FinalizeBicompFields(const Graph& g, uint32_t label_space,
-                          bool derive_cutpoints,
-                          BiconnectedComponents* result) {
+                          bool derive_cutpoints, BiconnectedComponents* result,
+                          std::vector<uint32_t>* renumber_out) {
   BiconnectedComponents& out = *result;
   const NodeId n = g.num_nodes();
   {
@@ -169,6 +142,7 @@ void FinalizeBicompFields(const Graph& g, uint32_t label_space,
     }
     for (uint32_t& c : out.arc_component) c = renumber[c];
     out.num_components = next;
+    if (renumber_out != nullptr) *renumber_out = std::move(renumber);
   }
 
   // Collect member nodes per component from the arc labels, in two passes

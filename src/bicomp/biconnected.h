@@ -1,6 +1,7 @@
 #ifndef SAPHYRA_BICOMP_BICONNECTED_H_
 #define SAPHYRA_BICOMP_BICONNECTED_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -97,43 +98,68 @@ struct BiconnectedComponents {
            : (is_cutpoint[v] ? cutpoint_comp_count_[v] : 1);
   }
 
-  /// \brief Reverse-arc map: rev_arc[e] is the CSR index of arc (v,u) given
-  /// arc e = (u,v). Shared with the samplers.
-  std::vector<EdgeIndex> rev_arc;
-
   // Internal: per-node component multiplicity for cutpoints.
   ArrayRef<uint32_t> cutpoint_comp_count_;
 };
 
-/// \brief Every node's components, with the node's local id in each (its
-/// index in component_nodes[c]), in flat arrays. Built by one pass over
-/// component_nodes, O(n + Σ|C_i|); a node's components come out ascending
-/// because components are visited in id order.
-class NodeComponentIndex {
- public:
-  explicit NodeComponentIndex(const BiconnectedComponents& bcc);
-
-  /// \brief Components node v belongs to, ascending (empty if isolated).
-  std::span<const uint32_t> Components(NodeId v) const {
-    return {comp_.data() + first_[v], comp_.data() + first_[v + 1]};
-  }
-
-  /// \brief Local id of v in component c, which v must belong to. A binary
-  /// search over Components(v): one entry unless v is a cutpoint.
-  NodeId LocalId(NodeId v, uint32_t c) const;
-
- private:
-  std::vector<uint64_t> first_;  // size n+1, into comp_ / local_
-  std::vector<uint32_t> comp_;   // size Σ|C_i|
-  std::vector<NodeId> local_;    // size Σ|C_i|
+/// \brief How a decomposition's blocks relate to those of its parent — the
+/// decomposition of the graph one edge mutation earlier — as the
+/// incremental repair reports it (bicomp/incremental.h). Everything
+/// derived per block (component views, out-reach, W_i, alias tables)
+/// carries over for a block whose member list stood and is re-derived for
+/// the rest (IspIndex).
+struct BlockRemap {
+  /// Per block: the parent block with the same member list, or
+  /// kInvalidComp for a block whose member list is new (a merged block,
+  /// the pieces of a split, a new bridge).
+  std::vector<uint32_t> from;
+  /// The carried block whose arcs gained (`insert`) or lost the mutated
+  /// edge {u, v}; kInvalidComp when the edge's block is new or gone.
+  uint32_t edge_block = kInvalidComp;
+  NodeId u = 0;
+  NodeId v = 0;
+  bool insert = false;
+  /// The mutation joined two connected components or split one (an
+  /// insert across components, a bridge delete): every block of the
+  /// changed components has a new out-reach even where its members stood.
+  bool conn_changed = false;
 };
+
+/// \brief A per-membership table of a decomposition whose slices start at
+/// `begin`, carried from the parent's table `old` (slices at
+/// `old_begin`): block c with `from[c]` != kInvalidComp copies parent
+/// block from[c]'s slice; every other slice is value-initialized for the
+/// caller to fill. A run of blocks carried from consecutive parent blocks
+/// copies as one.
+template <typename T>
+std::vector<T> CarrySlices(std::span<const T> old,
+                           std::span<const uint64_t> old_begin,
+                           std::span<const uint64_t> begin,
+                           std::span<const uint32_t> from) {
+  std::vector<T> out(begin.empty() ? 0 : begin.back());
+  for (uint32_t c = 0; c < from.size();) {
+    if (from[c] == kInvalidComp) {
+      ++c;
+      continue;
+    }
+    uint32_t end = c + 1;
+    while (end < from.size() && from[end] == from[c] + (end - c)) ++end;
+    std::copy(old.begin() + old_begin[from[c]],
+              old.begin() + old_begin[from[end - 1] + 1],
+              out.begin() + begin[c]);
+    c = end;
+  }
+  return out;
+}
 
 /// \brief Run the decomposition. O(n + m). The DFS stack lives on the
 /// heap, so a graph whose DFS tree is millions of levels deep does not
 /// recurse.
 BiconnectedComponents ComputeBiconnectedComponents(const Graph& g);
 
-/// \brief Compute the reverse-arc map alone (used by tests/samplers).
+/// \brief The reverse-arc map: entry e is the CSR index of arc (v,u)
+/// given arc e = (u,v). The decomposition's DFS and the `.sgr` writer use
+/// it; no decomposition keeps it.
 std::vector<EdgeIndex> ComputeReverseArcs(const Graph& g);
 
 /// \brief Canonical finalization shared by the full pass and the
@@ -150,14 +176,16 @@ std::vector<EdgeIndex> ComputeReverseArcs(const Graph& g);
 /// articulation point iff it belongs to at least two components, the
 /// incremental repair path); otherwise the caller's is_cutpoint is kept
 /// and checked consistent (the serial pass cross-validates its Tarjan
-/// cutpoints this way). rev_arc is untouched.
+/// cutpoints this way).
 ///
 /// Because every derived field is a pure function of the arc partition,
 /// any route that produces the correct partition — the full DFS or the
 /// incremental repair — ends up bitwise identical after this
-/// finalization.
+/// finalization. `renumber`, when non-null, receives the map from
+/// provisional label to canonical id (kInvalidComp for an unused label).
 void FinalizeBicompFields(const Graph& g, uint32_t label_space,
-                          bool derive_cutpoints, BiconnectedComponents* out);
+                          bool derive_cutpoints, BiconnectedComponents* out,
+                          std::vector<uint32_t>* renumber = nullptr);
 
 }  // namespace saphyra
 

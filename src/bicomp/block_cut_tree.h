@@ -14,8 +14,6 @@
 
 namespace saphyra {
 
-struct BlockMerge;  // bicomp/incremental.h
-
 /// \brief Block-cut tree with out-reach sets (§IV-A, Fig. 2 of the paper).
 ///
 /// The tree has one vertex per biconnected component and one per cutpoint,
@@ -32,10 +30,21 @@ struct BlockMerge;  // bicomp/incremental.h
 /// connecting path carry no probability mass in D_b, so this matches Eq. 5).
 class BlockCutTree {
  public:
-  /// \brief Build from a graph, its biconnected decomposition, and its
-  /// connected-component labeling. O(n + Σ|C_i|).
-  static BlockCutTree Build(const Graph& g, const BiconnectedComponents& bcc,
-                            const ComponentLabels& conn);
+  /// \brief The tree of `bcc` over the connectivity `conn`, carrying out-reach
+  /// from `parent`, the tree one edge mutation earlier (null: none, and
+  /// `carry` empty). Block c with `carry[c]` != kInvalidComp keeps parent
+  /// block carry[c]'s out-reach slice — the caller vouches that its
+  /// members, and the size of its connected component, stood. The other blocks form the dirty region,
+  /// whose out-reach comes from one DP over its part of the tree, each
+  /// region cutpoint x weighted h(x) = 1 + Σ_{carried C ∋ x} (|conn| −
+  /// r_C(x)), the mass hanging off x through carried blocks. With no parent
+  /// every block is in the region and h ≡ 1. O(n + Σ|C_i|): the DP walks
+  /// the region's memberships and the parent's blocks that were not
+  /// carried; every other slice is copied.
+  static BlockCutTree Derive(const BiconnectedComponents& bcc,
+                             std::shared_ptr<const ComponentLabels> conn,
+                             const BlockCutTree* parent,
+                             std::span<const uint32_t> carry);
 
   /// \brief Out-reach r_i(v). `v` must be a member of component `comp`.
   /// O(1) for a non-cutpoint (r = 1) and for a cutpoint's first component
@@ -67,8 +76,12 @@ class BlockCutTree {
   }
 
   /// \brief The connected-component labeling the tree was built over,
-  /// shared by every tree a merge derives from this one.
+  /// shared by every tree derived from this one across a mutation that
+  /// kept it.
   const ComponentLabels& conn() const { return *conn_; }
+  const std::shared_ptr<const ComponentLabels>& shared_conn() const {
+    return conn_;
+  }
 
   /// \brief Out-reach of every membership, laid out like the flat member
   /// array: reach()[component_nodes.begin()[c] + i] is r_c of the i-th
@@ -95,16 +108,6 @@ class BlockCutTree {
                           std::vector<uint64_t> conn_size_of_comp,
                           std::span<const uint64_t> cut_reach_table,
                           BlockCutTree* out);
-
-  /// \brief The tree after the insert that made `merge`
-  /// (bicomp/incremental.h), given the merged decomposition `bcc`: the
-  /// connectivity is shared, every kept block's out-reach slice carries
-  /// over, and the merged block's is read off the path blocks' — a member
-  /// of one path block keeps its reach there, and a path cutpoint x
-  /// between blocks B and B' reaches what both leave it, r_B(x) + r_B'(x)
-  /// − |conn|.
-  BlockCutTree WithMerge(const BiconnectedComponents& bcc,
-                         const BlockMerge& merge) const;
 
  private:
   /// Sets every cutpoint's home_reach_ from reach_.

@@ -3,13 +3,50 @@
 #include <algorithm>
 #include <vector>
 
-#include "bicomp/incremental.h"
 #include "util/logging.h"
 
 namespace saphyra {
 
+namespace {
+
+/// Appends block c's local CSR built from g's arcs to `offsets` and
+/// `adj`: each member's neighbors in the block, as local ids, ascending.
+/// A member scans its adjacency for the arcs labeled c, unless its degree
+/// dwarfs the block (a hub in a small block); then it binary-searches for
+/// the other members, since an edge between two members of a block lies
+/// in it. `local` is scratch of size n.
+void BuildSlice(const Graph& g, const BiconnectedComponents& bcc, uint32_t c,
+                std::vector<NodeId>* local, std::vector<EdgeIndex>* offsets,
+                std::vector<NodeId>* adj) {
+  const auto members = bcc.component_nodes[c];
+  for (size_t i = 0; i < members.size(); ++i) {
+    (*local)[members[i]] = static_cast<NodeId>(i);
+  }
+  for (size_t i = 0; i < members.size(); ++i) {
+    offsets->push_back(adj->size());
+    const NodeId x = members[i];
+    const auto nbr = g.neighbors(x);
+    if (8 * members.size() < nbr.size()) {
+      for (size_t j = 0; j < members.size(); ++j) {
+        if (j != i && std::binary_search(nbr.begin(), nbr.end(), members[j])) {
+          adj->push_back(static_cast<NodeId>(j));
+        }
+      }
+      continue;
+    }
+    const uint32_t* label = bcc.arc_component.data() + g.offset(x);
+    for (size_t k = 0; k < nbr.size(); ++k) {
+      if (label[k] == c) adj->push_back((*local)[nbr[k]]);
+    }
+  }
+}
+
+}  // namespace
+
 ComponentViews::ComponentViews(const Graph& g,
-                               const BiconnectedComponents& bcc) {
+                               const BiconnectedComponents& bcc,
+                               const ComponentViews* parent,
+                               const BlockRemap* remap) {
   // The node slices are the decomposition's member lists themselves:
   // shared, not copied.
   const uint32_t num_comps = bcc.num_components;
@@ -17,164 +54,103 @@ ComponentViews::ComponentViews(const Graph& g,
   nodes_ = bcc.component_nodes.nodes();
   const std::span<const uint64_t> node_begin = node_begin_.span();
   for (uint32_t c = 0; c < num_comps; ++c) {
-    max_size_ = std::max(max_size_, size(c));
+    max_size_ = std::max(
+        max_size_, static_cast<NodeId>(node_begin[c + 1] - node_begin[c]));
   }
-  const size_t total_nodes = node_begin[num_comps];
+  SAPHYRA_CHECK(parent == nullptr ||
+                (remap != nullptr && remap->from.size() == num_comps));
 
-  // Pass 1: the local id of every arc's source in the arc's component,
-  // looked up once per run of same-component arcs, and per-local-node
-  // degrees, accumulated into offsets[slot+1] so the prefix sum below
-  // turns them into absolute adjacency offsets.
-  const NodeComponentIndex index(bcc);
-  std::vector<NodeId> src_local(g.num_arcs());
-  std::vector<EdgeIndex> offsets(total_nodes + 1, 0);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const EdgeIndex base = g.offset(u);
-    const NodeId deg = g.degree(u);
-    uint32_t last_c = kInvalidComp;
-    NodeId local = 0;
-    size_t slot = 0;
-    for (NodeId i = 0; i < deg; ++i) {
-      const uint32_t c = bcc.arc_component[base + i];
-      SAPHYRA_CHECK(c != kInvalidComp);
-      if (c != last_c) {
-        last_c = c;
-        local = index.LocalId(u, c);
-        slot = node_begin[c] + local;
-      }
-      src_local[base + i] = local;
-      ++offsets[slot + 1];
-    }
-  }
-  for (size_t i = 1; i <= total_nodes; ++i) offsets[i] += offsets[i - 1];
-  SAPHYRA_CHECK(offsets[total_nodes] == g.num_arcs());
-
-  // Pass 2: scatter each arc into its component slot. An arc's neighbor
-  // has, in the same component, the local id its reverse arc's source
-  // got in pass 1 — no search. Scanning u ascending and its (sorted)
-  // global adjacency in order writes each local list sorted by global —
-  // hence by local — neighbor id.
-  SAPHYRA_CHECK(bcc.rev_arc.size() == g.num_arcs());
-  std::vector<NodeId> adj(g.num_arcs(), 0);
-  std::vector<EdgeIndex> cursor(offsets.begin(), offsets.end() - 1);
-  for (EdgeIndex e = 0; e < g.num_arcs(); ++e) {
-    const uint32_t c = bcc.arc_component[e];
-    const EdgeIndex rev = bcc.rev_arc[e];
-    SAPHYRA_CHECK(bcc.arc_component[rev] == c);  // neighbor is a member
-    adj[cursor[node_begin[c] + src_local[e]]++] = src_local[rev];
-  }
-
-  offsets_ = std::move(offsets);
-  adj_ = std::move(adj);
-}
-
-ComponentViews ComponentViews::WithEdge(uint32_t c, NodeId u, NodeId v,
-                                        bool insert) const {
-  // Each endpoint's change: its node slot and the absolute adjacency
-  // position where the other endpoint's local id goes in or comes out.
-  struct Change {
-    size_t slot;
-    EdgeIndex at;
-    NodeId value;
-  };
-  auto locate = [&](NodeId from, NodeId to) {
-    SAPHYRA_CHECK(from != kInvalidNode && to != kInvalidNode);
-    const auto nbr = Neighbors(c, from);
-    const auto it = std::lower_bound(nbr.begin(), nbr.end(), to);
-    SAPHYRA_CHECK(insert == (it == nbr.end() || *it != to));
-    const size_t slot = node_begin_[c] + from;
-    const auto pos = static_cast<EdgeIndex>(it - nbr.begin());
-    return Change{slot, offsets_[slot] + pos, to};
-  };
-  const NodeId lu = ToLocal(c, u);
-  const NodeId lv = ToLocal(c, v);
-  Change x = locate(lu, lv);
-  Change y = locate(lv, lu);
-  if (x.slot > y.slot) std::swap(x, y);  // then x.at <= y.at
-
-  const auto old_adj = adj_.span();
-  std::vector<NodeId> adj;
-  adj.reserve(insert ? old_adj.size() + 2 : old_adj.size() - 2);
-  const size_t skip = insert ? 0 : 1;
-  adj.insert(adj.end(), old_adj.begin(), old_adj.begin() + x.at);
-  if (insert) adj.push_back(x.value);
-  adj.insert(adj.end(), old_adj.begin() + x.at + skip,
-             old_adj.begin() + y.at);
-  if (insert) adj.push_back(y.value);
-  adj.insert(adj.end(), old_adj.begin() + y.at + skip, old_adj.end());
-
-  // Offsets past x's slot move by one arc, past y's slot by two.
-  const EdgeIndex step = insert ? 1 : static_cast<EdgeIndex>(-1);
-  std::vector<EdgeIndex> offsets(offsets_.begin(), offsets_.end());
-  for (size_t k = x.slot + 1; k <= y.slot; ++k) offsets[k] += step;
-  for (size_t k = y.slot + 1; k < offsets.size(); ++k) offsets[k] += 2 * step;
-
-  ComponentViews out;
-  out.node_begin_ = node_begin_;
-  out.nodes_ = nodes_;
-  out.offsets_ = std::move(offsets);
-  out.adj_ = std::move(adj);
-  out.max_size_ = max_size_;
-  return out;
-}
-
-ComponentViews ComponentViews::WithMerge(const Graph& g,
-                                         const BiconnectedComponents& bcc,
-                                         const BlockMerge& merge) const {
-  // The merged block's local CSR: each member's arcs labeled with its id,
-  // neighbors mapped to local ids (ascending, like the global lists).
-  const uint32_t merged = merge.merged_id;
-  const auto members = bcc.component_nodes[merged];
-  std::vector<NodeId> local(g.num_nodes());
-  for (size_t i = 0; i < members.size(); ++i) {
-    local[members[i]] = static_cast<NodeId>(i);
-  }
-  std::vector<EdgeIndex> merged_offsets;
-  merged_offsets.reserve(members.size());
-  std::vector<NodeId> merged_adj;
-  for (NodeId x : members) {
-    merged_offsets.push_back(merged_adj.size());
-    const EdgeIndex base = g.offset(x);
-    const auto nbr = g.neighbors(x);
-    for (size_t i = 0; i < nbr.size(); ++i) {
-      if (bcc.arc_component[base + i] == merged) {
-        merged_adj.push_back(local[nbr[i]]);
-      }
-    }
-  }
-
-  // Splice: kept slices in order, the merged slice in its place.
+  // The slices in block order: a block with a new member list (every
+  // block without a parent) built from g's arcs, a run of blocks carried
+  // from consecutive parent blocks by one copy of the parent's, the edge
+  // block with the edge spliced.
   std::vector<EdgeIndex> offsets;
   offsets.reserve(bcc.component_nodes.nodes().size() + 1);
   std::vector<NodeId> adj;
   adj.reserve(g.num_arcs());
-  const std::span<const uint64_t> old_begin = node_begin_.span();
-  merge.Walk(
-      num_components(), [&](uint32_t c) { return old_begin[c]; },
-      [&](uint64_t from, uint64_t to) {
-        if (from == to) return;
-        const EdgeIndex shift = adj.size() - offsets_[from];  // mod 2^64
-        for (uint64_t k = from; k < to; ++k) {
-          offsets.push_back(offsets_[k] + shift);
-        }
-        adj.insert(adj.end(), adj_.begin() + offsets_[from],
-                   adj_.begin() + offsets_[to]);
-      },
-      [&] {
-        for (EdgeIndex o : merged_offsets) offsets.push_back(adj.size() + o);
-        adj.insert(adj.end(), merged_adj.begin(), merged_adj.end());
-      });
+  std::vector<NodeId> local;
+  for (uint32_t c = 0; c < num_comps;) {
+    const uint32_t first = parent == nullptr ? kInvalidComp : remap->from[c];
+    if (first == kInvalidComp) {
+      if (local.empty()) local.resize(g.num_nodes());
+      BuildSlice(g, bcc, c, &local, &offsets, &adj);
+      ++c;
+      continue;
+    }
+    const bool edge = c == remap->edge_block;
+    uint32_t end = c + 1;
+    while (!edge && end < num_comps && end != remap->edge_block &&
+           remap->from[end] == first + (end - c)) {
+      ++end;
+    }
+    parent->CopySlices(first, first + (end - c), edge ? remap : nullptr,
+                       &offsets, &adj);
+    c = end;
+  }
   offsets.push_back(adj.size());
   SAPHYRA_CHECK(adj.size() == g.num_arcs() &&
                 offsets.size() == bcc.component_nodes.nodes().size() + 1);
+  offsets_ = std::move(offsets);
+  adj_ = std::move(adj);
+}
 
-  ComponentViews out;
-  out.node_begin_ = bcc.component_nodes.begin();
-  out.nodes_ = bcc.component_nodes.nodes();
-  out.offsets_ = std::move(offsets);
-  out.adj_ = std::move(adj);
-  out.max_size_ = std::max(max_size_, static_cast<NodeId>(members.size()));
-  return out;
+void ComponentViews::CopySlices(uint32_t first, uint32_t last,
+                                const BlockRemap* edge,
+                                std::vector<EdgeIndex>* offsets,
+                                std::vector<NodeId>* adj) const {
+  const uint64_t from = node_begin_[first];
+  const uint64_t to = node_begin_[last];
+  const EdgeIndex adj_from = offsets_[from];
+  const EdgeIndex adj_to = offsets_[to];
+  const EdgeIndex shift = adj->size() - adj_from;  // mod 2^64
+  const size_t at = offsets->size();
+  offsets->insert(offsets->end(), offsets_.begin() + from,
+                  offsets_.begin() + to);
+  EdgeIndex* out = offsets->data() + at - from;
+  if (edge == nullptr) {
+    if (shift != 0) {
+      for (uint64_t k = from; k < to; ++k) out[k] += shift;
+    }
+    adj->insert(adj->end(), adj_.begin() + adj_from, adj_.begin() + adj_to);
+    return;
+  }
+  // Each endpoint's change: its node slot and the absolute adjacency
+  // position where the other endpoint's local id goes in or comes out.
+  struct Change {
+    uint64_t slot;
+    EdgeIndex at;
+    NodeId value;
+  };
+  auto locate = [&](NodeId from_local, NodeId to_local) {
+    SAPHYRA_CHECK(from_local != kInvalidNode && to_local != kInvalidNode);
+    const auto nbr = Neighbors(first, from_local);
+    const auto it = std::lower_bound(nbr.begin(), nbr.end(), to_local);
+    SAPHYRA_CHECK(edge->insert == (it == nbr.end() || *it != to_local));
+    const uint64_t slot = from + from_local;
+    return Change{slot,
+                  offsets_[slot] + static_cast<EdgeIndex>(it - nbr.begin()),
+                  to_local};
+  };
+  const NodeId lu = ToLocal(first, edge->u);
+  const NodeId lv = ToLocal(first, edge->v);
+  Change x = locate(lu, lv);
+  Change y = locate(lv, lu);
+  if (x.slot > y.slot) std::swap(x, y);  // then x.at <= y.at
+
+  // Offsets past x's slot move by one arc, past y's slot by two.
+  const EdgeIndex step = edge->insert ? 1 : static_cast<EdgeIndex>(-1);
+  auto add = [&](uint64_t lo, uint64_t hi, EdgeIndex by) {
+    for (uint64_t k = lo; k < hi; ++k) out[k] += by;
+  };
+  add(from, x.slot + 1, shift);
+  add(x.slot + 1, y.slot + 1, shift + step);
+  add(y.slot + 1, to, shift + 2 * step);
+  const EdgeIndex skip = edge->insert ? 0 : 1;
+  adj->insert(adj->end(), adj_.begin() + adj_from, adj_.begin() + x.at);
+  if (edge->insert) adj->push_back(x.value);
+  adj->insert(adj->end(), adj_.begin() + x.at + skip, adj_.begin() + y.at);
+  if (edge->insert) adj->push_back(y.value);
+  adj->insert(adj->end(), adj_.begin() + y.at + skip, adj_.begin() + adj_to);
 }
 
 Status ComponentViews::FromParts(ArrayRef<uint64_t> node_begin,

@@ -12,8 +12,6 @@
 
 namespace saphyra {
 
-struct BlockMerge;  // bicomp/incremental.h
-
 /// \brief Compact per-biconnected-component CSR subgraphs.
 ///
 /// The Gen_bc sampler restricts every BFS to one biconnected component.
@@ -48,30 +46,21 @@ class ComponentViews {
  public:
   ComponentViews() = default;
 
-  /// \brief Materialize every component of `bcc`, sharing its member
-  /// lists as the node slices. O(n + m + Σ|C_i|): a source's local id is
-  /// looked up in a NodeComponentIndex once per run of same-component arcs
-  /// (a binary search only for a cutpoint), and a neighbor's is the one
-  /// its reverse arc (`bcc.rev_arc`) recorded.
-  ComponentViews(const Graph& g, const BiconnectedComponents& bcc);
-
-  /// \brief The views of the same block partition with edge {u, v} of
-  /// component c added (`insert`) or removed: the node slices are shared,
-  /// c's two adjacency entries are spliced in or out and every later
-  /// offset moves by them — O(Σ|C_i| + num_arcs) sequential copies instead
-  /// of a rebuild. u and v must be members of c, and the edge absent
-  /// (insert) or present (remove).
-  ComponentViews WithEdge(uint32_t c, NodeId u, NodeId v, bool insert) const;
-
-  /// \brief The views after the insert that made `merge`
-  /// (bicomp/incremental.h): `g` is the new graph and `bcc` its
-  /// decomposition, whose member lists become the node slices. A kept
-  /// block's local adjacency carries over as is, its offsets shifted by
-  /// the slices dropped or opened before it; only the merged block's
-  /// slice is built, from `g`'s arcs labeled with its id. O(Σ|C_i| +
-  /// num_arcs) sequential copies plus the merged block's arcs.
-  ComponentViews WithMerge(const Graph& g, const BiconnectedComponents& bcc,
-                           const BlockMerge& merge) const;
+  /// \brief Materialize every component of `bcc`, the decomposition of
+  /// `g`, sharing its member lists as the node slices. A block is built
+  /// from its members' arcs labeled with its id, neighbors mapped to
+  /// local ids through an n-sized scratch map; a member whose degree
+  /// dwarfs the block (a hub in a small block) binary-searches for the
+  /// other members instead, so the whole build is O(n + m log Δ). With
+  /// `parent` — the views of the graph one edge mutation earlier — and the
+  /// repair's `remap`, a block carried from a parent block copies that
+  /// block's slice with its offsets shifted (a run of blocks carried from
+  /// consecutive parent blocks copies as one), the remap's edge block with
+  /// the mutated edge's two arcs spliced in or out; only the blocks with
+  /// new member lists are built.
+  ComponentViews(const Graph& g, const BiconnectedComponents& bcc,
+                 const ComponentViews* parent = nullptr,
+                 const BlockRemap* remap = nullptr);
 
   /// \brief Number of components ℓ.
   uint32_t num_components() const {
@@ -141,6 +130,14 @@ class ComponentViews {
                           ComponentViews* out);
 
  private:
+  /// Appends the slices of blocks [first, last) to another view's arrays
+  /// under construction, offsets shifted to where the adjacency lands.
+  /// With `edge`, the one block gets the mutated edge's two arcs spliced
+  /// in or out.
+  void CopySlices(uint32_t first, uint32_t last, const BlockRemap* edge,
+                  std::vector<EdgeIndex>* offsets,
+                  std::vector<NodeId>* adj) const;
+
   ArrayRef<uint64_t> node_begin_;  // size ℓ+1, into nodes_/offsets_
   ArrayRef<NodeId> nodes_;    // size Σ|C_i|, global ids per component
   ArrayRef<EdgeIndex> offsets_;  // size Σ|C_i|+1, absolute into adj_

@@ -221,22 +221,13 @@ std::vector<T> SpliceArcs(const std::vector<T>& old, bool insert,
   return out;
 }
 
-/// rev_arc carried onto the new CSR: a surviving arc's reverse moves with
-/// it, and the mutated arcs (`lo` < `hi`) are each other's reverse.
-std::vector<EdgeIndex> SpliceRevArcs(const std::vector<EdgeIndex>& old,
-                                     bool insert, EdgeIndex lo,
-                                     EdgeIndex hi) {
-  return SpliceArcs(old, insert, lo, hi, hi, lo, [&](EdgeIndex e) {
-    return insert ? e + (e >= lo) + (e + 1 >= hi) : e - (e > lo) - (e > hi);
-  });
-}
-
 /// The partition stands: the node-level fields carry over (the member
-/// lists are shared, not copied) and the arc arrays shift around the two
-/// mutated arcs. Nothing is relabeled.
+/// lists are shared, not copied) and the arc labels shift around the two
+/// mutated arcs. Nothing is relabeled; every block carries over under its
+/// own id, `block` with the edge.
 BiconnectedComponents KeepPartition(const BiconnectedComponents& old,
-                                    std::vector<uint32_t> labels, bool insert,
-                                    EdgeIndex lo, EdgeIndex hi) {
+                                    std::vector<uint32_t> labels,
+                                    uint32_t block, BlockRemap* remap) {
   BiconnectedComponents out;
   out.num_components = old.num_components;
   out.arc_component = std::move(labels);
@@ -244,7 +235,9 @@ BiconnectedComponents KeepPartition(const BiconnectedComponents& old,
   out.component_nodes = old.component_nodes;
   out.node_component = old.node_component;
   out.cutpoint_comp_count_ = old.cutpoint_comp_count_;
-  out.rev_arc = SpliceRevArcs(old.rev_arc, insert, lo, hi);
+  remap->from.resize(old.num_components);
+  for (uint32_t c = 0; c < old.num_components; ++c) remap->from[c] = c;
+  remap->edge_block = block;
   return out;
 }
 
@@ -272,22 +265,19 @@ BiconnectedComponents MergePath(const Graph& old_graph,
                                                 old.arc_component.begin() + lo);
   }
   if (path.blocks.size() == 1 && merged_id == first) {
-    stats->kept_partition = true;
     return KeepPartition(
         old,
         SpliceArcs(old.arc_component, true, lo, hi, first, first,
                    [](uint32_t c) { return c; }),
-        true, lo, hi);
+        first, &stats->remap);
   }
 
   // Every other block keeps its order: its rank among them, shifted past
   // the merged block.
-  BlockMerge& m = stats->merge;
-  m.blocks = std::move(path.blocks);
-  m.cutpoints = std::move(path.cutpoints);
-  const std::vector<uint32_t>& blocks = m.blocks;
-  m.merged_id = merged_id;
-  m.next_old = num_old;
+  const std::vector<uint32_t>& blocks = path.blocks;
+  const uint32_t num = num_old - static_cast<uint32_t>(blocks.size()) + 1;
+  std::vector<uint32_t>& from = stats->remap.from;
+  from.assign(num, kInvalidComp);
   std::vector<uint32_t> renumber(num_old);
   uint32_t rank = 0;
   for (uint32_t c = 0, b = 0; c < num_old; ++c) {
@@ -296,19 +286,18 @@ BiconnectedComponents MergePath(const Graph& old_graph,
       ++b;
       continue;
     }
-    if (rank == merged_id && m.next_old == num_old) m.next_old = c;
     renumber[c] = rank + (rank >= merged_id ? 1 : 0);
+    from[renumber[c]] = c;
     ++rank;
   }
   stats->dirty_arcs = 2;
   for (uint32_t b : blocks) stats->dirty_arcs += old_views.num_arcs(b);
 
   BiconnectedComponents out;
-  out.num_components = num_old - static_cast<uint32_t>(blocks.size()) + 1;
+  out.num_components = num;
   out.arc_component =
       SpliceArcs(old.arc_component, true, lo, hi, merged_id, merged_id,
                  [&](uint32_t c) { return renumber[c]; });
-  out.rev_arc = SpliceRevArcs(old.rev_arc, true, lo, hi);
 
   // The merged members: the union of the path blocks', smallest first so
   // the large block is merged once.
@@ -327,23 +316,18 @@ BiconnectedComponents MergePath(const Graph& old_graph,
   }
   uint64_t path_members = 0;
   for (uint32_t b : blocks) path_members += old.component_nodes[b].size();
-  SAPHYRA_CHECK(members.size() + m.cutpoints.size() == path_members);
+  SAPHYRA_CHECK(members.size() + path.cutpoints.size() == path_members);
 
   const std::span<const uint64_t> old_begin =
       old.component_nodes.begin().span();
-  std::vector<uint64_t> begin{0};
-  begin.reserve(out.num_components + 1);
-  m.Walk(
-      num_old, [](uint32_t c) { return uint64_t{c}; },
-      [&](uint64_t from, uint64_t to) {
-        for (uint64_t c = from; c < to; ++c) {
-          begin.push_back(begin.back() + old_begin[c + 1] - old_begin[c]);
-        }
-      },
-      [&] { begin.push_back(begin.back() + members.size()); });
-  std::vector<NodeId> nodes = m.Splice(
-      old.component_nodes.nodes().span(), num_old,
-      [&](uint32_t c) { return old_begin[c]; }, members.size());
+  std::vector<uint64_t> begin(num + 1, 0);
+  for (uint32_t c = 0; c < num; ++c) {
+    begin[c + 1] = begin[c] + (from[c] == kInvalidComp
+                                   ? members.size()
+                                   : old_begin[from[c] + 1] - old_begin[from[c]]);
+  }
+  std::vector<NodeId> nodes = CarrySlices(old.component_nodes.nodes().span(),
+                                          old_begin, begin, from);
   std::copy(members.begin(), members.end(),
             nodes.begin() + static_cast<ptrdiff_t>(begin[merged_id]));
   out.component_nodes = ComponentMembers(ShareArray(std::move(begin)),
@@ -354,8 +338,9 @@ BiconnectedComponents MergePath(const Graph& old_graph,
   // cutpoint at one.
   const NodeId n = old_graph.num_nodes();
   std::vector<uint32_t> node_component(n);
+  const uint32_t* old_home = old.node_component.data();
   for (NodeId x = 0; x < n; ++x) {
-    const uint32_t c = old.node_component[x];
+    const uint32_t c = old_home[x];
     node_component[x] = c == kInvalidComp ? c : renumber[c];
   }
   for (NodeId x : members) {
@@ -365,14 +350,14 @@ BiconnectedComponents MergePath(const Graph& old_graph,
   std::vector<uint32_t> counts(old.cutpoint_comp_count_.begin(),
                                old.cutpoint_comp_count_.end());
   bool cutpoints_change = false;
-  for (NodeId x : m.cutpoints) {
+  for (NodeId x : path.cutpoints) {
     if (--counts[x] == 1) cutpoints_change = true;
   }
   out.cutpoint_comp_count_ = ShareArray(std::move(counts));
   if (cutpoints_change) {
     std::vector<uint8_t> is_cutpoint(old.is_cutpoint.begin(),
                                      old.is_cutpoint.end());
-    for (NodeId x : m.cutpoints) {
+    for (NodeId x : path.cutpoints) {
       is_cutpoint[x] = out.cutpoint_comp_count_[x] > 1 ? 1 : 0;
     }
     out.is_cutpoint = ShareArray(std::move(is_cutpoint));
@@ -382,13 +367,58 @@ BiconnectedComponents MergePath(const Graph& old_graph,
   return out;
 }
 
+/// Deleting {u,v} splits `block`: Hopcroft–Tarjan on the parent's view of
+/// the block minus the edge, a CSR over the block's local ids, relabels
+/// the block's surviving arcs in `labels` (the new CSR's) with fresh
+/// labels from `*label_space` on. Local ids preserve the global order, so
+/// a member's arcs labeled `block` in the new CSR are its local arcs, in
+/// order. Returns the number of relabeled arcs.
+uint64_t SplitBlock(const Graph& new_graph, const ComponentViews& views,
+                    uint32_t block, NodeId u, NodeId v,
+                    std::vector<uint32_t>* labels, uint32_t* label_space) {
+  const NodeId size = views.size(block);
+  const NodeId lu = views.ToLocal(block, u);
+  const NodeId lv = views.ToLocal(block, v);
+  std::vector<EdgeIndex> offsets(size + 1, 0);
+  std::vector<NodeId> adj;
+  adj.reserve(views.num_arcs(block) - 2);
+  NodeId max_degree = 0;
+  for (NodeId x = 0; x < size; ++x) {
+    for (NodeId y : views.Neighbors(block, x)) {
+      if ((x == lu && y == lv) || (x == lv && y == lu)) continue;
+      adj.push_back(y);
+    }
+    offsets[x + 1] = adj.size();
+    max_degree = std::max(max_degree,
+                          static_cast<NodeId>(offsets[x + 1] - offsets[x]));
+  }
+  Graph sub;
+  const Status st = Graph::FromCsr(size, max_degree, std::move(offsets),
+                                   std::move(adj), &sub);
+  SAPHYRA_CHECK_MSG(st.ok(), st.ToString().c_str());
+  const BiconnectedComponents sub_bcc = ComputeBiconnectedComponents(sub);
+  for (NodeId x = 0; x < size; ++x) {
+    const EdgeIndex base = new_graph.offset(views.ToGlobal(block, x));
+    const NodeId deg = new_graph.degree(views.ToGlobal(block, x));
+    EdgeIndex sub_arc = sub.offset(x);
+    for (NodeId i = 0; i < deg; ++i) {
+      uint32_t& label = (*labels)[base + i];
+      if (label == block) {
+        label = *label_space + sub_bcc.arc_component[sub_arc++];
+      }
+    }
+    SAPHYRA_CHECK(sub_arc == sub.offset(x) + sub.degree(x));
+  }
+  *label_space += sub_bcc.num_components;
+  return sub.num_arcs();
+}
+
 }  // namespace
 
 BiconnectedComponents RepairBiconnectedComponents(
     const Graph& old_graph, const BiconnectedComponents& old_bcc,
     const ComponentViews& old_views, const Graph& new_graph,
-    const EdgeMutation& mut, const IncrementalBicompOptions& opts,
-    IncrementalBicompStats* stats) {
+    const EdgeMutation& mut, IncrementalBicompStats* stats) {
   const NodeId n = new_graph.num_nodes();
   SAPHYRA_CHECK(old_graph.num_nodes() == n);
   const bool insert = mut.kind == EdgeMutationKind::kInsert;
@@ -398,6 +428,10 @@ BiconnectedComponents RepairBiconnectedComponents(
   IncrementalBicompStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = IncrementalBicompStats();
+  BlockRemap& remap = stats->remap;
+  remap.u = mut.u;
+  remap.v = mut.v;
+  remap.insert = insert;
 
   // The two graphs differ by one slot in u's list and one in v's list —
   // the mutated arcs, at positions in the new CSR for an insert and in
@@ -407,11 +441,11 @@ BiconnectedComponents RepairBiconnectedComponents(
   EdgeIndex hi = ArcIndexOf(with_edge, mut.v, mut.u);
   if (lo > hi) std::swap(lo, hi);
   uint32_t label_space = old_bcc.num_components;
+  uint32_t edge_label = kInvalidComp;  // the surviving block of the edge
   std::vector<uint32_t> labels;
   if (insert) {
     BlockPath path;
     if (BlockCutPath(old_graph, old_bcc, mut.u, mut.v, &path)) {
-      stats->dirty_blocks = static_cast<uint32_t>(path.blocks.size());
       return MergePath(old_graph, old_bcc, old_views, lo, hi,
                        std::move(path), stats);
     }
@@ -421,96 +455,40 @@ BiconnectedComponents RepairBiconnectedComponents(
                         label_space, [](uint32_t c) { return c; });
     ++label_space;
     stats->dirty_arcs = 2;
+    remap.conn_changed = true;
   } else {
     // Transfer the old per-arc labels onto the new CSR: the old array
     // with the two deleted positions erased.
     labels = SpliceArcs(old_bcc.arc_component, false, lo, hi, kInvalidComp,
                         kInvalidComp, [](uint32_t c) { return c; });
     const uint32_t block = old_bcc.arc_component[lo];
-    stats->dirty_blocks = 1;
-    if (old_bcc.component_nodes[block].size() > 2 &&
-        KeepsTwoDisjointPaths(old_views, block, mut.u, mut.v) &&
-        KeepsCanonicalIds(old_bcc, block, mut.u, mut.v, labels)) {
-      stats->kept_partition = true;
-      return KeepPartition(old_bcc, std::move(labels), false, lo, hi);
+    if (old_bcc.component_nodes[block].size() == 2) {
+      // A bridge: its label simply disappears and the renumber closes the
+      // gap, but the connected component splits.
+      remap.conn_changed = true;
+    } else if (KeepsTwoDisjointPaths(old_views, block, mut.u, mut.v)) {
+      if (KeepsCanonicalIds(old_bcc, block, mut.u, mut.v, labels)) {
+        return KeepPartition(old_bcc, std::move(labels), block, &remap);
+      }
+      // The block stands under a moved id: the renumber below moves it.
+      edge_label = block;
+    } else {
+      stats->dirty_arcs = SplitBlock(new_graph, old_views, block, mut.u,
+                                     mut.v, &labels, &label_space);
     }
-
-    // Measure the dirty region: the block's surviving arcs.
-    uint64_t dirty_arcs = 0;
-    for (uint32_t c : labels) dirty_arcs += c == block ? 1 : 0;
-    stats->dirty_arcs = dirty_arcs;
-    if (static_cast<double>(dirty_arcs) >
-        opts.max_dirty_fraction * static_cast<double>(new_graph.num_arcs())) {
-      // Past the budget a full pass is cheaper than recomputing the split
-      // block, and the canonicalization contract makes it emit the same
-      // bytes.
-      stats->fell_back = true;
-      return ComputeBiconnectedComponents(new_graph);
-    }
-    if (dirty_arcs != 0) {
-      // Recompute the decomposition of the surviving arcs of the block
-      // that lost the edge, on a compact subgraph. Local ids are
-      // order-preserving (sorted dirty vertex list), so sub adjacency
-      // order matches the global CSR order and the graft below is a
-      // per-vertex two-pointer walk.
-      std::vector<NodeId> dirty_nodes;
-      for (NodeId x = 0; x < n; ++x) {
-        const EdgeIndex base = new_graph.offset(x);
-        const NodeId deg = new_graph.degree(x);
-        for (NodeId i = 0; i < deg; ++i) {
-          if (labels[base + i] == block) {
-            dirty_nodes.push_back(x);
-            break;
-          }
-        }
-      }
-      std::vector<NodeId> local_id(n, kInvalidNode);
-      for (size_t i = 0; i < dirty_nodes.size(); ++i) {
-        local_id[dirty_nodes[i]] = static_cast<NodeId>(i);
-      }
-      GraphBuilder builder;
-      for (NodeId x : dirty_nodes) {
-        const EdgeIndex base = new_graph.offset(x);
-        const auto nbr = new_graph.neighbors(x);
-        for (size_t i = 0; i < nbr.size(); ++i) {
-          if (labels[base + i] == block && x < nbr[i]) {
-            builder.AddEdge(local_id[x], local_id[nbr[i]]);
-          }
-        }
-      }
-      Graph sub;
-      Status st =
-          builder.Build(static_cast<NodeId>(dirty_nodes.size()), &sub);
-      SAPHYRA_CHECK_MSG(st.ok(), st.ToString().c_str());
-      const BiconnectedComponents sub_bcc = ComputeBiconnectedComponents(sub);
-      // Graft the sub-labels back, offset past the old label space so
-      // clean and recomputed labels never collide before the canonical
-      // renumber.
-      for (NodeId lx = 0; lx < sub.num_nodes(); ++lx) {
-        const NodeId gx = dirty_nodes[lx];
-        const auto sub_nbr = sub.neighbors(lx);
-        const auto new_nbr = new_graph.neighbors(gx);
-        const EdgeIndex gbase = new_graph.offset(gx);
-        size_t gi = 0;
-        for (size_t si = 0; si < sub_nbr.size(); ++si) {
-          const NodeId gy = dirty_nodes[sub_nbr[si]];
-          while (new_nbr[gi] != gy) ++gi;
-          labels[gbase + gi] =
-              label_space + sub_bcc.arc_component[sub.offset(lx) + si];
-          ++gi;
-        }
-      }
-      label_space += sub_bcc.num_components;
-    }
-    // Deleting a bridge leaves dirty_arcs == 0 with no new labels: its old
-    // label simply disappears and the renumber closes the gap.
   }
 
   BiconnectedComponents out;
   out.arc_component = std::move(labels);
-  out.rev_arc = ComputeReverseArcs(new_graph);
+  std::vector<uint32_t> renumber;
   FinalizeBicompFields(new_graph, label_space, /*derive_cutpoints=*/true,
-                       &out);
+                       &out, &renumber);
+  // A surviving old label names a block whose arcs, hence members, stood.
+  remap.from.assign(out.num_components, kInvalidComp);
+  for (uint32_t c = 0; c < old_bcc.num_components; ++c) {
+    if (renumber[c] != kInvalidComp) remap.from[renumber[c]] = c;
+  }
+  if (edge_label != kInvalidComp) remap.edge_block = renumber[edge_label];
   return out;
 }
 

@@ -9,9 +9,7 @@ namespace saphyra {
 
 IspIndex::IspIndex(const Graph& g)
     : g_(&g), bcc_(ComputeBiconnectedComponents(g)) {
-  tables_ = BuildTables(g.num_nodes(), bcc_,
-                        BlockCutTree::Build(g, bcc_, ConnectedComponents(g)));
-  views_ = ComponentViews(g, bcc_);
+  Derive(nullptr, nullptr);
 }
 
 IspIndex::IspIndex(const Graph& g, GraphCache&& cache)
@@ -21,35 +19,60 @@ IspIndex::IspIndex(const Graph& g, GraphCache&& cache)
   SAPHYRA_CHECK_MSG(bcc_.arc_component.size() == g.num_arcs() &&
                         cache.tree.conn().component.size() == g.num_nodes(),
                     "cached decomposition does not match the graph");
-  tables_ = BuildTables(g.num_nodes(), bcc_, std::move(cache.tree));
+  tables_ = DeriveTables(g.num_nodes(), bcc_, std::move(cache.tree), nullptr,
+                         {});
 }
 
 IspIndex::IspIndex(const Graph& g, const IspIndex& parent,
-                   BiconnectedComponents bcc, const EdgeMutation& mut,
-                   const IncrementalBicompStats& route)
+                   BiconnectedComponents bcc, const BlockRemap& remap)
     : g_(&g), bcc_(std::move(bcc)) {
   SAPHYRA_CHECK(g.num_nodes() == parent.graph().num_nodes() &&
-                bcc_.arc_component.size() == g.num_arcs());
-  if (route.merged()) {
-    views_ = parent.views_.WithMerge(g, bcc_, route.merge);
-    tables_ = MergeTables(g.num_nodes(), *parent.tables_, parent.bcc_, bcc_,
-                          route.merge);
-    return;
+                bcc_.arc_component.size() == g.num_arcs() &&
+                remap.from.size() == bcc_.num_components);
+  Derive(&parent, &remap);
+}
+
+void IspIndex::Derive(const IspIndex* parent, const BlockRemap* remap) {
+  views_ = ComponentViews(*g_, bcc_, parent != nullptr ? &parent->views_
+                                                       : nullptr,
+                          remap);
+  // Out-reach and tables carry for a block whose member list stood and
+  // whose connected component kept its size; connectivity is the parent's
+  // unless the mutation joined or split a connected component.
+  std::vector<uint32_t> carry;
+  std::shared_ptr<const ComponentLabels> conn;
+  if (parent != nullptr) {
+    if (!remap->conn_changed) {
+      // Every block carried under its own id: the partition stood, and
+      // the parent's tables are this epoch's.
+      const std::vector<uint32_t>& from = remap->from;
+      bool same = from.size() == parent->num_components();
+      for (uint32_t c = 0; same && c < from.size(); ++c) same = from[c] == c;
+      if (same) {
+        tables_ = parent->tables_;
+        return;
+      }
+      conn = parent->tree().shared_conn();
+    }
+    carry = remap->from;
   }
-  SAPHYRA_CHECK(route.kept_partition &&
-                bcc_.num_components == parent.num_components());
-  tables_ = parent.tables_;
-  // The mutated block: the label of the edge on the side that has it.
-  const bool insert = mut.kind == EdgeMutationKind::kInsert;
-  const Graph& with_edge = insert ? g : parent.graph();
-  const auto nbr = with_edge.neighbors(mut.u);
-  const auto it = std::lower_bound(nbr.begin(), nbr.end(), mut.v);
-  SAPHYRA_CHECK(it != nbr.end() && *it == mut.v);
-  const uint32_t block =
-      (insert ? bcc_ : parent.bcc_)
-          .arc_component[with_edge.offset(mut.u) +
-                         static_cast<EdgeIndex>(it - nbr.begin())];
-  views_ = parent.views_.WithEdge(block, mut.u, mut.v, insert);
+  if (conn == nullptr) {
+    conn = std::make_shared<const ComponentLabels>(ConnectedComponents(*g_));
+    for (uint32_t c = 0; c < carry.size(); ++c) {
+      const NodeId rep = bcc_.component_nodes[c][0];
+      if (carry[c] != kInvalidComp &&
+          conn->size[conn->component[rep]] !=
+              parent->tree().conn_size_of_comp(carry[c])) {
+        carry[c] = kInvalidComp;
+      }
+    }
+  }
+  tables_ = DeriveTables(
+      g_->num_nodes(), bcc_,
+      BlockCutTree::Derive(bcc_, std::move(conn),
+                           parent != nullptr ? &parent->tree() : nullptr,
+                           carry),
+      parent, carry);
 }
 
 void IspIndex::FillComponent(uint32_t c, const BiconnectedComponents& bcc,
@@ -91,13 +114,14 @@ void IspIndex::SumTotals(NodeId num_nodes, const BiconnectedComponents& bcc,
   // Break-point centrality bc_a (Eq. 21, ordered-pair form).
   t->bca.assign(num_nodes, 0.0);
   const std::span<const NodeId> reach = t->tree.reach();
+  const uint8_t* is_cut = bcc.is_cutpoint.data();
   for (uint32_t c = 0; c < bcc.num_components; ++c) {
     const uint64_t csize = t->tree.conn_size_of_comp(c);
     const uint64_t base = bcc.component_nodes.begin()[c];
     const auto members = bcc.component_nodes[c];
     for (size_t i = 0; i < members.size(); ++i) {
       const NodeId v = members[i];
-      if (!bcc.is_cutpoint[v]) continue;
+      if (!is_cut[v]) continue;
       const double hang = static_cast<double>(csize - reach[base + i]);
       t->bca[v] += hang * (static_cast<double>(csize) - 1.0 - hang);
     }
@@ -107,48 +131,40 @@ void IspIndex::SumTotals(NodeId num_nodes, const BiconnectedComponents& bcc,
   }
 }
 
-std::shared_ptr<const IspIndex::PartitionTables> IspIndex::BuildTables(
-    NodeId num_nodes, const BiconnectedComponents& bcc, BlockCutTree tree) {
+std::shared_ptr<const IspIndex::PartitionTables> IspIndex::DeriveTables(
+    NodeId num_nodes, const BiconnectedComponents& bcc, BlockCutTree tree,
+    const IspIndex* parent, std::span<const uint32_t> carry) {
   auto t = std::make_shared<PartitionTables>();
   t->tree = std::move(tree);
   const uint32_t num_comps = bcc.num_components;
-  const size_t memberships = bcc.component_nodes.nodes().size();
-  t->comp_weight.assign(num_comps, 0.0);
-  t->target_mass.assign(num_comps, 0.0);
-  t->source_prob.assign(memberships, 0.0);
-  t->source_alias.assign(memberships, 0);
-  t->target_prob.assign(memberships, 0.0);
-  t->target_alias.assign(memberships, 0);
-  for (uint32_t c = 0; c < num_comps; ++c) FillComponent(c, bcc, t.get());
-  SumTotals(num_nodes, bcc, t.get());
-  return t;
-}
-
-std::shared_ptr<const IspIndex::PartitionTables> IspIndex::MergeTables(
-    NodeId num_nodes, const PartitionTables& parent,
-    const BiconnectedComponents& parent_bcc,
-    const BiconnectedComponents& bcc, const BlockMerge& merge) {
-  auto t = std::make_shared<PartitionTables>();
-  t->tree = parent.tree.WithMerge(bcc, merge);
-  const uint32_t num_old = parent_bcc.num_components;
-  auto per_component = [&](const std::vector<double>& old) {
-    return merge.Splice<double>(
-        old, num_old, [](uint32_t c) { return uint64_t{c}; }, 1);
+  // With no parent `carry` is empty and every slice is filled below.
+  const PartitionTables* p =
+      parent != nullptr ? parent->tables_.get() : nullptr;
+  auto carried = [&](uint32_t c) {
+    return !carry.empty() && carry[c] != kInvalidComp;
   };
-  t->comp_weight = per_component(parent.comp_weight);
-  t->target_mass = per_component(parent.target_mass);
+  t->comp_weight.resize(num_comps);
+  t->target_mass.resize(num_comps);
+  for (uint32_t c = 0; c < num_comps; ++c) {
+    t->comp_weight[c] = carried(c) ? p->comp_weight[carry[c]] : 0.0;
+    t->target_mass[c] = carried(c) ? p->target_mass[carry[c]] : 0.0;
+  }
   const std::span<const uint64_t> old_begin =
-      parent_bcc.component_nodes.begin().span();
-  const size_t merged_size = bcc.component_nodes[merge.merged_id].size();
-  auto per_member = [&]<typename T>(const std::vector<T>& old) {
-    return merge.Splice<T>(
-        old, num_old, [&](uint32_t c) { return old_begin[c]; }, merged_size);
+      parent != nullptr ? parent->bcc_.component_nodes.begin().span()
+                        : std::span<const uint64_t>();
+  const std::span<const uint64_t> begin = bcc.component_nodes.begin().span();
+  auto slices = [&]<typename T>(std::vector<T> PartitionTables::*table) {
+    return CarrySlices(
+        p != nullptr ? std::span<const T>(p->*table) : std::span<const T>(),
+        old_begin, begin, carry);
   };
-  t->source_prob = per_member(parent.source_prob);
-  t->source_alias = per_member(parent.source_alias);
-  t->target_prob = per_member(parent.target_prob);
-  t->target_alias = per_member(parent.target_alias);
-  FillComponent(merge.merged_id, bcc, t.get());
+  t->source_prob = slices(&PartitionTables::source_prob);
+  t->source_alias = slices(&PartitionTables::source_alias);
+  t->target_prob = slices(&PartitionTables::target_prob);
+  t->target_alias = slices(&PartitionTables::target_alias);
+  for (uint32_t c = 0; c < num_comps; ++c) {
+    if (!carried(c)) FillComponent(c, bcc, t.get());
+  }
   SumTotals(num_nodes, bcc, t.get());
   return t;
 }

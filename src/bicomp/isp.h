@@ -3,12 +3,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "bicomp/biconnected.h"
 #include "bicomp/block_cut_tree.h"
 #include "bicomp/component_view.h"
-#include "bicomp/incremental.h"
 #include "graph/connectivity.h"
 #include "graph/graph.h"
 #include "util/rng.h"
@@ -39,7 +39,8 @@ struct GraphCache;  // graph/binary_io.h
 /// against exhaustive enumeration in the tests.
 class IspIndex {
  public:
-  /// \brief Build the full index. O(n + m).
+  /// \brief Build the full index: the decomposition, then the one
+  /// derivation with every block dirty. O(n + m).
   explicit IspIndex(const Graph& g);
 
   /// \brief Build the index from a persisted decomposition (a `.sgr` cache
@@ -51,25 +52,27 @@ class IspIndex {
   /// (γ, bc_a, alias tables) are recomputed — O(Σ|C_i|).
   IspIndex(const Graph& g, GraphCache&& cache);
 
-  /// \brief The index of `g`, which is `parent`'s graph with the single
-  /// edge mutation `mut` applied, given g's decomposition `bcc` as
-  /// RepairBiconnectedComponents produced it and that repair's `route`,
-  /// which must have kept the partition or merged blocks.
-  ///   - kept (IncrementalBicompStats::kept_partition): the same member
-  ///     lists under the same canonical ids. Connectivity, the block-cut
-  ///     tree and every table derived from them (γ, W_i, bc_a, alias
-  ///     tables) are pure functions of that partition, so they are shared
-  ///     with the parent, not recomputed; only the mutated block's views
-  ///     are patched (ComponentViews::WithEdge).
-  ///   - merged (IncrementalBicompStats::merge): connectivity is shared,
-  ///     and every block off the merged path keeps its views, out-reach,
-  ///     W_i and alias tables under its new id — one splice per table.
-  ///     Only the merged block's view, out-reach and tables are derived;
-  ///     Σ W_i, γ and bc_a are re-summed in block order, so every bit
-  ///     equals a fresh build's.
-  /// Either index may be destroyed first.
+  /// \brief The index of `g`, which is `parent`'s graph with one edge
+  /// mutation applied, given g's decomposition `bcc` and the `remap` that
+  /// RepairBiconnectedComponents reported with it. The one derivation
+  /// re-derives the dirty blocks and carries the rest:
+  ///   - connectivity is the parent's unless the mutation joined or split
+  ///     a connected component (BlockRemap::conn_changed);
+  ///   - a block whose member list stood copies the parent's view slice
+  ///     (the remap's edge block with the edge's two arcs spliced) and,
+  ///     when its connected component kept its size, its out-reach, W_i
+  ///     and alias slices;
+  ///   - every other block — a merged block, the pieces of a split, every
+  ///     block of a connected component that grew or shrank — gets its
+  ///     out-reach from one block-cut-tree DP over the dirty region
+  ///     (BlockCutTree::Derive) and its tables from it; Σ W_i, γ and bc_a
+  ///     are re-summed in block order.
+  /// So every bit equals a fresh build's. An update that carries every
+  /// block under its own id with its connectivity (the partition stood)
+  /// shares the parent's tables outright. Either index may be destroyed
+  /// first.
   IspIndex(const Graph& g, const IspIndex& parent, BiconnectedComponents bcc,
-           const EdgeMutation& mut, const IncrementalBicompStats& route);
+           const BlockRemap& remap);
 
   IspIndex(const IspIndex&) = delete;
   IspIndex& operator=(const IspIndex&) = delete;
@@ -127,10 +130,10 @@ class IspIndex {
 
  private:
   /// Everything that is a pure function of the block partition (and of
-  /// n): built once, then shared by every later epoch whose update kept
-  /// the partition, and spliced by one that merged blocks. Holds no
-  /// pointer into any epoch — the tree keeps its node-level inputs itself
-  /// — so no epoch's lifetime bounds another's.
+  /// n): derived once, then shared by every later epoch whose update kept
+  /// the partition, and carried block by block into one that changed it.
+  /// Holds no pointer into any epoch — the tree keeps its node-level
+  /// inputs itself — so no epoch's lifetime bounds another's.
   struct PartitionTables {
     BlockCutTree tree;
     double gamma = 0.0;
@@ -151,17 +154,16 @@ class IspIndex {
     std::vector<uint32_t> target_alias;
   };
 
-  /// The closed-form tables derived from a decomposition and its tree
-  /// (γ, W_i, bc_a, alias tables).
-  static std::shared_ptr<const PartitionTables> BuildTables(
-      NodeId n, const BiconnectedComponents& bcc, BlockCutTree tree);
+  /// The one derivation of views, out-reach and tables from `parent`
+  /// through `remap` (both null: every block dirty).
+  void Derive(const IspIndex* parent, const BlockRemap* remap);
 
-  /// `parent`'s tables (over the member layout `parent_bcc`) carried
-  /// across `merge` onto the merged decomposition `bcc`.
-  static std::shared_ptr<const PartitionTables> MergeTables(
-      NodeId n, const PartitionTables& parent,
-      const BiconnectedComponents& parent_bcc,
-      const BiconnectedComponents& bcc, const BlockMerge& merge);
+  /// The closed-form tables over `tree`: block c with `carry[c]` !=
+  /// kInvalidComp copies `parent`'s slices of block carry[c]; every other
+  /// block is filled. With no parent `carry` is empty.
+  static std::shared_ptr<const PartitionTables> DeriveTables(
+      NodeId n, const BiconnectedComponents& bcc, BlockCutTree tree,
+      const IspIndex* parent, std::span<const uint32_t> carry);
 
   /// W_c, the r-mass and the two alias slices of component c, from the
   /// tree's out-reach; `t`'s arrays are already sized.

@@ -233,6 +233,9 @@ Status WriteSgr(const std::string& path, const Graph& g,
     return Status::InvalidArgument(
         "decomposition does not match the graph being written");
   }
+  // The format keeps the reverse-arc map, a function of the CSR alone.
+  const std::vector<EdgeIndex> rev_arc =
+      with_decomp ? ComputeReverseArcs(g) : std::vector<EdgeIndex>();
 
   SgrHeader hdr{};
   std::memcpy(hdr.magic, kSgrMagic, sizeof(kSgrMagic));
@@ -282,7 +285,7 @@ Status WriteSgr(const std::string& path, const Graph& g,
         bcc->node_component.data());
     add(kSecBccCutpointCount, 4, bcc->cutpoint_comp_count_.size(),
         bcc->cutpoint_comp_count_.data());
-    add(kSecBccRevArc, 8, bcc->rev_arc.size(), bcc->rev_arc.data());
+    add(kSecBccRevArc, 8, rev_arc.size(), rev_arc.data());
     add(kSecConnLabels, 4, conn->component.size(), conn->component.data());
     add(kSecConnSizes, 4, conn->size.size(), conn->size.data());
     add(kSecViewNodeBegin, 8, views->raw_node_begin().size(),
@@ -426,8 +429,11 @@ Status LoadSgr(const std::string& path, GraphCache* out,
   bcc.is_cutpoint = ArrayRef<uint8_t>(is_cutpoint, file);
   bcc.node_component = ArrayRef<uint32_t>(node_component, file);
   bcc.cutpoint_comp_count_ = ArrayRef<uint32_t>(cutpoint_comp_count, file);
-  SAPHYRA_RETURN_NOT_OK(CopySection<EdgeIndex>(
-      bytes, find(kSecBccRevArc), "bcc rev_arc", arcs, &bcc.rev_arc));
+  // The reverse-arc map is a function of the CSR that nothing reads back:
+  // the section is checked, not kept.
+  std::span<const EdgeIndex> rev_arc;
+  SAPHYRA_RETURN_NOT_OK(SectionSpan<EdgeIndex>(bytes, find(kSecBccRevArc),
+                                               "bcc rev_arc", arcs, &rev_arc));
   SAPHYRA_RETURN_NOT_OK(CopySection<NodeId>(bytes, find(kSecConnLabels),
                                             "conn labels", n,
                                             &out->conn.component));

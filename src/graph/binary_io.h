@@ -43,7 +43,7 @@ inline constexpr uint64_t kSgrAlignment = 64;
 /// This is what a `.sgr` file deserializes to. When `has_decomposition` is
 /// true, `bcc`/`conn`/`views`/`tree` hold exactly what
 /// ComputeBiconnectedComponents / ConnectedComponents / ComponentViews /
-/// BlockCutTree::Build would have produced on `graph` — IspIndex can adopt
+/// BlockCutTree::Derive would have produced on `graph` — IspIndex can adopt
 /// them (IspIndex(g, std::move(cache))) and skip the whole decomposition.
 struct GraphCache {
   Graph graph;
@@ -105,8 +105,8 @@ Status WriteSgr(const std::string& path, const Graph& g,
 /// as they do); a graph-only cache therefore loads in near-constant time
 /// (header/section validation plus one O(n) offsets-monotonicity pass).
 /// With a decomposition, the side tables of `out->bcc`/`out->conn`/
-/// `out->tree` — including the Θ(m) `arc_component` and `rev_arc` arrays —
-/// are materialized by sequential memcpy from the mapping: no parsing and
+/// `out->tree` — including the Θ(m) `arc_component` array — are
+/// materialized by sequential memcpy from the mapping: no parsing and
 /// no recomputation, but not free (see docs/formats.md, "mmap ownership model").
 Status LoadSgr(const std::string& path, GraphCache* out,
                const SgrReadOptions& options = {});

@@ -82,7 +82,6 @@ QueryResult BatchScheduler::RunUpdate(QuerySession* session,
     ++stats_.queries;
     if (st.ok()) {
       ++stats_.updates;
-      if (outcome.index_reused) ++stats_.updates_index_reused;
     } else {
       ++stats_.errors;
       if (st.code() == StatusCode::kCancelled) ++stats_.cancelled;

@@ -98,9 +98,6 @@ struct SchedulerOptions {
 struct SchedulerStats {
   uint64_t queries = 0;      ///< requests answered
   uint64_t updates = 0;      ///< graph mutations applied
-  /// Of `updates`: those whose epoch index was built from its parent's at
-  /// publish (UpdateOutcome::index_reused).
-  uint64_t updates_index_reused = 0;
   uint64_t computed = 0;     ///< estimator executions
   uint64_t memo_hits = 0;    ///< served from the memo
   uint64_t dedup_hits = 0;   ///< shared an in-flight execution

@@ -111,35 +111,18 @@ Status QuerySession::ApplyUpdate(const EdgeMutation& mut, UpdateOutcome* out) {
       cur->fingerprint(), next->epoch_, mut.kind, mut.u, mut.v);
 
   // Repair the decomposition from the current epoch's (building its index
-  // now if no query ever had — repairs must chain, and the repaired
-  // decomposition seeds the next repair).
+  // now if no query ever had — repairs chain) and derive the new epoch's
+  // index from it, so the epoch is ready before it is published.
   IncrementalBicompStats repair_stats;
   const IspIndex& parent = cur->isp();
   BiconnectedComponents bcc = RepairBiconnectedComponents(
       cur->graph(), parent.bcc(), parent.views(), next->graph_, mut,
-      options_.repair, &repair_stats);
-  const bool index_reused =
-      repair_stats.kept_partition || repair_stats.merged();
-  if (index_reused) {
-    // The partition stood or blocks merged: the new index shares or
-    // splices the parent's tables and is ready before the epoch is
-    // published.
-    std::call_once(next->isp_once_, [&] {
-      next->isp_ = std::make_unique<IspIndex>(next->graph_, parent,
-                                              std::move(bcc), mut,
-                                              repair_stats);
-    });
-  } else {
-    // The new epoch adopts the rest lazily, exactly like a `.sgr` cache
-    // load would.
-    next->cache_.bcc = std::move(bcc);
-    next->cache_.conn = ConnectedComponents(next->graph_);
-    next->cache_.views = ComponentViews(next->graph_, next->cache_.bcc);
-    next->cache_.tree = BlockCutTree::Build(next->graph_, next->cache_.bcc,
-                                            next->cache_.conn);
-    next->cache_.content_fingerprint = 0;  // chained, not content-derived
-    next->cache_.has_decomposition = true;
-  }
+      &repair_stats);
+  std::call_once(next->isp_once_, [&] {
+    next->isp_ = std::make_unique<IspIndex>(next->graph_, parent,
+                                            std::move(bcc),
+                                            repair_stats.remap);
+  });
 
   bool compacted = false;
   if (overlay_->delta_size() >= options_.compact_threshold) {
@@ -158,9 +141,7 @@ Status QuerySession::ApplyUpdate(const EdgeMutation& mut, UpdateOutcome* out) {
     out->epoch = next->epoch_;
     out->fingerprint = next->fingerprint_;
     out->compacted = compacted;
-    out->repair_fell_back = repair_stats.fell_back;
     out->repair_dirty_arcs = repair_stats.dirty_arcs;
-    out->index_reused = index_reused;
   }
   return Status::OK();
 }

@@ -16,16 +16,10 @@
 /// (GraphSnapshot): epoch 0 is the loaded graph, and each accepted
 /// {"op":"update"} produces epoch e+1 via a DeltaOverlay mutation +
 /// incremental bicomp repair (bicomp/incremental.h), then atomically
-/// publishes the new snapshot. When the update keeps the block partition
-/// (IncrementalBicompStats::kept_partition) or merges blocks (an insert
-/// inside one connected component), the new epoch's IspIndex is built
-/// before publishing from the parent's: a kept partition shares its
-/// partition tables (connectivity, block-cut tree, γ, W_i, bc_a, alias
-/// tables), and a merge shares connectivity and splices every other
-/// table, re-deriving only the merged block's. Bridge deletes,
-/// splitting deletes and inserts across connected components rebuild
-/// instead: the epoch adopts its repaired decomposition lazily on its
-/// first index use, like a `.sgr` load. Queries pin the snapshot current
+/// publishes the new snapshot with its IspIndex already built: one
+/// derivation from the parent's index through the repair's block remap
+/// re-derives the blocks the mutation changed and carries the rest (see
+/// IspIndex). Queries pin the snapshot current
 /// at their admission and run it to completion — snapshot isolation: an
 /// update never changes bits of an in-flight query, and a query admitted
 /// after the update sees the new epoch only. Each epoch's fingerprint chains
@@ -73,10 +67,6 @@ struct SessionOptions {
   /// Off by default: sessions serving only ABRA/KADABRA/k-path/closeness
   /// never need it.
   bool eager_index = false;
-  /// Incremental decomposition repair knobs for ApplyUpdate (the
-  /// dirty-region budget past which a delete runs the full pass). Every
-  /// setting yields the same bytes.
-  IncrementalBicompOptions repair;
   /// Rebuild the overlay onto a clean base CSR once this many deltas
   /// (inserted + tombstoned edges) accumulate; 0 compacts on every
   /// update. Compaction changes no served bit — it only bounds the
@@ -103,8 +93,8 @@ class GraphSnapshot {
   /// can never serve another.
   uint64_t fingerprint() const { return fingerprint_; }
   /// \brief The warm ISP index of this epoch, building it on first use
-  /// (thread-safe; epochs > 0 adopt the repaired decomposition and skip
-  /// the DFS, or were built at publish time from the parent's index).
+  /// (thread-safe; epochs > 0 had theirs derived from the parent's index
+  /// before they were published).
   const IspIndex& isp() const;
   /// \brief Whether the index has been built yet (diagnostics only).
   bool index_built() const { return isp_ != nullptr; }
@@ -117,9 +107,8 @@ class GraphSnapshot {
   GraphSnapshot() = default;
 
   Graph graph_;
-  /// Decomposition waiting for the IspIndex to adopt it (epoch 0: loaded
-  /// from the `.sgr` cache when present; epoch e+1: the repaired one,
-  /// unless the index was already built from the parent's at publish).
+  /// Epoch 0's decomposition loaded from the `.sgr` cache, waiting for
+  /// the IspIndex to adopt it (unused by later epochs).
   mutable GraphCache cache_;
   uint64_t fingerprint_ = 0;
   uint64_t epoch_ = 0;
@@ -133,14 +122,11 @@ struct UpdateOutcome {
   uint64_t epoch = 0;        ///< the new epoch number
   uint64_t fingerprint = 0;  ///< the new chained fingerprint
   bool compacted = false;    ///< the overlay rebased onto a clean CSR
-  /// Decomposition repair routing of this update (observability only;
-  /// either route yields the same bytes).
-  bool repair_fell_back = false;
+  /// Arcs the decomposition repair relabeled (observability only).
   uint64_t repair_dirty_arcs = 0;
-  /// The new epoch's index was built from the parent's before publishing
-  /// (the update kept the block partition or merged blocks); otherwise
-  /// the epoch's first index use adopts the rebuilt decomposition.
-  bool index_reused = false;
+  /// Always false: the repair has no full-pass fallback. Kept while
+  /// bench/e2e still reads it.
+  bool repair_fell_back = false;
 };
 
 /// \brief Fingerprint of epoch `epoch` obtained by applying (kind, u, v)
@@ -198,10 +184,9 @@ class QuerySession {
   /// missing edge, endpoint out of range, self loop → INVALID_ARGUMENT)
   /// the session is unchanged. On success the new epoch's decomposition
   /// is repaired incrementally (bicomp/incremental.h) — bitwise identical
-  /// to a from-scratch pass; an update that keeps the block partition or
-  /// merges blocks also gets its index here, from the current epoch's —
-  /// and `*out`, when non-null, reports the new epoch/fingerprint and the
-  /// repair route taken.
+  /// to a from-scratch pass — and its index derived from the current
+  /// epoch's before it is published; `*out`, when non-null, reports the
+  /// new epoch/fingerprint and the size of the repair.
   Status ApplyUpdate(const EdgeMutation& mut, UpdateOutcome* out = nullptr);
 
   /// \brief Answer one query on the warm state. `req` is canonicalized

@@ -93,14 +93,15 @@ inline void ExpectBccBitwiseEqual(const BiconnectedComponents& a,
   EXPECT_EQ(a.is_cutpoint, b.is_cutpoint) << what;
   EXPECT_EQ(a.component_nodes, b.component_nodes) << what;
   EXPECT_EQ(a.node_component, b.node_component) << what;
-  EXPECT_EQ(a.rev_arc, b.rev_arc) << what;
   EXPECT_EQ(a.cutpoint_comp_count_, b.cutpoint_comp_count_) << what;
 }
 
 /// Every field of `got` equals a fresh index of the same CSR, `got`'s views
 /// list each block's members as its decomposition does (so a member index
 /// is a local id, which restricted draws rely on), and a fixed Rng draws
-/// the same component/source/target sequence from both.
+/// the same component/source/target sequence from both — through a
+/// personalization, and then from every block with W_i > 0, so every
+/// alias slice an index carried over is compared.
 inline void ExpectSameIndex(const IspIndex& got, const IspIndex& want,
                      const std::string& what) {
   ExpectBccBitwiseEqual(got.bcc(), want.bcc(), what);
@@ -129,6 +130,12 @@ inline void ExpectSameIndex(const IspIndex& got, const IspIndex& want,
   }
   EXPECT_TRUE(std::ranges::equal(got.tree().reach(), want.tree().reach()))
       << what;
+  for (uint32_t c = 0; c < want.num_components(); ++c) {
+    for (NodeId v : want.bcc().component_nodes[c]) {
+      ASSERT_EQ(got.OutReach(c, v), want.OutReach(c, v))
+          << what << " r_" << c << "(" << v << ")";
+    }
+  }
   EXPECT_EQ(got.tree().conn_size_of_comp_table(),
             want.tree().conn_size_of_comp_table())
       << what;
@@ -146,17 +153,25 @@ inline void ExpectSameIndex(const IspIndex& got, const IspIndex& want,
   const PersonalizedSpace got_space(got, targets);
   const PersonalizedSpace want_space(want, targets);
   ASSERT_EQ(got_space.eta(), want_space.eta()) << what;
-  if (want_space.eta() == 0.0) return;
   Rng got_rng(97);
   Rng want_rng(97);
-  for (int i = 0; i < 64; ++i) {
-    const uint32_t c = got_space.SampleComponent(&got_rng);
-    ASSERT_EQ(c, want_space.SampleComponent(&want_rng)) << what;
+  auto draw_pair = [&](uint32_t c) {
     const NodeId s = got.SampleSource(c, &got_rng);
-    ASSERT_EQ(s, want.SampleSource(c, &want_rng)) << what;
+    ASSERT_EQ(s, want.SampleSource(c, &want_rng)) << what << " block " << c;
     ASSERT_EQ(got.SampleTarget(c, s, &got_rng),
               want.SampleTarget(c, s, &want_rng))
-        << what;
+        << what << " block " << c;
+  };
+  if (want_space.eta() > 0.0) {
+    for (int i = 0; i < 64; ++i) {
+      const uint32_t c = got_space.SampleComponent(&got_rng);
+      ASSERT_EQ(c, want_space.SampleComponent(&want_rng)) << what;
+      draw_pair(c);
+    }
+  }
+  for (uint32_t c = 0; c < want.num_components(); ++c) {
+    if (want.comp_weight(c) <= 0.0) continue;
+    for (int i = 0; i < 3; ++i) draw_pair(c);
   }
 }
 

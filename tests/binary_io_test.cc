@@ -66,7 +66,6 @@ class BinaryIoTest : public ::testing::TestWithParam<bool> {
     EXPECT_EQ(cache.bcc.is_cutpoint, want.is_cutpoint);
     EXPECT_EQ(cache.bcc.node_component, want.node_component);
     EXPECT_EQ(cache.bcc.component_nodes, want.component_nodes);
-    EXPECT_EQ(cache.bcc.rev_arc, want.rev_arc);
     EXPECT_EQ(cache.conn.component, isp.conn().component);
     EXPECT_EQ(cache.conn.size, isp.conn().size);
 

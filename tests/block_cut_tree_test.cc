@@ -26,7 +26,8 @@ struct Decomposition {
       : g(std::move(graph)),
         bcc(ComputeBiconnectedComponents(g)),
         conn(ConnectedComponents(g)),
-        tree(BlockCutTree::Build(g, bcc, conn)) {}
+        tree(BlockCutTree::Derive(
+            bcc, std::make_shared<const ComponentLabels>(conn), nullptr, {})) {}
 };
 
 // Component id containing both u and v (looked up via u's arcs).

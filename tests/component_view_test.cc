@@ -108,8 +108,8 @@ TEST(ComponentViews, RandomGraphInvariants) {
     cases.emplace_back("random/" + std::to_string(seed),
                        RandomConnectedGraph(60, 0.05, seed));
   }
-  // Hub cutpoints in hundreds of bridge blocks: long per-cutpoint
-  // (component, local id) lists, one lookup per arc run.
+  // Hub cutpoints in hundreds of bridge blocks: a hub finds its one
+  // neighbor in each bridge by binary search, not by scanning its list.
   cases.emplace_back("ba+leaves", testing::BaCoreWithLeaves(40, 3000, 7));
   // Many small blocks plus isolated nodes (no component at all).
   cases.emplace_back("road+isolated",
@@ -123,22 +123,9 @@ TEST(ComponentViews, RandomGraphInvariants) {
     auto bcc = ComputeBiconnectedComponents(g);
     ComponentViews views(g, bcc);
     CheckViewsAgainstBcc(g, bcc, views);
-    // The index the build looks local ids up in: each node's components,
-    // ascending, and its rank in each member list.
-    const NodeComponentIndex index(bcc);
-    std::vector<std::vector<uint32_t>> comps_of(g.num_nodes());
-    for (uint32_t c = 0; c < bcc.num_components; ++c) {
-      const auto& members = bcc.component_nodes[c];
-      for (size_t i = 0; i < members.size(); ++i) {
-        comps_of[members[i]].push_back(c);
-        EXPECT_EQ(index.LocalId(members[i], c), i);
-      }
-    }
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      const auto comps = index.Components(v);
-      EXPECT_EQ(std::vector<uint32_t>(comps.begin(), comps.end()),
-                comps_of[v]);
-      max_cut_blocks = std::max(max_cut_blocks, comps.size());
+      max_cut_blocks =
+          std::max<size_t>(max_cut_blocks, bcc.NumComponentsOf(v));
     }
   }
   EXPECT_GE(max_cut_blocks, 150u);  // the hub case really is one

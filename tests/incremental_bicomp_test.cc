@@ -1,13 +1,13 @@
 // Incremental bicomp repair: every mutation's repaired decomposition must
-// be BITWISE identical to a from-scratch pass on the mutated graph.
+// be BITWISE identical to a from-scratch pass on the mutated graph, and the
+// index derived through the repair's block remap must equal a fresh one.
 // Directed cases pin each routing branch — same-block insert, path-merge
 // insert across cutpoints, bridge insert across components, isolated
 // endpoints, block-splitting delete, bridge delete — and random mutation
-// streams over the generator sweep chain repairs for hundreds of steps,
-// including the forced-fallback route for deletes. Property sweeps pin
-// that the partition-keeping route is taken exactly when the oracle's
-// member lists do not change, and the merge cases pin that the index
-// spliced across a merge equals a fresh one.
+// streams over the generator sweep chain repairs for hundreds of steps.
+// Property sweeps pin that the remap carries every block under its own id
+// exactly when the oracle's member lists do not change, and the merge
+// cases pin the shape of the remap across a merge.
 
 #include <algorithm>
 #include <set>
@@ -34,9 +34,11 @@ using testing::ExpectBccBitwiseEqual;
 using testing::MakeGraph;
 using testing::PaperFig2Graph;
 
-/// Apply one mutation to `g` through an overlay and return the repaired
-/// decomposition alongside the mutated graph, asserting bitwise equality
-/// with the serial oracle.
+/// Apply one mutation to `g` (whose decomposition is `bcc`) through an
+/// overlay and return the repaired decomposition alongside the mutated
+/// graph, asserting bitwise equality with the serial oracle, that every
+/// block the remap carries kept its parent block's member list, and that
+/// the index derived through the remap equals a fresh index.
 struct Applied {
   Graph graph;
   BiconnectedComponents bcc;
@@ -44,9 +46,10 @@ struct Applied {
 
 Applied ApplyAndCheck(const Graph& g, const BiconnectedComponents& bcc,
                       EdgeMutationKind kind, NodeId u, NodeId v,
-                      const IncrementalBicompOptions& opts,
                       const std::string& what,
                       IncrementalBicompStats* stats = nullptr) {
+  IncrementalBicompStats local;
+  if (stats == nullptr) stats = &local;
   DeltaOverlay overlay(&g);
   if (kind == EdgeMutationKind::kInsert) {
     EXPECT_TRUE(overlay.Insert(u, v).ok()) << what;
@@ -55,14 +58,43 @@ Applied ApplyAndCheck(const Graph& g, const BiconnectedComponents& bcc,
   }
   Applied out;
   out.graph = overlay.Materialize();
-  out.bcc = RepairBiconnectedComponents(g, bcc, ComponentViews(g, bcc),
-                                        out.graph, {kind, u, v}, opts, stats);
+  const IspIndex parent(g);
+  ExpectBccBitwiseEqual(bcc, parent.bcc(), what + " (input)");
+  out.bcc = RepairBiconnectedComponents(g, bcc, parent.views(), out.graph,
+                                        {kind, u, v}, stats);
   ExpectBccBitwiseEqual(out.bcc, ComputeBiconnectedComponents(out.graph),
                         what);
+  const BlockRemap& remap = stats->remap;
+  EXPECT_EQ(remap.from.size(), out.bcc.num_components) << what;
+  for (uint32_t c = 0; c < remap.from.size(); ++c) {
+    if (remap.from[c] == kInvalidComp) continue;
+    EXPECT_TRUE(std::ranges::equal(out.bcc.component_nodes[c],
+                                   bcc.component_nodes[remap.from[c]]))
+        << what << " carried block " << c;
+  }
+  const IspIndex derived(out.graph, parent, out.bcc, remap);
+  testing::ExpectSameIndex(derived, IspIndex(out.graph), what);
   return out;
 }
 
-const IncrementalBicompOptions kNeverFallBack{/*max_dirty_fraction=*/1.0};
+/// The blocks a remap does not carry (new member lists), ascending.
+std::vector<uint32_t> NewBlocks(const BlockRemap& remap) {
+  std::vector<uint32_t> out;
+  for (uint32_t c = 0; c < remap.from.size(); ++c) {
+    if (remap.from[c] == kInvalidComp) out.push_back(c);
+  }
+  return out;
+}
+
+/// Whether the remap carries every block of a `num_old`-block parent
+/// under its own id: the partition stood.
+bool KeepsPartition(const BlockRemap& remap, uint32_t num_old) {
+  if (remap.from.size() != num_old) return false;
+  for (uint32_t c = 0; c < num_old; ++c) {
+    if (remap.from[c] != c) return false;
+  }
+  return true;
+}
 
 TEST(IncrementalBicompTest, DirectedCasesOnThePaperGraph) {
   // Fig. 2: pentagon {a,b,c,d,e}, triangles {c,g,h} and {i,j,k}, bridges
@@ -71,47 +103,54 @@ TEST(IncrementalBicompTest, DirectedCasesOnThePaperGraph) {
   BiconnectedComponents bcc = ComputeBiconnectedComponents(g);
   IncrementalBicompStats stats;
 
-  // Insert inside one block: pentagon chord a-d. Only that block dirty.
-  Applied chord = ApplyAndCheck(g, bcc, EdgeMutationKind::kInsert, 0, 3,
-                                kNeverFallBack, "chord a-d", &stats);
-  EXPECT_FALSE(stats.fell_back);
-  EXPECT_EQ(stats.dirty_blocks, 1u);
+  // Insert inside one block: pentagon chord a-d. The partition stands and
+  // the pentagon is the edge block.
+  ApplyAndCheck(g, bcc, EdgeMutationKind::kInsert, 0, 3, "chord a-d", &stats);
+  EXPECT_TRUE(KeepsPartition(stats.remap, bcc.num_components));
+  EXPECT_EQ(stats.remap.edge_block, bcc.node_component[0]);
+  EXPECT_FALSE(stats.remap.conn_changed);
 
   // Path-merge insert: e(4) to g(6) runs pentagon -> c -> triangle; the
   // two blocks on the block-cut-tree path merge with the new edge.
   Applied merged = ApplyAndCheck(g, bcc, EdgeMutationKind::kInsert, 4, 6,
-                                 kNeverFallBack, "merge e-g", &stats);
-  EXPECT_FALSE(stats.fell_back);
-  EXPECT_EQ(stats.dirty_blocks, 2u);
+                                 "merge e-g", &stats);
   EXPECT_EQ(merged.bcc.num_components, bcc.num_components - 1);
+  EXPECT_EQ(NewBlocks(stats.remap).size(), 1u);
+  EXPECT_EQ(stats.remap.edge_block, kInvalidComp);
 
   // Long path merge: f(5) to k(10) crosses bridge d-f, bridge d-i and the
   // i-triangle — three blocks collapse into one.
-  ApplyAndCheck(g, bcc, EdgeMutationKind::kInsert, 5, 10, kNeverFallBack,
-                "merge f-k", &stats);
-  EXPECT_EQ(stats.dirty_blocks, 3u);
+  Applied long_merge = ApplyAndCheck(g, bcc, EdgeMutationKind::kInsert, 5,
+                                     10, "merge f-k", &stats);
+  EXPECT_EQ(long_merge.bcc.num_components, bcc.num_components - 2);
+  EXPECT_EQ(NewBlocks(stats.remap).size(), 1u);
 
   // Block-splitting delete: removing pentagon edge a-b leaves a path
-  // a-c-d-e... the pentagon splits into four bridge blocks.
+  // a-c-d-e... the pentagon splits into four bridge blocks, all new.
   Applied split = ApplyAndCheck(g, bcc, EdgeMutationKind::kDelete, 0, 1,
-                                kNeverFallBack, "split pentagon", &stats);
-  EXPECT_EQ(stats.dirty_blocks, 1u);
+                                "split pentagon", &stats);
   EXPECT_EQ(split.bcc.num_components, bcc.num_components + 3);
+  EXPECT_EQ(NewBlocks(stats.remap).size(), 4u);
+  EXPECT_EQ(stats.dirty_arcs, 8u);
+  EXPECT_FALSE(stats.remap.conn_changed);
 
   // Bridge delete: d-f detaches leaf f; the block vanishes, nothing is
-  // recomputed.
+  // recomputed, and the connected component splits.
   Applied detached = ApplyAndCheck(g, bcc, EdgeMutationKind::kDelete, 3, 5,
-                                   kNeverFallBack, "drop bridge d-f", &stats);
+                                   "drop bridge d-f", &stats);
   EXPECT_EQ(stats.dirty_arcs, 0u);
   EXPECT_EQ(detached.bcc.num_components, bcc.num_components - 1);
+  EXPECT_TRUE(NewBlocks(stats.remap).empty());
+  EXPECT_TRUE(stats.remap.conn_changed);
 
   // Bridge insert across components: detach f, then reconnect it
   // elsewhere — the repair sees two components and adds one bridge block.
   Applied rejoined =
       ApplyAndCheck(detached.graph, detached.bcc, EdgeMutationKind::kInsert,
-                    5, 9, kNeverFallBack, "reconnect f-j", &stats);
-  EXPECT_EQ(stats.dirty_blocks, 0u);
+                    5, 9, "reconnect f-j", &stats);
   EXPECT_EQ(rejoined.bcc.num_components, detached.bcc.num_components + 1);
+  EXPECT_EQ(NewBlocks(stats.remap).size(), 1u);
+  EXPECT_TRUE(stats.remap.conn_changed);
 }
 
 TEST(IncrementalBicompTest, IsolatedEndpointsAndTinyGraphs) {
@@ -119,67 +158,67 @@ TEST(IncrementalBicompTest, IsolatedEndpointsAndTinyGraphs) {
   Graph empty = MakeGraph(4, {});
   BiconnectedComponents bcc = ComputeBiconnectedComponents(empty);
   Applied first = ApplyAndCheck(empty, bcc, EdgeMutationKind::kInsert, 1, 3,
-                                kNeverFallBack, "first edge");
+                                "first edge");
   EXPECT_EQ(first.bcc.num_components, 1u);
 
   // Isolated node attached to an existing block.
   Applied second = ApplyAndCheck(first.graph, first.bcc,
                                  EdgeMutationKind::kInsert, 0, 1,
-                                 kNeverFallBack, "attach isolated");
+                                 "attach isolated");
   // Deleting the last edge of a 2-node component isolates both ends.
   Applied gone = ApplyAndCheck(second.graph, second.bcc,
                                EdgeMutationKind::kDelete, 1, 3,
-                               kNeverFallBack, "drop isolated edge");
+                               "drop isolated edge");
   EXPECT_EQ(gone.bcc.node_component[3], kInvalidComp);
 
   // Triangle closure over a path: 0-1-2 plus 0-2.
   Graph path = MakeGraph(3, {{0, 1}, {1, 2}});
   BiconnectedComponents path_bcc = ComputeBiconnectedComponents(path);
   Applied tri = ApplyAndCheck(path, path_bcc, EdgeMutationKind::kInsert, 0, 2,
-                              kNeverFallBack, "close triangle");
+                              "close triangle");
   EXPECT_EQ(tri.bcc.num_components, 1u);
   EXPECT_EQ(tri.bcc.is_cutpoint[1], 0);
 }
 
-TEST(IncrementalBicompTest, FallbackRouteIsBitwiseInvisible) {
-  Graph g = WattsStrogatz(60, 4, 0.1, 31);
-  BiconnectedComponents bcc = ComputeBiconnectedComponents(g);
-  // max_dirty_fraction = 0 forces the full-pass fallback on every
-  // delete that splits a block (inserts and deletes that keep the
-  // partition never get there); the output must not change. The deleted
-  // edge is the first one whose delete splits a block of three or more
-  // nodes.
-  NodeId u = kInvalidNode;
-  NodeId v = kInvalidNode;
-  for (NodeId x = 0; x < g.num_nodes() && u == kInvalidNode; ++x) {
-    const auto nbr = g.neighbors(x);
-    for (size_t i = 0; i < nbr.size(); ++i) {
-      const NodeId y = nbr[i];
-      const uint32_t c = bcc.arc_component[g.offset(x) + i];
-      if (y < x || bcc.component_nodes[c].size() < 3) continue;
-      DeltaOverlay overlay(&g);
-      ASSERT_TRUE(overlay.Remove(x, y).ok());
-      if (ComputeBiconnectedComponents(overlay.Materialize()).num_components >
-          bcc.num_components) {
-        u = x;
-        v = y;
-        break;
+// Every block-splitting delete of a block with three or more nodes
+// relabels exactly that block's surviving arcs: the other blocks carry
+// over and the pieces are new.
+TEST(IncrementalBicompTest, SplitRelabelsOnlyTheSplitBlock) {
+  int splits = 0;
+  for (const Graph& g :
+       {WattsStrogatz(60, 4, 0.1, 31), ErdosRenyi(70, 100, 37)}) {
+    const BiconnectedComponents bcc = ComputeBiconnectedComponents(g);
+    for (NodeId x = 0; x < g.num_nodes(); ++x) {
+      const auto nbr = g.neighbors(x);
+      for (size_t i = 0; i < nbr.size(); ++i) {
+        const NodeId y = nbr[i];
+        const uint32_t c = bcc.arc_component[g.offset(x) + i];
+        if (y < x || bcc.component_nodes[c].size() < 3) continue;
+        IncrementalBicompStats stats;
+        const std::string what =
+            "delete " + std::to_string(x) + "-" + std::to_string(y);
+        Applied next = ApplyAndCheck(g, bcc, EdgeMutationKind::kDelete, x, y,
+                                     what, &stats);
+        if (next.bcc.num_components == bcc.num_components) continue;
+        ++splits;
+        const size_t pieces = NewBlocks(stats.remap).size();
+        EXPECT_EQ(next.bcc.num_components + 1, bcc.num_components + pieces)
+            << what;
+        uint64_t block_arcs = 0;
+        for (uint32_t e : bcc.arc_component) block_arcs += e == c ? 1 : 0;
+        EXPECT_EQ(stats.dirty_arcs, block_arcs - 2) << what;
+        EXPECT_EQ(stats.remap.edge_block, kInvalidComp) << what;
       }
     }
   }
-  ASSERT_NE(u, kInvalidNode) << "no block-splitting delete in the graph";
-  IncrementalBicompOptions always_fall{/*max_dirty_fraction=*/0.0};
-  IncrementalBicompStats stats;
-  ApplyAndCheck(g, bcc, EdgeMutationKind::kDelete, u, v, always_fall,
-                "forced fallback", &stats);
-  EXPECT_TRUE(stats.fell_back);
+  EXPECT_GT(splits, 5);
 }
 
-// Inserts are a closed-form relabel under the default options: even when
-// the merged region is most of the graph (an edge inside the giant block,
-// or a leaf joined to the core, which merges its bridge block into the
-// giant one), the repair never falls back to a full pass.
-TEST(IncrementalBicompTest, InsertsNeverFallBack) {
+// Inserts are a closed-form relabel: even when the merged region is most
+// of the graph (a leaf joined to the core, which merges its bridge block
+// into the giant one), one new block replaces the path, and an edge
+// inside the giant block keeps the partition.
+TEST(IncrementalBicompTest, InsertsIntoTheGiantBlockKeepOrMerge) {
   const NodeId core = 1400;
   Graph cur = testing::BaCoreWithLeaves(core, 600, 61);
   BiconnectedComponents bcc = ComputeBiconnectedComponents(cur);
@@ -206,21 +245,19 @@ TEST(IncrementalBicompTest, InsertsNeverFallBack) {
     }
     IncrementalBicompStats stats;
     Applied next = ApplyAndCheck(cur, bcc, EdgeMutationKind::kInsert, u, v,
-                                 IncrementalBicompOptions{},
                                  "step " + std::to_string(step), &stats);
-    EXPECT_FALSE(stats.fell_back) << "step " << step;
     if (merge) {
-      // The relabeled region is past the default dirty budget: a route
-      // that recomputed it would have fallen back.
       EXPECT_GT(static_cast<double>(stats.dirty_arcs),
                 0.25 * static_cast<double>(next.graph.num_arcs()))
           << "step " << step;
-      EXPECT_GE(stats.dirty_blocks, 2u) << "step " << step;
+      EXPECT_EQ(NewBlocks(stats.remap).size(), 1u) << "step " << step;
+      EXPECT_EQ(next.bcc.num_components + 1, bcc.num_components)
+          << "step " << step;
     } else {
       // Inside the giant block the partition stands: nothing relabeled.
-      EXPECT_TRUE(stats.kept_partition) << "step " << step;
+      EXPECT_TRUE(KeepsPartition(stats.remap, bcc.num_components))
+          << "step " << step;
       EXPECT_EQ(stats.dirty_arcs, 0u) << "step " << step;
-      EXPECT_EQ(stats.dirty_blocks, 1u) << "step " << step;
     }
     ++(merge ? merges : inside);
     cur = std::move(next.graph);
@@ -242,29 +279,30 @@ std::vector<std::pair<std::string, Graph>> RoutingGraphs() {
   return out;
 }
 
-/// Applies `kind` {u,v} to `base` and checks the routing: kept_partition
-/// holds exactly when the oracle's member lists did not change, and then
-/// nothing was relabeled or recomputed. Returns kept_partition.
+/// Applies `kind` {u,v} to `base` and checks the routing: the remap
+/// carries every block under its own id exactly when the oracle's member
+/// lists did not change, and then nothing was relabeled. Returns whether
+/// the partition stood.
 bool CheckRouting(const Graph& base, const BiconnectedComponents& bcc,
                   EdgeMutationKind kind, NodeId u, NodeId v,
                   const std::string& what) {
   IncrementalBicompStats stats;
-  Applied next = ApplyAndCheck(base, bcc, kind, u, v,
-                               IncrementalBicompOptions{}, what, &stats);
+  Applied next = ApplyAndCheck(base, bcc, kind, u, v, what, &stats);
   const bool unchanged =
       ComputeBiconnectedComponents(next.graph).component_nodes ==
       bcc.component_nodes;
-  EXPECT_EQ(stats.kept_partition, unchanged) << what;
-  if (stats.kept_partition) {
-    EXPECT_FALSE(stats.fell_back) << what;
+  const bool kept = KeepsPartition(stats.remap, bcc.num_components);
+  EXPECT_EQ(kept, unchanged) << what;
+  if (kept) {
     EXPECT_EQ(stats.dirty_arcs, 0u) << what;
+    EXPECT_NE(stats.remap.edge_block, kInvalidComp) << what;
   }
-  return stats.kept_partition;
+  return kept;
 }
 
 // Delete routing is exact: every edge of every block with three or more
-// nodes, deleted one at a time from the same base, takes the two-path
-// route exactly when the block survives whole.
+// nodes, deleted one at a time from the same base, keeps the partition
+// exactly when the block survives whole.
 TEST(IncrementalBicompTest, DeleteKeepsThePartitionExactlyWhenTheOracleDoes) {
   int kept = 0;
   int split = 0;
@@ -293,12 +331,15 @@ TEST(IncrementalBicompTest, DeleteKeepsThePartitionExactlyWhenTheOracleDoes) {
 TEST(IncrementalBicompTest, InBlockInsertsKeepThePartition) {
   const Graph g = StochasticBlockModel(60, 3, 0.15, 0.01, 59);
   const BiconnectedComponents bcc = ComputeBiconnectedComponents(g);
-  const NodeComponentIndex index(bcc);
+  std::vector<std::vector<uint32_t>> comps_of(g.num_nodes());
+  for (uint32_t c = 0; c < bcc.num_components; ++c) {
+    for (NodeId x : bcc.component_nodes[c]) comps_of[x].push_back(c);
+  }
   int inserts = 0;
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     for (NodeId v = u + 1; v < g.num_nodes(); ++v) {
-      const auto cu = index.Components(u);
-      const auto cv = index.Components(v);
+      const auto& cu = comps_of[u];
+      const auto& cv = comps_of[v];
       const bool shared = std::find_first_of(cu.begin(), cu.end(), cv.begin(),
                                              cv.end()) != cu.end();
       if (!shared || g.HasEdge(u, v)) continue;
@@ -319,45 +360,53 @@ TEST(IncrementalBicompTest, InBlockInsertThatReordersIdsIsRelabeled) {
   const Graph g = MakeGraph(5, {{0, 2}, {0, 3}, {3, 1}, {1, 4}, {4, 0}});
   const BiconnectedComponents bcc = ComputeBiconnectedComponents(g);
   IncrementalBicompStats stats;
-  Applied next = ApplyAndCheck(g, bcc, EdgeMutationKind::kInsert, 0, 1,
-                               IncrementalBicompOptions{}, "chord 0-1",
-                               &stats);
-  EXPECT_FALSE(stats.kept_partition);
-  EXPECT_TRUE(stats.merged());
-  EXPECT_EQ(stats.dirty_blocks, 1u);
+  Applied next =
+      ApplyAndCheck(g, bcc, EdgeMutationKind::kInsert, 0, 1, "chord 0-1",
+                    &stats);
+  EXPECT_FALSE(KeepsPartition(stats.remap, bcc.num_components));
+  EXPECT_EQ(NewBlocks(stats.remap), std::vector<uint32_t>{0});
+  EXPECT_EQ(stats.remap.from[1], 0u);
   EXPECT_GT(stats.dirty_arcs, 0u);
   EXPECT_EQ(next.bcc.num_components, bcc.num_components);
   EXPECT_NE(next.bcc.arc_component[next.graph.offset(0) + 1],
             bcc.arc_component[g.offset(0)]);
 }
 
-/// Inserts {u,v} into `g`, which must merge blocks, and checks the merge
-/// route end to end: the repaired decomposition equals the serial
-/// oracle's, and the index spliced from a fresh index of `g` equals a
-/// fresh index of the new graph, sharing the parent's connectivity.
-IncrementalBicompStats MergeAndCheck(const Graph& g, NodeId u, NodeId v,
-                                     const std::string& what,
-                                     Graph* next = nullptr) {
-  const IspIndex parent(g);
-  DeltaOverlay overlay(&g);
-  EXPECT_TRUE(overlay.Insert(u, v).ok()) << what;
-  Graph merged_graph = overlay.Materialize();
-  const EdgeMutation mut{EdgeMutationKind::kInsert, u, v};
+// The same swap from the delete side: removing the chord 0-1 again leaves
+// the cycle whole, but its smallest arc falls back behind the bridge's.
+// The block carries over under its moved id with the chord spliced out.
+TEST(IncrementalBicompTest, DeleteThatReordersIdsCarriesTheBlock) {
+  const Graph g =
+      MakeGraph(5, {{0, 1}, {0, 2}, {0, 3}, {3, 1}, {1, 4}, {4, 0}});
+  const BiconnectedComponents bcc = ComputeBiconnectedComponents(g);
   IncrementalBicompStats stats;
-  BiconnectedComponents bcc =
-      RepairBiconnectedComponents(g, parent.bcc(), parent.views(),
-                                  merged_graph, mut, {}, &stats);
-  ExpectBccBitwiseEqual(bcc, ComputeBiconnectedComponents(merged_graph),
-                        what);
-  EXPECT_TRUE(stats.merged()) << what;
-  EXPECT_FALSE(stats.kept_partition) << what;
-  if (stats.merged()) {
-    const IspIndex spliced(merged_graph, parent, std::move(bcc), mut, stats);
-    testing::ExpectSameIndex(spliced, IspIndex(merged_graph), what);
-    EXPECT_EQ(&spliced.conn(), &parent.conn()) << what;
-  }
-  if (next != nullptr) *next = std::move(merged_graph);
-  return stats;
+  ApplyAndCheck(g, bcc, EdgeMutationKind::kDelete, 0, 1, "drop chord 0-1",
+                &stats);
+  EXPECT_FALSE(KeepsPartition(stats.remap, bcc.num_components));
+  EXPECT_TRUE(NewBlocks(stats.remap).empty());
+  EXPECT_EQ(stats.remap.edge_block, 1u);
+  EXPECT_EQ(stats.remap.from[1], 0u);
+  EXPECT_EQ(stats.dirty_arcs, 0u);
+}
+
+/// Inserts {u,v} into `g`, which must merge blocks, and checks the merge
+/// route end to end (ApplyAndCheck) plus its remap: one new block, every
+/// other one carried, and the derived index shares the parent's
+/// connectivity. Returns the merged block's id.
+uint32_t MergeAndCheck(const Graph& g, NodeId u, NodeId v,
+                       const std::string& what, Graph* next = nullptr) {
+  const BiconnectedComponents bcc = ComputeBiconnectedComponents(g);
+  IncrementalBicompStats stats;
+  Applied merged =
+      ApplyAndCheck(g, bcc, EdgeMutationKind::kInsert, u, v, what, &stats);
+  const std::vector<uint32_t> fresh = NewBlocks(stats.remap);
+  EXPECT_EQ(fresh.size(), 1u) << what;
+  EXPECT_FALSE(stats.remap.conn_changed) << what;
+  const IspIndex parent(g);
+  const IspIndex derived(merged.graph, parent, merged.bcc, stats.remap);
+  EXPECT_EQ(&derived.conn(), &parent.conn()) << what;
+  if (next != nullptr) *next = std::move(merged.graph);
+  return fresh.empty() ? kInvalidComp : fresh[0];
 }
 
 // The core K4 {0,1,2,3} with leaves 4 and 5 on node 0 and leaf 6 on node
@@ -369,34 +418,32 @@ Graph CoreWithLeaves() {
 
 TEST(IncrementalBicompTest, MergeLeafIntoCore) {
   Graph next;
-  const IncrementalBicompStats stats =
-      MergeAndCheck(CoreWithLeaves(), 4, 2, "leaf 4 to core", &next);
-  EXPECT_EQ(stats.merge.blocks.size(), 2u);
-  EXPECT_EQ(stats.merge.cutpoints, std::vector<NodeId>{0});
-  // Node 0 keeps leaf 5, so it stays a cutpoint.
-  EXPECT_EQ(ComputeBiconnectedComponents(next).is_cutpoint[0], 1);
+  MergeAndCheck(CoreWithLeaves(), 4, 2, "leaf 4 to core", &next);
+  const BiconnectedComponents bcc = ComputeBiconnectedComponents(next);
+  // The core and the bridge 0-4 merged; node 0 keeps leaf 5, so it stays
+  // a cutpoint.
+  EXPECT_EQ(bcc.num_components, 3u);
+  EXPECT_EQ(bcc.is_cutpoint[0], 1);
 }
 
 TEST(IncrementalBicompTest, MergeLeafToLeafThroughTheCore) {
   Graph next;
-  const IncrementalBicompStats stats =
-      MergeAndCheck(CoreWithLeaves(), 4, 6, "leaf 4 to leaf 6", &next);
-  EXPECT_EQ(stats.merge.blocks.size(), 3u);
-  EXPECT_EQ(stats.merge.cutpoints, (std::vector<NodeId>{0, 1}));
-  // Node 1 loses its only other block; node 0 keeps leaf 5.
+  MergeAndCheck(CoreWithLeaves(), 4, 6, "leaf 4 to leaf 6", &next);
+  // Three blocks merged. Node 1 loses its only other block; node 0 keeps
+  // leaf 5.
   const BiconnectedComponents bcc = ComputeBiconnectedComponents(next);
+  EXPECT_EQ(bcc.num_components, 2u);
   EXPECT_EQ(bcc.is_cutpoint[0], 1);
   EXPECT_EQ(bcc.is_cutpoint[1], 0);
 }
 
 TEST(IncrementalBicompTest, MergeTwoLeavesOfOneHubIntoATriangle) {
   Graph next;
-  const IncrementalBicompStats stats =
+  const uint32_t merged =
       MergeAndCheck(CoreWithLeaves(), 4, 5, "leaves 4-5", &next);
-  EXPECT_EQ(stats.merge.blocks.size(), 2u);
-  EXPECT_EQ(stats.merge.cutpoints, std::vector<NodeId>{0});
   const BiconnectedComponents bcc = ComputeBiconnectedComponents(next);
-  EXPECT_EQ(bcc.component_nodes[stats.merge.merged_id].size(), 3u);
+  ASSERT_NE(merged, kInvalidComp);
+  EXPECT_EQ(bcc.component_nodes[merged].size(), 3u);
   EXPECT_EQ(bcc.is_cutpoint[0], 1);
 }
 
@@ -405,9 +452,7 @@ TEST(IncrementalBicompTest, MergeRetiresAPathCutpoint) {
   const Graph g = MakeGraph(
       5, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}, {0, 4}});
   Graph next;
-  const IncrementalBicompStats stats =
-      MergeAndCheck(g, 4, 1, "leaf 4 to core", &next);
-  EXPECT_EQ(stats.merge.cutpoints, std::vector<NodeId>{0});
+  MergeAndCheck(g, 4, 1, "leaf 4 to core", &next);
   const BiconnectedComponents bcc = ComputeBiconnectedComponents(next);
   EXPECT_EQ(bcc.num_components, 1u);
   EXPECT_EQ(bcc.is_cutpoint[0], 0);
@@ -419,11 +464,8 @@ TEST(IncrementalBicompTest, MergeRetiresAPathCutpoint) {
 // {0,3} moves behind it.
 TEST(IncrementalBicompTest, MergeWhoseNewArcIsSmallestMovesItsId) {
   const Graph g = MakeGraph(7, {{0, 3}, {0, 5}, {5, 6}, {6, 2}, {2, 5}});
-  const IncrementalBicompStats stats = MergeAndCheck(g, 0, 2, "merge 0-2");
-  EXPECT_EQ(stats.merge.blocks, (std::vector<uint32_t>{1, 2}));
-  EXPECT_EQ(stats.merge.merged_id, 0u);
-  EXPECT_EQ(stats.merge.next_old, 0u);
-  EXPECT_EQ(stats.merge.cutpoints, std::vector<NodeId>{5});
+  const uint32_t merged = MergeAndCheck(g, 0, 2, "merge 0-2");
+  EXPECT_EQ(merged, 0u);
 }
 
 // Node 4 sits in three blocks — bridges to leaves 5 and 6, then its
@@ -436,16 +478,12 @@ TEST(IncrementalBicompTest, MergeReordersAThreeBlockCutpointsSum) {
            {2, 8}, {4, 5}, {4, 6}, {4, 9}});
   const BiconnectedComponents before = ComputeBiconnectedComponents(g);
   ASSERT_EQ(before.NumComponentsOf(4), 3u);
-  const IncrementalBicompStats stats = MergeAndCheck(g, 4, 1, "merge 4-1");
-  EXPECT_EQ(stats.merge.merged_id, 0u);
-  EXPECT_EQ(stats.merge.blocks.size(), 2u);
-  EXPECT_GT(stats.merge.blocks[1], before.node_component[4]);
+  EXPECT_EQ(MergeAndCheck(g, 4, 1, "merge 4-1"), 0u);
 }
 
 // Random mutation streams over the generator sweep: repairs chain (each
 // step's output feeds the next), checked bitwise against the serial
-// oracle at every step, under both the never-fallback and the default
-// (mixed repair/fallback) routing.
+// oracle at every step.
 TEST(IncrementalBicompTest, RandomStreamsOverGeneratorSweep) {
   struct Case {
     const char* name;
@@ -457,27 +495,23 @@ TEST(IncrementalBicompTest, RandomStreamsOverGeneratorSweep) {
   cases.push_back({"ws", WattsStrogatz(60, 4, 0.2, 47)});
   cases.push_back({"grid", RoadGrid(8, 8, 0.85, 53).graph});
   cases.push_back({"sbm", StochasticBlockModel(60, 3, 0.15, 0.01, 59)});
-  for (const IncrementalBicompOptions& opts :
-       {kNeverFallBack, IncrementalBicompOptions{}}) {
-    for (auto& c : cases) {
-      SCOPED_TRACE(std::string(c.name) +
-                   (opts.max_dirty_fraction == 1.0 ? "/repair" : "/default"));
-      Graph cur = c.graph;
-      BiconnectedComponents bcc = ComputeBiconnectedComponents(cur);
-      Rng rng(1000 + cur.num_nodes());
-      const NodeId n = cur.num_nodes();
-      for (int step = 0; step < 60; ++step) {
-        NodeId u = static_cast<NodeId>(rng.UniformInt(n));
-        NodeId v = static_cast<NodeId>(rng.UniformInt(n));
-        if (u == v) continue;
-        const EdgeMutationKind kind = cur.HasEdge(u, v)
-                                          ? EdgeMutationKind::kDelete
-                                          : EdgeMutationKind::kInsert;
-        Applied next = ApplyAndCheck(cur, bcc, kind, u, v, opts,
-                                     "step " + std::to_string(step));
-        cur = std::move(next.graph);
-        bcc = std::move(next.bcc);
-      }
+  for (auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    Graph cur = c.graph;
+    BiconnectedComponents bcc = ComputeBiconnectedComponents(cur);
+    Rng rng(1000 + cur.num_nodes());
+    const NodeId n = cur.num_nodes();
+    for (int step = 0; step < 60; ++step) {
+      NodeId u = static_cast<NodeId>(rng.UniformInt(n));
+      NodeId v = static_cast<NodeId>(rng.UniformInt(n));
+      if (u == v) continue;
+      const EdgeMutationKind kind = cur.HasEdge(u, v)
+                                        ? EdgeMutationKind::kDelete
+                                        : EdgeMutationKind::kInsert;
+      Applied next = ApplyAndCheck(cur, bcc, kind, u, v,
+                                   "step " + std::to_string(step));
+      cur = std::move(next.graph);
+      bcc = std::move(next.bcc);
     }
   }
 }

@@ -4,8 +4,7 @@
 // COLD session opened on a from-scratch re-conversion of the same edge
 // set. Pinned over a generator sweep (ER, BA, WS, road grid, SBM, and a
 // core with pendant leaves whose stream merges leaves into the core and
-// cuts them loose again), random insert/delete streams, the default
-// repair budget and one that forces the full-pass fallback, scheduler
+// cuts them loose again), random insert/delete streams, scheduler
 // admission concurrency {1, 8}, and both the local sampling path and the
 // sharded worker tier (whose workers follow the coordinator through
 // BroadcastUpdate + mutation-log replay).
@@ -14,7 +13,7 @@
 // rebuilds the graph from the reference edge set, recomputes the full
 // decomposition, writes a fresh `.sgr`, and serves the workload on a cold
 // serial session. Whatever shortcut the dynamic path takes — overlay
-// materialization, incremental repair, adopted indices, epoch-chained
+// materialization, incremental repair, derived indices, epoch-chained
 // memo keys, worker replay — must be invisible in the result bytes.
 
 #include <sys/socket.h>
@@ -314,18 +313,12 @@ struct Variant {
   std::unique_ptr<BatchScheduler> scheduler;
 
   static std::unique_ptr<Variant> Make(const std::string& sgr_path,
-                                       bool force_fallback,
                                        uint32_t concurrency, bool sharded) {
     auto v = std::make_unique<Variant>();
-    v->label = std::string(force_fallback ? "fallback=forced"
-                                          : "fallback=default") +
-               " concurrency=" + std::to_string(concurrency) +
+    v->label = "concurrency=" + std::to_string(concurrency) +
                (sharded ? " sharded" : " local");
-    SessionOptions sopts;
-    // A zero budget sends every splitting delete down the full-pass
-    // fallback route.
-    if (force_fallback) sopts.repair.max_dirty_fraction = 0.0;
-    SAPHYRA_CHECK(QuerySession::Open(sgr_path, sopts, &v->session).ok());
+    SAPHYRA_CHECK(
+        QuerySession::Open(sgr_path, SessionOptions(), &v->session).ok());
     SchedulerOptions schopts;
     schopts.max_concurrent = concurrency;
     schopts.memo_capacity = 16;  // memo ON: stale hits would be caught
@@ -365,13 +358,11 @@ TEST(MutationDifferentialTest, OverlayServingMatchesFromScratchReconvert) {
     const std::vector<QueryRequest> workload = Workload(n);
     int merges = 0;  // updates the first variant served by the merge route
 
-    // The sweep under test: repair route (default or forced fallback) x
-    // admission concurrency, plus the sharded tier.
+    // The sweep under test: admission concurrency, plus the sharded tier.
     std::vector<std::unique_ptr<Variant>> variants;
-    variants.push_back(Variant::Make(base.sgr_path, false, 1, false));
-    variants.push_back(Variant::Make(base.sgr_path, true, 8, false));
-    variants.push_back(Variant::Make(base.sgr_path, false, 8, false));
-    variants.push_back(Variant::Make(base.sgr_path, true, 1, true));
+    variants.push_back(Variant::Make(base.sgr_path, 1, false));
+    variants.push_back(Variant::Make(base.sgr_path, 8, false));
+    variants.push_back(Variant::Make(base.sgr_path, 1, true));
 
     for (size_t start = 0; start < stream.size(); start += kBatch) {
       // Apply the batch to every variant (through the full request path)
@@ -403,11 +394,14 @@ TEST(MutationDifferentialTest, OverlayServingMatchesFromScratchReconvert) {
                 << variant->label << " mutation " << i;
           }
         }
-        // A merge builds the epoch's index at publish with a new tree over
-        // the parent's connectivity; a kept partition shares the tree.
+        // Every epoch's index is built at publish. A merge derives a new
+        // tree over the parent's connectivity; a kept partition shares the
+        // tree.
         const std::shared_ptr<const GraphSnapshot> after =
             variants[0]->session->snapshot();
-        if (after->index_built() &&
+        ASSERT_TRUE(after->index_built());
+        if (mut.kind == EdgeMutationKind::kInsert &&
+            &after->isp().conn() == &before->isp().conn() &&
             &after->isp().tree() != &before->isp().tree()) {
           ++merges;
         }
@@ -489,7 +483,7 @@ TEST(MutationDifferentialTest, WorkerRestartReplaysMutationLog) {
       MakeStream(n, EdgesOf(g), 6, 8080);
   const std::vector<QueryRequest> workload = Workload(n);
 
-  auto variant = Variant::Make(files.sgr_path, false, 1, true);
+  auto variant = Variant::Make(files.sgr_path, 1, true);
   EdgeSet edges = EdgesOf(g);
   for (size_t i = 0; i < stream.size(); ++i) {
     const EdgeMutation& mut = stream[i];

@@ -812,6 +812,16 @@ TEST(BatchSchedulerTest, UpdateRejectionsLeaveTheEpochAlone) {
   EXPECT_EQ(session->epoch(), 1u);
 }
 
+/// Applies `mut` and checks the epoch it publishes: its index is already
+/// built, and equals a fresh IspIndex of its CSR field for field.
+void ApplyAndExpectFreshIndex(QuerySession* session, const EdgeMutation& mut,
+                              const std::string& what) {
+  ASSERT_TRUE(session->ApplyUpdate(mut).ok()) << what;
+  const std::shared_ptr<const GraphSnapshot> next = session->snapshot();
+  ASSERT_TRUE(next->index_built()) << what;
+  ExpectSameIndex(next->isp(), IspIndex(next->graph()), what);
+}
+
 TEST(BatchSchedulerTest, SnapshotIsolationUnderConcurrentUpdates) {
   GraphFiles files(RandomConnectedGraph(36, 0.12, 21));
 
@@ -845,10 +855,10 @@ TEST(BatchSchedulerTest, SnapshotIsolationUnderConcurrentUpdates) {
     ASSERT_TRUE(
         QuerySession::Open(files.sgr_path, SessionOptions(), &session).ok());
     for (size_t i = 0; i < e; ++i) {
-      ASSERT_TRUE(session
-                      ->ApplyUpdate({EdgeMutationKind::kInsert,
-                                     inserts[i].first, inserts[i].second})
-                      .ok());
+      ApplyAndExpectFreshIndex(session.get(),
+                               {EdgeMutationKind::kInsert, inserts[i].first,
+                                inserts[i].second},
+                               "insert " + std::to_string(i));
     }
     SchedulerOptions oracle_opts;
     oracle_opts.memo_capacity = 0;
@@ -947,11 +957,10 @@ void ExpectServesLikeAFreshIndex(const GraphSnapshot& snap) {
             RunSaphyraBc(fresh, targets, opts).bc);
 }
 
-// An update that keeps the block partition or merges blocks builds its
-// epoch's index from the parent's at publish time: a kept partition
-// shares the partition tables, a merge shares connectivity. Over a random
-// stream of inserts and deletes, every epoch's index matches a fresh
-// IspIndex of its CSR field for field.
+// Every update derives its epoch's index from the parent's before
+// publishing: a kept partition shares the partition tables, every other
+// route shares what it can. Over a random stream of inserts and deletes,
+// every epoch's index matches a fresh IspIndex of its CSR field for field.
 TEST(QuerySessionTest, EpochReuseMatchesAFreshIndex) {
   const Graph g = testing::BaCoreWithLeaves(300, 100, 7);
   SgrFile file(g, "reuse");
@@ -972,22 +981,15 @@ TEST(QuerySessionTest, EpochReuseMatchesAFreshIndex) {
     } else if (u == v || cur.HasEdge(u, v)) {
       continue;
     }
-    UpdateOutcome outcome;
-    ASSERT_TRUE(session->ApplyUpdate({kind, u, v}, &outcome).ok());
     const std::string what = "step " + std::to_string(step);
+    ApplyAndExpectFreshIndex(session.get(), {kind, u, v}, what);
     std::shared_ptr<const GraphSnapshot> next = session->snapshot();
-    // Only the reuse routes build the index before publishing.
-    EXPECT_EQ(next->index_built(), outcome.index_reused) << what;
-    if (outcome.index_reused) {
-      EXPECT_EQ(&next->isp().conn(), &prev->isp().conn()) << what;
-      if (&next->isp().tree() == &prev->isp().tree()) {
-        ++kept;
-      } else {
-        EXPECT_EQ(kind, EdgeMutationKind::kInsert) << what;
-        ++merged;
-      }
+    if (&next->isp().tree() == &prev->isp().tree()) {
+      ++kept;
+    } else if (kind == EdgeMutationKind::kInsert &&
+               &next->isp().conn() == &prev->isp().conn()) {
+      ++merged;
     }
-    ExpectSameIndex(next->isp(), IspIndex(next->graph()), what);
   }
   EXPECT_GT(kept, 50);
   EXPECT_GT(merged, 10);
@@ -1024,18 +1026,69 @@ TEST(QuerySessionTest, MergeHeavyStreamMatchesAFreshIndex) {
     }
     if (mut.u == mut.v || cur.HasEdge(mut.u, mut.v)) continue;
     const bool joins_component = cur.degree(mut.v) > 0;
-    UpdateOutcome outcome;
-    ASSERT_TRUE(session->ApplyUpdate(mut, &outcome).ok());
-    const std::string what = "step " + std::to_string(step);
-    if (mut.kind == EdgeMutationKind::kInsert && joins_component) {
-      EXPECT_TRUE(outcome.index_reused) << what;
-      EXPECT_TRUE(session->snapshot()->index_built()) << what;
-      ++merges;
-    }
-    ExpectSameIndex(session->snapshot()->isp(),
-                    IspIndex(session->snapshot()->graph()), what);
+    ApplyAndExpectFreshIndex(session.get(), mut,
+                             "step " + std::to_string(step));
+    if (mut.kind == EdgeMutationKind::kInsert && joins_component) ++merges;
   }
   EXPECT_GT(merges, 60);
+}
+
+// The routes that change a connected component's size or split a block:
+// bridge deletes, inserts across connected components (an isolated
+// endpoint among them) and deletes that split a block. Each occurs, and
+// each publishes an epoch whose index is built and equals a fresh one.
+TEST(QuerySessionTest, BridgeSplitAndCrossComponentUpdatesMatchAFreshIndex) {
+  const NodeId core = 80;
+  const Graph g = testing::BaCoreWithLeaves(core, 60, 29);
+  SgrFile file(g, "routes");
+  std::unique_ptr<QuerySession> session;
+  ASSERT_TRUE(QuerySession::Open(file.path, SessionOptions(), &session).ok());
+  Rng rng(31);
+  int bridge_deletes = 0;
+  int cross_inserts = 0;
+  int isolated_inserts = 0;
+  int splits = 0;
+  for (int step = 0; step < 160; ++step) {
+    std::shared_ptr<const GraphSnapshot> prev = session->snapshot();
+    const Graph& cur = prev->graph();
+    const IspIndex& isp = prev->isp();
+    const std::string what = "step " + std::to_string(step);
+    const NodeId x = static_cast<NodeId>(rng.UniformInt(cur.num_nodes()));
+    if (step % 2 == 0) {
+      // Delete an edge of x: a bridge when x is a leaf, often a split
+      // inside the core's sparse blocks.
+      if (cur.degree(x) == 0) continue;
+      const NodeId y = cur.neighbors(x)[rng.UniformInt(cur.degree(x))];
+      const uint32_t block = isp.bcc().arc_component[
+          cur.offset(x) + static_cast<EdgeIndex>(
+              std::lower_bound(cur.neighbors(x).begin(),
+                               cur.neighbors(x).end(), y) -
+              cur.neighbors(x).begin())];
+      const bool bridge = isp.bcc().component_nodes[block].size() == 2;
+      ApplyAndExpectFreshIndex(session.get(),
+                               {EdgeMutationKind::kDelete, x, y}, what);
+      if (bridge) {
+        ++bridge_deletes;
+      } else if (session->snapshot()->isp().num_components() >
+                 isp.num_components()) {
+        ++splits;
+      }
+    } else {
+      // Re-attach: join x to a node of another connected component.
+      const NodeId y = static_cast<NodeId>(rng.UniformInt(cur.num_nodes()));
+      if (x == y || isp.conn().component[x] == isp.conn().component[y]) {
+        continue;
+      }
+      ApplyAndExpectFreshIndex(session.get(),
+                               {EdgeMutationKind::kInsert, x, y}, what);
+      ++cross_inserts;
+      if (cur.degree(x) == 0 || cur.degree(y) == 0) ++isolated_inserts;
+    }
+  }
+  EXPECT_GT(bridge_deletes, 5);
+  EXPECT_GT(cross_inserts, 5);
+  EXPECT_GT(isolated_inserts, 0);
+  EXPECT_GT(splits, 0);
 }
 
 // Parent and child epochs share one set of partition tables, or one
@@ -1069,6 +1122,7 @@ TEST(QuerySessionTest, SharedTablesOutliveEitherEpoch) {
       session->ApplyUpdate({EdgeMutationKind::kInsert, 0, in_block}).ok());
   std::shared_ptr<const GraphSnapshot> child = session->snapshot();
   ASSERT_TRUE(child->index_built());
+  ExpectSameIndex(child->isp(), IspIndex(child->graph()), "kept insert");
   ASSERT_EQ(&child->isp().tree(), &parent->isp().tree());
   parent.reset();
   ExpectServesLikeAFreshIndex(*child);
@@ -1077,28 +1131,34 @@ TEST(QuerySessionTest, SharedTablesOutliveEitherEpoch) {
       session->ApplyUpdate({EdgeMutationKind::kInsert, 201, other}).ok());
   child = session->snapshot();
   ASSERT_TRUE(child->index_built());
+  ExpectSameIndex(child->isp(), IspIndex(child->graph()), "merge");
   ASSERT_EQ(&child->isp().conn(), &parent->isp().conn());
   parent.reset();
   ExpectServesLikeAFreshIndex(*child);
 
-  // Child released first: the pinned epoch's reuse child is replaced as
-  // the current epoch by a bridge delete, which rebuilds and drops it.
+  // Child released first: the pinned epoch's kept-partition child is
+  // replaced as the current epoch by a bridge delete, whose epoch derives
+  // new connectivity and drops the shared tables' last user but one.
   parent = std::move(child);
   ASSERT_TRUE(
       session->ApplyUpdate({EdgeMutationKind::kDelete, 0, in_block}).ok());
   ASSERT_TRUE(session->snapshot()->index_built());
+  ExpectSameIndex(session->snapshot()->isp(),
+                  IspIndex(session->snapshot()->graph()), "kept delete");
   ASSERT_EQ(&session->snapshot()->isp().tree(), &parent->isp().tree());
   ASSERT_TRUE(
       session->ApplyUpdate({EdgeMutationKind::kDelete, 200, anchor}).ok());
-  EXPECT_FALSE(session->snapshot()->index_built());
+  ASSERT_TRUE(session->snapshot()->index_built());
+  ExpectSameIndex(session->snapshot()->isp(),
+                  IspIndex(session->snapshot()->graph()), "bridge delete");
+  EXPECT_NE(&session->snapshot()->isp().conn(), &parent->isp().conn());
   ExpectServesLikeAFreshIndex(*parent);
   ExpectServesLikeAFreshIndex(*session->snapshot());
 }
 
 // Node 0 is the smallest member of the bridge {0,2} and of the cycle
 // 0-3-1-4-0; the chord 0-1 keeps the members but swaps the two blocks'
-// canonical ids: a one-block merge that moves the cycle's id, spliced
-// into the index at publish.
+// canonical ids: the index is derived at publish all the same.
 TEST(QuerySessionTest, InsertThatReordersBlockIdsSplicesTheIndex) {
   const Graph g =
       testing::MakeGraph(5, {{0, 2}, {0, 3}, {3, 1}, {1, 4}, {4, 0}});
@@ -1109,9 +1169,9 @@ TEST(QuerySessionTest, InsertThatReordersBlockIdsSplicesTheIndex) {
   UpdateOutcome outcome;
   ASSERT_TRUE(
       session->ApplyUpdate({EdgeMutationKind::kInsert, 0, 1}, &outcome).ok());
-  EXPECT_TRUE(outcome.index_reused);
   EXPECT_TRUE(session->snapshot()->index_built());
   EXPECT_GT(outcome.repair_dirty_arcs, 0u);
+  EXPECT_FALSE(outcome.repair_fell_back);
   ExpectSameIndex(session->snapshot()->isp(),
                   IspIndex(session->snapshot()->graph()), "chord 0-1");
 }

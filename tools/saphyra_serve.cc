@@ -516,14 +516,13 @@ int main(int argc, char** argv) {
       stats.errors + parse_errors.size() * passes_served;
   std::fprintf(stderr,
                "served %llu queries in %s (%.1f q/s): %llu computed, "
-               "%llu updates (%llu index reused), %llu memo, %llu dedup, "
+               "%llu updates, %llu memo, %llu dedup, "
                "%llu error, %llu degraded, %llu shed, %llu cancelled; "
                "max query %s\n",
                static_cast<unsigned long long>(answered),
                FormatDuration(serve_seconds).c_str(), qps,
                static_cast<unsigned long long>(stats.computed),
                static_cast<unsigned long long>(stats.updates),
-               static_cast<unsigned long long>(stats.updates_index_reused),
                static_cast<unsigned long long>(stats.memo_hits),
                static_cast<unsigned long long>(stats.dedup_hits),
                static_cast<unsigned long long>(invalid),
@@ -572,7 +571,6 @@ int main(int argc, char** argv) {
     }
     sj << "{\"queries\":" << answered << ",\"computed\":" << stats.computed
        << ",\"updates\":" << stats.updates
-       << ",\"updates_index_reused\":" << stats.updates_index_reused
        << ",\"memo_hits\":" << stats.memo_hits
        << ",\"dedup_hits\":" << stats.dedup_hits
        << ",\"invalid\":" << invalid
