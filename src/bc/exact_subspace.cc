@@ -6,6 +6,15 @@
 
 namespace saphyra {
 
+namespace {
+
+/// A middle w ∉ A counts its 2-hop targets by scanning N(w) while deg w is
+/// below this many times |T_s|, and by binary-searching each t ∈ T_s in
+/// N(w) beyond it (a search costs about log₂ deg w probes per target).
+constexpr size_t kScanPerTarget = 32;
+
+}  // namespace
+
 ExactSubspaceResult ComputeExactSubspace(const PersonalizedSpace& space) {
   const IspIndex& isp = space.isp();
   const Graph& g = isp.graph();
@@ -30,69 +39,117 @@ ExactSubspaceResult ComputeExactSubspace(const PersonalizedSpace& space) {
     }
   }
 
+  // Per-node state for the current source s, in one record so a visit to
+  // t touches one cache line.
   constexpr uint32_t kNoStamp = static_cast<uint32_t>(-1);
-  std::vector<uint32_t> nbr_stamp(n, kNoStamp);   // "neighbor of s" marker
-  std::vector<uint32_t> pair_stamp(n, kNoStamp);  // "t seen for s" marker
-  std::vector<uint32_t> sigma_all(n, 0);  // σ_st: valid middles, any node
-  std::vector<uint32_t> sigma_a(n, 0);    // σ^A_st: valid middles in A
-  std::vector<uint32_t> pair_comp(n, 0);  // component of the (s,t) pair
-  std::vector<NodeId> found;              // Δ_s
+  struct NodeState {
+    uint32_t nbr_stamp = kNoStamp;   // "t == s or t adjacent to s" marker
+    uint32_t pair_stamp = kNoStamp;  // "t ∈ T_s" marker
+    uint32_t comp = 0;               // block of the (s,t) pair
+    uint32_t sigma_a = 0;            // σ^A_st: middles in A
+    uint32_t sigma = 0;              // σ_st: all middles
+    uint32_t first_mid = 0;  // position in N(s) of t's first middle
+  };
+  std::vector<NodeState> st(n);
+  std::vector<NodeId> found;  // T_s
 
   double lambda_scaled = 0.0;  // λ̂ · n(n−1)·γ·η
   std::vector<double> exact_scaled(k, 0.0);
 
   for (uint32_t sidx = 0; sidx < sources.size(); ++sidx) {
     const NodeId s = sources[sidx];
-    for (NodeId w : g.neighbors(s)) nbr_stamp[w] = sidx;
-    nbr_stamp[s] = sidx;  // exclude s itself the same way
+    for (NodeId w : g.neighbors(s)) st[w].nbr_stamp = sidx;
+    st[s].nbr_stamp = sidx;  // exclude s itself the same way
     found.clear();
 
-    // Phase 1: enumerate 2-hop walks s→v→t whose two edges share a
-    // biconnected component; count all valid middles (σ_st) and the
-    // middles in A (σ^A_st). Walks with t adjacent to s are not shortest
-    // (d(s,t)=1) and are skipped.
+    // Pass 1: enumerate 2-hop walks s→v→t with v ∈ A whose two edges
+    // share a biconnected component. This finds T_s, σ^A_st, and the
+    // A-middles' share of σ_st. Walks with t adjacent to s are not
+    // shortest (d(s,t)=1) and are skipped.
     const EdgeIndex s_base = g.offset(s);
     const auto s_nbr = g.neighbors(s);
     for (size_t i = 0; i < s_nbr.size(); ++i) {
       const NodeId v = s_nbr[i];
+      if (space.HypothesisIndex(v) < 0) continue;
       const uint32_t c1 = bcc.arc_component[s_base + i];
-      const bool v_in_a = space.HypothesisIndex(v) >= 0;
       const EdgeIndex v_base = g.offset(v);
       const auto v_nbr = g.neighbors(v);
       for (size_t j = 0; j < v_nbr.size(); ++j) {
         const NodeId t = v_nbr[j];
-        if (nbr_stamp[t] == sidx) continue;            // t == s or d(s,t)=1
+        NodeState& ts = st[t];
+        if (ts.nbr_stamp == sidx) continue;                 // d(s,t) ≤ 1
         if (bcc.arc_component[v_base + j] != c1) continue;  // crosses comps
-        if (pair_stamp[t] != sidx) {
-          pair_stamp[t] = sidx;
-          sigma_all[t] = 0;
-          sigma_a[t] = 0;
-          pair_comp[t] = c1;
+        if (ts.pair_stamp != sidx) {
+          ts.pair_stamp = sidx;
+          ts.comp = c1;
+          ts.sigma_a = 0;
+          ts.sigma = 0;
+          ts.first_mid = static_cast<uint32_t>(i);
           found.push_back(t);
         }
         // Two biconnected components share at most one node, so a valid
         // (s,t) pair cannot appear under two different components.
-        SAPHYRA_CHECK(pair_comp[t] == c1);
-        ++sigma_all[t];
-        if (v_in_a) ++sigma_a[t];
+        SAPHYRA_CHECK(ts.comp == c1);
+        ++ts.sigma_a;
+        ++ts.sigma;
       }
+    }
+    if (found.empty()) continue;
+
+    // Pass 2: the middles w ∉ A. For t ∈ T_s every common neighbor of s
+    // and t lies in the pair's block (s–v–t–w–s is a cycle), so σ_st =
+    // |N(s) ∩ N(t)| and w counts for each t ∈ T_s ∩ N(w), found from
+    // whichever of N(w) and T_s is smaller. A middle ahead of t's first
+    // A-middle in N(s) moves t's first discovery earlier.
+    bool reordered = false;
+    for (size_t i = 0; i < s_nbr.size(); ++i) {
+      const NodeId w = s_nbr[i];
+      if (space.HypothesisIndex(w) >= 0) continue;
+      const uint32_t c1 = bcc.arc_component[s_base + i];
+      const auto count = [&](NodeId t) {
+        NodeState& ts = st[t];
+        SAPHYRA_CHECK(ts.comp == c1);
+        ++ts.sigma;
+        if (i < ts.first_mid) {
+          ts.first_mid = static_cast<uint32_t>(i);
+          reordered = true;
+        }
+      };
+      const auto w_nbr = g.neighbors(w);
+      if (w_nbr.size() < kScanPerTarget * found.size()) {
+        for (NodeId t : w_nbr) {
+          if (st[t].pair_stamp == sidx) count(t);
+        }
+      } else {
+        for (NodeId t : found) {
+          if (std::binary_search(w_nbr.begin(), w_nbr.end(), t)) count(t);
+        }
+      }
+    }
+    // λ̂ sums in the order of first discovery over (position of the middle
+    // in N(s), position of t in N(middle)); adjacency lists are sorted, so
+    // that is (first_mid, t).
+    if (reordered) {
+      std::sort(found.begin(), found.end(), [&](NodeId a, NodeId b) {
+        return st[a].first_mid != st[b].first_mid
+                   ? st[a].first_mid < st[b].first_mid
+                   : a < b;
+      });
     }
 
     // λ̂ contribution of every ordered pair (s, t): the fraction of its
     // σ_st shortest paths whose middle is in A, weighted by the pair mass
     // q_st (scaled by n(n−1): q̃ = r_c(s)·r_c(t)).
     for (NodeId t : found) {
-      if (sigma_a[t] == 0) continue;  // pair has no path in X̂
-      const uint32_t c = pair_comp[t];
+      const NodeState& ts = st[t];
       const double q_scaled =
-          static_cast<double>(isp.OutReach(c, s)) *
-          static_cast<double>(isp.OutReach(c, t));
-      lambda_scaled += q_scaled * static_cast<double>(sigma_a[t]) /
-                       static_cast<double>(sigma_all[t]);
-      ++out.pairs_examined;
+          static_cast<double>(isp.OutReach(ts.comp, s)) *
+          static_cast<double>(isp.OutReach(ts.comp, t));
+      lambda_scaled += q_scaled * static_cast<double>(ts.sigma_a) /
+                       static_cast<double>(ts.sigma);
     }
 
-    // Phase 2: credit each middle v ∈ A with its share of every pair:
+    // Credit each middle v ∈ A with its share of every pair:
     // ℓ̂_v += q_st/σ_st for each ordered pair (s,t) routed through v.
     for (size_t i = 0; i < s_nbr.size(); ++i) {
       const NodeId v = s_nbr[i];
@@ -104,11 +161,12 @@ ExactSubspaceResult ComputeExactSubspace(const PersonalizedSpace& space) {
       const auto v_nbr = g.neighbors(v);
       for (size_t j = 0; j < v_nbr.size(); ++j) {
         const NodeId t = v_nbr[j];
-        if (nbr_stamp[t] == sidx) continue;
+        const NodeState& ts = st[t];
+        if (ts.nbr_stamp == sidx) continue;
         if (bcc.arc_component[v_base + j] != c1) continue;
-        SAPHYRA_CHECK(pair_stamp[t] == sidx && pair_comp[t] == c1);
+        SAPHYRA_CHECK(ts.pair_stamp == sidx && ts.comp == c1);
         exact_scaled[h] += r_s * static_cast<double>(isp.OutReach(c1, t)) /
-                           static_cast<double>(sigma_all[t]);
+                           static_cast<double>(ts.sigma);
       }
     }
   }

@@ -1,7 +1,6 @@
 #ifndef SAPHYRA_BC_EXACT_SUBSPACE_H_
 #define SAPHYRA_BC_EXACT_SUBSPACE_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "bicomp/isp.h"
@@ -17,8 +16,6 @@ struct ExactSubspaceResult {
   std::vector<double> exact_risks;
   /// λ̂ = Pr_{x∼D_c^(A)}[x ∈ X̂_c^(A)].
   double lambda_hat = 0.0;
-  /// Diagnostics: number of ordered (s,t) pairs at distance 2 examined.
-  uint64_t pairs_examined = 0;
 };
 
 /// \brief Exact_bc: exact risks over the 2-hop exact subspace.
@@ -35,8 +32,18 @@ struct ExactSubspaceResult {
 /// shortest path witnessing R(h_v) > 0 contains such a 2-hop subpath, which
 /// is why the exact subspace eliminates false zeros (Lemma 19).
 ///
-/// Runs in O(Σ_{s∈B} Σ_{v∈adj(s)} deg(v)) = O(K) time (Lemma 18) and O(n)
-/// space.
+/// For each s ∈ B the targets T_s (the t with σ^A_st > 0) come from the
+/// middles in N(s) ∩ A alone. The other middles are counted without an arc
+/// label test: when s and t are not adjacent and share a block, every
+/// common neighbor w of s and t lies in that block (s–v–t–w–s is a simple
+/// cycle), so σ_st = |N(s) ∩ N(t)|. Each middle w ∉ A is intersected with
+/// T_s from the smaller side (scan N(w), or binary-search each t ∈ T_s in
+/// N(w)), as in degree-ordered wedge listing (Chiba & Nishizeki, SIAM J.
+/// Comput. 1985).
+///
+/// Runs in O(Σ_{s∈B} (deg s + Σ_{v∈N(s)∩A} deg v
+///   + Σ_{w∈N(s)∖A} min(deg w, |T_s|·log deg w) + |T_s| log |T_s|)) time
+/// and O(n) space; with A = V this is the O(K) of Lemma 18.
 ExactSubspaceResult ComputeExactSubspace(const PersonalizedSpace& space);
 
 /// \brief True iff path (s, mid, t) lies in the exact subspace of `space`:

@@ -1,6 +1,7 @@
 #include "service/json_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -309,12 +310,18 @@ std::string JsonQuote(const std::string& s) {
 }
 
 std::string JsonNumber(double v) {
+  // to_chars with chars_format::general and a precision prints what
+  // printf's %.*g prints, in one pass and without locale lookups.
   char buf[32];
+  char* end = buf;
   for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
+    end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                        prec)
+              .ptr;
+    double back = 0.0;
+    if (std::from_chars(buf, end, back).ec == std::errc() && back == v) break;
   }
-  return buf;
+  return std::string(buf, end);
 }
 
 }  // namespace saphyra

@@ -57,9 +57,9 @@ Status ParseJson(const std::string& text, JsonValue* out);
 /// \brief `s` with JSON string escaping applied, including the quotes.
 std::string JsonQuote(const std::string& s);
 
-/// \brief Shortest round-trip rendering of a double (%.17g, then the
-/// shortest precision that parses back bit-equal). Keeps the NDJSON
-/// responses bitwise-faithful to the computed estimates.
+/// \brief Round-trip rendering of a double: the first of %.15g, %.16g and
+/// %.17g that parses back equal. Keeps the NDJSON responses
+/// bitwise-faithful to the computed estimates.
 std::string JsonNumber(double v);
 
 }  // namespace saphyra

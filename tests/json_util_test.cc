@@ -1,11 +1,17 @@
 #include "service/json_util.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/rng.h"
 
 namespace saphyra {
 namespace {
@@ -132,6 +138,59 @@ TEST(JsonNumberTest, RoundTripsBitwise) {
     EXPECT_EQ(std::memcmp(&back, &v, sizeof(double)), 0)
         << s << " did not round trip";
   }
+}
+
+TEST(JsonNumberTest, SameTextAsThePrintfLadder) {
+  // The printf ladder JsonNumber replaced: the first of %.15g, %.16g and
+  // %.17g that strtod parses back equal. The text of every number must
+  // not change.
+  auto printf_ladder = [](double v) {
+    char buf[32];
+    for (int prec = 15; prec <= 17; ++prec) {
+      std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+      if (std::strtod(buf, nullptr) == v) break;
+    }
+    return std::string(buf);
+  };
+  auto from_bits = [](uint64_t bits) {
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+  };
+  std::vector<double> values = {0.0, -0.0};
+  Rng rng(20251);
+  for (int i = 0; i < 200000; ++i) {  // random bit patterns, NaN/inf too
+    values.push_back(from_bits(rng.Next()));
+  }
+  for (int i = 0; i < 20000; ++i) {  // subnormals of both signs
+    const uint64_t mantissa = rng.Next() & ((uint64_t{1} << 52) - 1);
+    values.push_back(from_bits(mantissa | (rng.Next() & (uint64_t{1} << 63))));
+  }
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (int e = -330; e <= 308; ++e) {  // powers of ten and their neighbors
+    const double p = std::strtod(("1e" + std::to_string(e)).c_str(), nullptr);
+    for (double v : {p, std::nextafter(p, 0.0), std::nextafter(p, kInf)}) {
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  for (int i = 0; i < 20000; ++i) {  // integers at and above 2^53
+    const int shift = 53 + static_cast<int>(rng.UniformInt(11));
+    const uint64_t k = (uint64_t{1} << shift) + (rng.Next() >> (64 - shift));
+    values.push_back(static_cast<double>(k));
+  }
+  for (int shift = 53; shift < 64; ++shift) {
+    values.push_back(std::ldexp(1.0, shift));
+  }
+  size_t mismatches = 0;
+  for (double v : values) {
+    const std::string got = JsonNumber(v);
+    const std::string want = printf_ladder(v);
+    if (got != want && ++mismatches <= 10) {
+      ADD_FAILURE() << got << " != " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " numbers";
 }
 
 TEST(JsonNumberTest, QuoteParseRoundTrip) {
