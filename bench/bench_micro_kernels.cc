@@ -582,98 +582,6 @@ Speedup MeasurePooledEngine() {
   return {"pooled_engine", base, opt};
 }
 
-/// Interleaved query/update serving vs the same query stream on a static
-/// warm session. Each dynamic round toggles one edge (insert on even
-/// rounds, delete on odd, so the edge set returns to base every two
-/// rounds) through ApplyUpdate, then answers a warm bc query on the new
-/// epoch. The ratio prices everything the dynamic path adds to a query:
-/// overlay-CSR adjacency, the incremental bicomp repair, the epoch swap,
-/// and the per-epoch index adoption — emitted as mutation_query_overhead
-/// (close to 1.0 is the goal; the update cost itself is reported
-/// separately as mutation_update_seconds).
-struct MutationOverhead {
-  double static_query_s = 0;    ///< per query, static warm session
-  double mutating_query_s = 0;  ///< per query, freshly mutated session
-  double update_s = 0;          ///< per ApplyUpdate
-  double overhead() const {
-    return static_query_s == 0 ? 1.0 : mutating_query_s / static_query_s;
-  }
-};
-
-MutationOverhead MeasureMutationOverhead() {
-  const LoadFixture& files = LoadFixtureFiles();
-  const std::vector<QueryRequest> workload = ServeWorkload(4);
-  const int rounds = 24;
-
-  auto open_session = [&]() {
-    std::unique_ptr<QuerySession> session;
-    SAPHYRA_CHECK(
-        QuerySession::Open(files.full_sgr_path, SessionOptions(), &session)
-            .ok());
-    return session;
-  };
-
-  // An edge absent from the fixture, toggled by the dynamic rounds.
-  NodeId au = 0, av = 0;
-  {
-    std::unique_ptr<QuerySession> probe = open_session();
-    const Graph& g = probe->graph();
-    bool found = false;
-    for (NodeId u = 0; u < g.num_nodes() && !found; ++u) {
-      for (NodeId v = u + 1; v < g.num_nodes(); ++v) {
-        const auto nbrs = g.neighbors(u);
-        if (!std::binary_search(nbrs.begin(), nbrs.end(), v)) {
-          au = u;
-          av = v;
-          found = true;
-          break;
-        }
-      }
-    }
-    SAPHYRA_CHECK(found);
-  }
-
-  MutationOverhead best;
-  for (int rep = 0; rep < 3; ++rep) {
-    std::unique_ptr<QuerySession> stat = open_session();
-    stat->Run(workload[0]);  // adopt the index outside the timing
-    Timer static_timer;
-    for (int r = 0; r < rounds; ++r) {
-      QueryResult res = stat->Run(workload[r % workload.size()]);
-      SAPHYRA_CHECK(res.status.ok());
-      benchmark::DoNotOptimize(res.estimates.data());
-    }
-    const double static_s = static_timer.ElapsedSeconds() / rounds;
-
-    std::unique_ptr<QuerySession> dyn = open_session();
-    dyn->Run(workload[0]);
-    double update_total = 0.0, query_total = 0.0;
-    for (int r = 0; r < rounds; ++r) {
-      const EdgeMutation mut{r % 2 == 0 ? EdgeMutationKind::kInsert
-                                        : EdgeMutationKind::kDelete,
-                             au, av};
-      Timer update_timer;
-      SAPHYRA_CHECK(dyn->ApplyUpdate(mut).ok());
-      update_total += update_timer.ElapsedSeconds();
-      Timer query_timer;
-      QueryResult res = dyn->Run(workload[r % workload.size()]);
-      SAPHYRA_CHECK(res.status.ok());
-      benchmark::DoNotOptimize(res.estimates.data());
-      query_total += query_timer.ElapsedSeconds();
-    }
-    if (rep == 0 || static_s < best.static_query_s) {
-      best.static_query_s = static_s;
-    }
-    if (rep == 0 || query_total / rounds < best.mutating_query_s) {
-      best.mutating_query_s = query_total / rounds;
-    }
-    if (rep == 0 || update_total / rounds < best.update_s) {
-      best.update_s = update_total / rounds;
-    }
-  }
-  return best;
-}
-
 void RunSpeedupSuite(const std::string& json_path) {
   std::printf("==== optimization speedups (baseline / optimized) ====\n");
   std::vector<Speedup> results;
@@ -732,13 +640,6 @@ void RunSpeedupSuite(const std::string& json_path) {
       batch.qps(), static_cast<unsigned long long>(batch.computed),
       static_cast<unsigned long long>(batch.cache_served));
 
-  MutationOverhead mut = MeasureMutationOverhead();
-  std::printf(
-      "[speedup] %-28s static=%.6fs mutated=%.6fs update=%.6fs "
-      "overhead=%.2fx\n",
-      "mutation_query_overhead", mut.static_query_s, mut.mutating_query_s,
-      mut.update_s, mut.overhead());
-
   if (json_path.empty()) return;
   std::ofstream out(json_path);
   out << "{\n";
@@ -758,11 +659,6 @@ void RunSpeedupSuite(const std::string& json_path) {
   out << "  \"batch_throughput_cache_served\": " << batch.cache_served
       << ",\n";
   out << "  \"batch_throughput_qps\": " << batch.qps() << ",\n";
-  out << "  \"mutation_static_query_seconds\": " << mut.static_query_s
-      << ",\n";
-  out << "  \"mutation_query_seconds\": " << mut.mutating_query_s << ",\n";
-  out << "  \"mutation_update_seconds\": " << mut.update_s << ",\n";
-  out << "  \"mutation_query_overhead\": " << mut.overhead() << ",\n";
   // Host context for the hardware-bound ratios (pooled_engine above
   // all): regression tooling can only tell a hardware artifact from a
   // regression if the measurement records the machine.

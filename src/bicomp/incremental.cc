@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <iterator>
+#include <span>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -199,9 +202,9 @@ bool KeepsCanonicalIds(const BiconnectedComponents& old_bcc, uint32_t block,
 /// positions), and every surviving entry passes through `map`. One
 /// allocation and one pass — the arrays are arc-sized.
 template <typename T, typename Map>
-std::vector<T> SpliceArcs(const std::vector<T>& old, bool insert,
-                          EdgeIndex lo, EdgeIndex hi, T at_lo, T at_hi,
-                          const Map& map) {
+std::vector<T> SpliceArcs(std::type_identity_t<std::span<const T>> old,
+                          bool insert, EdgeIndex lo, EdgeIndex hi, T at_lo,
+                          T at_hi, const Map& map) {
   std::vector<T> out(insert ? old.size() + 2 : old.size() - 2);
   auto it = out.begin();
   auto copy = [&](EdgeIndex from, EdgeIndex to) {
@@ -413,7 +416,66 @@ uint64_t SplitBlock(const Graph& new_graph, const ComponentViews& views,
   return sub.num_arcs();
 }
 
+std::string EdgeName(NodeId u, NodeId v) {
+  return "{" + std::to_string(u) + ", " + std::to_string(v) + "}";
+}
+
 }  // namespace
+
+Status SpliceEdge(const Graph& g, const EdgeMutation& mut, Graph* out) {
+  const NodeId n = g.num_nodes();
+  const NodeId u = mut.u;
+  const NodeId v = mut.v;
+  if (u >= n || v >= n) {
+    return Status::InvalidArgument("edge endpoint out of range: " +
+                                   EdgeName(u, v) + " with n=" +
+                                   std::to_string(n));
+  }
+  const bool insert = mut.kind == EdgeMutationKind::kInsert;
+  if (insert && u == v) {
+    return Status::InvalidArgument("self loop rejected: " + EdgeName(u, v));
+  }
+  // a -> b goes at (or comes from) b's place in a's sorted row, b -> a at
+  // a's place in b's; for an insert, b's row already starts one arc later.
+  const NodeId a = std::min(u, v);
+  const NodeId b = std::max(u, v);
+  const auto row_a = g.neighbors(a);
+  const auto row_b = g.neighbors(b);
+  const auto at_b = std::lower_bound(row_a.begin(), row_a.end(), b);
+  const bool exists = a != b && at_b != row_a.end() && *at_b == b;
+  if (insert && exists) {
+    return Status::InvalidArgument("duplicate edge: " + EdgeName(u, v) +
+                                   " already exists");
+  }
+  if (!insert && !exists) {
+    return Status::InvalidArgument("no such edge: " + EdgeName(u, v));
+  }
+  const EdgeIndex lo = g.offset(a) + (at_b - row_a.begin());
+  const EdgeIndex hi =
+      g.offset(b) + (insert ? 1 : 0) +
+      (std::lower_bound(row_b.begin(), row_b.end(), a) - row_b.begin());
+  std::vector<NodeId> adj = SpliceArcs<NodeId>(
+      g.raw_adj(), insert, lo, hi, b, a, [](NodeId x) { return x; });
+
+  const auto old_offsets = g.raw_offsets();
+  std::vector<EdgeIndex> offsets(old_offsets.begin(), old_offsets.end());
+  for (NodeId x = a + 1; x <= n; ++x) {
+    const EdgeIndex shift = x > b ? 2 : 1;
+    offsets[x] = insert ? offsets[x] + shift : offsets[x] - shift;
+  }
+  NodeId max_degree = g.max_degree();
+  if (insert) {
+    max_degree = std::max({max_degree, g.degree(a) + 1, g.degree(b) + 1});
+  } else if (g.degree(a) == max_degree || g.degree(b) == max_degree) {
+    max_degree = 0;
+    for (NodeId x = 0; x < n; ++x) {
+      max_degree = std::max(
+          max_degree, static_cast<NodeId>(offsets[x + 1] - offsets[x]));
+    }
+  }
+  return Graph::FromCsr(n, max_degree, std::move(offsets), std::move(adj),
+                        out);
+}
 
 BiconnectedComponents RepairBiconnectedComponents(
     const Graph& old_graph, const BiconnectedComponents& old_bcc,

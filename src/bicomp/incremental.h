@@ -64,6 +64,7 @@
 #include "bicomp/biconnected.h"
 #include "bicomp/component_view.h"
 #include "graph/graph.h"
+#include "util/status.h"
 
 namespace saphyra {
 
@@ -75,6 +76,18 @@ struct EdgeMutation {
   NodeId u = 0;
   NodeId v = 0;
 };
+
+/// \brief The CSR of `g` with `mut` applied: the two arcs of {u,v}
+/// spliced in (insert) or out (delete), the offsets shifted by one past
+/// min(u,v) and by two past max(u,v). Bitwise identical (offsets,
+/// adjacency, max_degree) to GraphBuilder over the mutated edge list.
+///
+/// INVALID_ARGUMENT, with `*out` untouched, when an endpoint is out of
+/// range, an insert is a self loop or duplicates an edge of `g`, or a
+/// delete names an edge `g` does not have: GraphBuilder's dedup would
+/// silently collapse these, so the serving tier rejects them instead and
+/// a request stream replays identically everywhere.
+Status SpliceEdge(const Graph& g, const EdgeMutation& mut, Graph* out);
 
 /// \brief What one repair changed: the remap IspIndex derives the new
 /// epoch's index through, and the size of the relabeled region

@@ -65,8 +65,8 @@ const char* DegradeReasonName(StatusCode code) {
 Status CanonicalizeQuery(NodeId num_nodes, QueryRequest* req) {
   if (req->op == RequestOp::kUpdate) {
     // Structural validation only: existence/duplication of the edge is
-    // checked against the live overlay at apply time, where the answer
-    // cannot go stale between validation and application.
+    // checked against the current epoch's CSR at apply time, where the
+    // answer cannot go stale between validation and application.
     if (req->edge_u >= num_nodes || req->edge_v >= num_nodes) {
       return Status::InvalidArgument(
           "update edge endpoint " +
@@ -370,7 +370,6 @@ std::string SerializeQueryResult(const QueryResult& res) {
                   static_cast<unsigned long long>(res.fingerprint));
     out += ",\"ok\":true,\"op\":\"update\",\"epoch\":" +
            std::to_string(res.epoch) + ",\"fingerprint\":\"" + fp + "\"";
-    if (res.compacted) out += ",\"compacted\":true";
     out += ",\"seconds\":" + JsonNumber(res.seconds) + "}";
     return out;
   }

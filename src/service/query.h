@@ -123,7 +123,7 @@ struct QueryRequest {
 /// left alone but never encoded). Updates canonicalize differently: the
 /// edge endpoints are range-checked (out of range or a self loop →
 /// INVALID_ARGUMENT) and ordered edge_u < edge_v; whether the edge
-/// exists is the overlay's business at apply time, not the parser's.
+/// exists is checked at apply time (SpliceEdge), not by the parser.
 Status CanonicalizeQuery(NodeId num_nodes, QueryRequest* req);
 
 /// \brief Memoization key of a canonicalized request on a specific graph.
@@ -199,7 +199,8 @@ struct QueryResult {
   uint64_t epoch = 0;
   /// The new chained graph fingerprint (ChainMutationFingerprint).
   uint64_t fingerprint = 0;
-  /// Whether this update compacted the overlay onto a clean CSR.
+  /// Always false and never serialized: updates no longer compact
+  /// anything. Kept while bench/e2e still assigns it.
   bool compacted = false;
 };
 

@@ -76,7 +76,6 @@ QueryResult BatchScheduler::RunUpdate(QuerySession* session,
   res.status = st;
   res.epoch = outcome.epoch;
   res.fingerprint = outcome.fingerprint;
-  res.compacted = outcome.compacted;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.queries;

@@ -94,18 +94,10 @@ Status QuerySession::Open(const std::string& graph_path,
 Status QuerySession::ApplyUpdate(const EdgeMutation& mut, UpdateOutcome* out) {
   std::lock_guard<std::mutex> update_lock(update_mu_);
   std::shared_ptr<const GraphSnapshot> cur = snapshot();
-  if (overlay_ == nullptr) {
-    overlay_base_ = cur;
-    overlay_ = std::make_unique<DeltaOverlay>(&overlay_base_->graph());
-  }
-  // The overlay validates against the *effective* graph and leaves its
-  // state untouched on failure, so a rejected update changes nothing.
-  SAPHYRA_RETURN_NOT_OK(mut.kind == EdgeMutationKind::kInsert
-                            ? overlay_->Insert(mut.u, mut.v)
-                            : overlay_->Remove(mut.u, mut.v));
-
+  // The splice validates against the current epoch before anything is
+  // built, so a rejected update changes nothing.
   auto next = std::shared_ptr<GraphSnapshot>(new GraphSnapshot());
-  next->graph_ = overlay_->Materialize();
+  SAPHYRA_RETURN_NOT_OK(SpliceEdge(cur->graph(), mut, &next->graph_));
   next->epoch_ = cur->epoch() + 1;
   next->fingerprint_ = ChainMutationFingerprint(
       cur->fingerprint(), next->epoch_, mut.kind, mut.u, mut.v);
@@ -123,16 +115,6 @@ Status QuerySession::ApplyUpdate(const EdgeMutation& mut, UpdateOutcome* out) {
                                             std::move(bcc),
                                             repair_stats.remap);
   });
-
-  bool compacted = false;
-  if (overlay_->delta_size() >= options_.compact_threshold) {
-    // Rebase onto the freshly materialized CSR: subsequent updates merge
-    // against it instead of an ever-growing delta set. The new epoch now
-    // doubles as the overlay's base, so pin it.
-    overlay_->Rebase(&next->graph_);
-    overlay_base_ = next;
-    compacted = true;
-  }
   {
     std::lock_guard<std::mutex> lock(epoch_mu_);
     current_ = next;
@@ -140,7 +122,6 @@ Status QuerySession::ApplyUpdate(const EdgeMutation& mut, UpdateOutcome* out) {
   if (out != nullptr) {
     out->epoch = next->epoch_;
     out->fingerprint = next->fingerprint_;
-    out->compacted = compacted;
     out->repair_dirty_arcs = repair_stats.dirty_arcs;
   }
   return Status::OK();

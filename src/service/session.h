@@ -14,8 +14,9 @@
 ///
 /// Dynamic graphs. A session is a sequence of immutable epochs
 /// (GraphSnapshot): epoch 0 is the loaded graph, and each accepted
-/// {"op":"update"} produces epoch e+1 via a DeltaOverlay mutation +
-/// incremental bicomp repair (bicomp/incremental.h), then atomically
+/// {"op":"update"} produces epoch e+1: its CSR is epoch e's with the
+/// edge's two arcs spliced in or out (SpliceEdge), and its decomposition
+/// is repaired incrementally (bicomp/incremental.h). It then atomically
 /// publishes the new snapshot with its IspIndex already built: one
 /// derivation from the parent's index through the repair's block remap
 /// re-derives the blocks the mutation changed and carries the rest (see
@@ -47,7 +48,6 @@
 #include "bicomp/incremental.h"
 #include "bicomp/isp.h"
 #include "graph/binary_io.h"
-#include "graph/delta_overlay.h"
 #include "graph/graph.h"
 #include "service/query.h"
 #include "util/cancel.h"
@@ -67,11 +67,6 @@ struct SessionOptions {
   /// Off by default: sessions serving only ABRA/KADABRA/k-path/closeness
   /// never need it.
   bool eager_index = false;
-  /// Rebuild the overlay onto a clean base CSR once this many deltas
-  /// (inserted + tombstoned edges) accumulate; 0 compacts on every
-  /// update. Compaction changes no served bit — it only bounds the
-  /// overlay's merge cost per Materialize.
-  uint64_t compact_threshold = 4096;
 };
 
 /// \brief One immutable epoch of a session: the graph's CSR, its chained
@@ -121,7 +116,9 @@ class GraphSnapshot {
 struct UpdateOutcome {
   uint64_t epoch = 0;        ///< the new epoch number
   uint64_t fingerprint = 0;  ///< the new chained fingerprint
-  bool compacted = false;    ///< the overlay rebased onto a clean CSR
+  /// Always false: updates no longer compact anything. Kept while
+  /// bench/e2e still assigns it.
+  bool compacted = false;
   /// Arcs the decomposition repair relabeled (observability only).
   uint64_t repair_dirty_arcs = 0;
   /// Always false: the repair has no full-pass fallback. Kept while
@@ -226,16 +223,10 @@ class QuerySession {
   mutable std::mutex epoch_mu_;
   std::shared_ptr<const GraphSnapshot> current_;
 
-  /// Serializes ApplyUpdate: overlay state below is only touched under
-  /// it. Ordered before epoch_mu_ (ApplyUpdate publishes while holding
-  /// it); nothing acquires them the other way around.
+  /// Serializes ApplyUpdate, so each update splices the epoch the last
+  /// one published. Ordered before epoch_mu_ (ApplyUpdate publishes while
+  /// holding it); nothing acquires them the other way around.
   std::mutex update_mu_;
-  /// Mutation overlay over overlay_base_'s CSR; created on the first
-  /// update, rebased onto the newest epoch at compaction.
-  std::unique_ptr<DeltaOverlay> overlay_;
-  /// Keeps the overlay's base epoch alive: the overlay borrows that
-  /// snapshot's Graph, which epoch churn could otherwise free.
-  std::shared_ptr<const GraphSnapshot> overlay_base_;
 };
 
 }  // namespace saphyra

@@ -273,28 +273,38 @@ Status HandleUpdate(const JsonValue& doc, SessionPool* pool,
   SAPHYRA_RETURN_NOT_OK(GetUintField(doc, "u", &u));
   SAPHYRA_RETURN_NOT_OK(GetUintField(doc, "v", &v));
   SAPHYRA_RETURN_NOT_OK(GetUintField(doc, "fingerprint", &expect_fp));
+  if (u >= kInvalidNode || v >= kInvalidNode) {
+    return Status::InvalidArgument(
+        "update message: edge endpoint exceeds node range");
+  }
   mut.u = static_cast<NodeId>(u);
   mut.v = static_cast<NodeId>(v);
 
   std::shared_ptr<QuerySession> session;
   SAPHYRA_RETURN_NOT_OK(pool->Acquire(graph_v->string_value, &session));
-  if (session->fingerprint() == expect_fp) {
+  const std::shared_ptr<const GraphSnapshot> cur = session->snapshot();
+  if (cur->fingerprint() == expect_fp) {
     // Already there: the supervisor's log replay overlapped a direct
     // push. Applying again would double-mutate, so this is the no-op the
     // idempotency contract promises.
     *reply = "{\"ok\":true,\"type\":\"updated\",\"epoch\":" +
-             std::to_string(session->epoch()) +
+             std::to_string(cur->epoch()) +
              ",\"fingerprint\":" + std::to_string(expect_fp) + "}";
     return Status::OK();
   }
-  UpdateOutcome outcome;
-  SAPHYRA_RETURN_NOT_OK(session->ApplyUpdate(mut, &outcome));
-  if (outcome.fingerprint != expect_fp) {
+  // The chained fingerprint is a pure function of the current epoch and
+  // the mutation, so a divergent frame is refused before it changes
+  // anything.
+  const uint64_t chained = ChainMutationFingerprint(
+      cur->fingerprint(), cur->epoch() + 1, mut.kind, mut.u, mut.v);
+  if (chained != expect_fp) {
     return Status::Internal(
-        "update fingerprint divergence: worker chained to " +
-        std::to_string(outcome.fingerprint) + ", coordinator expects " +
+        "update fingerprint divergence: worker would chain to " +
+        std::to_string(chained) + ", coordinator expects " +
         std::to_string(expect_fp));
   }
+  UpdateOutcome outcome;
+  SAPHYRA_RETURN_NOT_OK(session->ApplyUpdate(mut, &outcome));
   *reply = "{\"ok\":true,\"type\":\"updated\",\"epoch\":" +
            std::to_string(outcome.epoch) +
            ",\"fingerprint\":" + std::to_string(outcome.fingerprint) + "}";

@@ -7,7 +7,9 @@
 // streams over the generator sweep chain repairs for hundreds of steps.
 // Property sweeps pin that the remap carries every block under its own id
 // exactly when the oracle's member lists do not change, and the merge
-// cases pin the shape of the remap across a merge.
+// cases pin the shape of the remap across a merge. SpliceEdge, which
+// builds each mutated CSR, is pinned against GraphBuilder and on its
+// rejection messages.
 
 #include <algorithm>
 #include <set>
@@ -21,7 +23,6 @@
 #include "bicomp/incremental.h"
 #include "bicomp/isp.h"
 #include "bicomp_test_util.h"
-#include "graph/delta_overlay.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "test_util.h"
@@ -34,8 +35,8 @@ using testing::ExpectBccBitwiseEqual;
 using testing::MakeGraph;
 using testing::PaperFig2Graph;
 
-/// Apply one mutation to `g` (whose decomposition is `bcc`) through an
-/// overlay and return the repaired decomposition alongside the mutated
+/// Apply one mutation to `g` (whose decomposition is `bcc`) through
+/// SpliceEdge and return the repaired decomposition alongside the mutated
 /// graph, asserting bitwise equality with the serial oracle, that every
 /// block the remap carries kept its parent block's member list, and that
 /// the index derived through the remap equals a fresh index.
@@ -50,14 +51,8 @@ Applied ApplyAndCheck(const Graph& g, const BiconnectedComponents& bcc,
                       IncrementalBicompStats* stats = nullptr) {
   IncrementalBicompStats local;
   if (stats == nullptr) stats = &local;
-  DeltaOverlay overlay(&g);
-  if (kind == EdgeMutationKind::kInsert) {
-    EXPECT_TRUE(overlay.Insert(u, v).ok()) << what;
-  } else {
-    EXPECT_TRUE(overlay.Remove(u, v).ok()) << what;
-  }
   Applied out;
-  out.graph = overlay.Materialize();
+  EXPECT_TRUE(SpliceEdge(g, {kind, u, v}, &out.graph).ok()) << what;
   const IspIndex parent(g);
   ExpectBccBitwiseEqual(bcc, parent.bcc(), what + " (input)");
   out.bcc = RepairBiconnectedComponents(g, bcc, parent.views(), out.graph,
@@ -514,6 +509,104 @@ TEST(IncrementalBicompTest, RandomStreamsOverGeneratorSweep) {
       bcc = std::move(next.bcc);
     }
   }
+}
+
+void ExpectGraphBitwiseEqual(const Graph& a, const Graph& b,
+                             const std::string& what) {
+  ASSERT_EQ(a.num_nodes(), b.num_nodes()) << what;
+  ASSERT_EQ(a.max_degree(), b.max_degree()) << what;
+  EXPECT_TRUE(std::ranges::equal(a.raw_offsets(), b.raw_offsets())) << what;
+  EXPECT_TRUE(std::ranges::equal(a.raw_adj(), b.raw_adj())) << what;
+}
+
+// SpliceEdge chained over random insert/delete streams is, after every
+// step, bitwise the CSR GraphBuilder builds from the mutated edge list —
+// offsets, adjacency and max_degree — over the generator sweep and five
+// larger random families. Every third step deletes an edge at a
+// max-degree node, so some deletes lower max_degree.
+TEST(SpliceEdgeTest, MatchesRebuildUnderRandomStreams) {
+  std::vector<testing::GeneratorCase> cases = testing::GeneratorSweep();
+  cases.push_back({"er", ErdosRenyi(120, 400, 7)});
+  cases.push_back({"ba", BarabasiAlbert(100, 3, 11)});
+  cases.push_back({"ws", WattsStrogatz(90, 6, 0.1, 13)});
+  cases.push_back({"grid", RoadGrid(9, 9, 0.9, 17).graph});
+  cases.push_back({"sbm", StochasticBlockModel(80, 4, 0.2, 0.01, 19)});
+  int lowered = 0;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const NodeId n = c.graph.num_nodes();
+    if (n < 2) continue;
+    std::set<std::pair<NodeId, NodeId>> edges;
+    for (auto e : c.graph.UndirectedEdges()) edges.insert(e);
+    Graph cur = c.graph;
+    Rng rng(100 + n);
+    for (int step = 0; step < 60; ++step) {
+      NodeId u = static_cast<NodeId>(rng.UniformInt(n));
+      NodeId v = static_cast<NodeId>(rng.UniformInt(n));
+      if (step % 3 == 2 && cur.max_degree() > 0) {
+        u = 0;
+        while (cur.degree(u) != cur.max_degree()) ++u;
+        v = cur.neighbors(u)[rng.UniformInt(cur.degree(u))];
+      }
+      if (u == v) continue;
+      const std::pair<NodeId, NodeId> e{std::min(u, v), std::max(u, v)};
+      const bool del = edges.count(e) != 0;
+      Graph next;
+      ASSERT_TRUE(SpliceEdge(cur,
+                             {del ? EdgeMutationKind::kDelete
+                                  : EdgeMutationKind::kInsert,
+                              u, v},
+                             &next)
+                      .ok());
+      if (del) {
+        edges.erase(e);
+        if (next.max_degree() < cur.max_degree()) ++lowered;
+      } else {
+        edges.insert(e);
+      }
+      GraphBuilder builder;
+      for (auto [a, b] : edges) builder.AddEdge(a, b);
+      Graph rebuilt;
+      ASSERT_TRUE(builder.Build(n, &rebuilt).ok());
+      ExpectGraphBitwiseEqual(next, rebuilt, "step " + std::to_string(step));
+      cur = std::move(next);
+    }
+  }
+  EXPECT_GT(lowered, 0);
+}
+
+// Each rejection keeps its code and message text, checked in order (range,
+// then self loop, then presence), and leaves the output graph untouched.
+TEST(SpliceEdgeTest, RejectionsKeepTheirMessagesAndLeaveOutUntouched) {
+  const Graph g = MakeGraph(4, {{0, 1}, {1, 2}});
+  const Graph sentinel = MakeGraph(2, {{0, 1}});
+  constexpr EdgeMutationKind kIns = EdgeMutationKind::kInsert;
+  constexpr EdgeMutationKind kDel = EdgeMutationKind::kDelete;
+  const std::vector<std::pair<EdgeMutation, std::string>> cases = {
+      {{kIns, 0, 4}, "edge endpoint out of range: {0, 4} with n=4"},
+      {{kIns, 9, 0}, "edge endpoint out of range: {9, 0} with n=4"},
+      {{kIns, 9, 9}, "edge endpoint out of range: {9, 9} with n=4"},
+      {{kDel, 0, 4}, "edge endpoint out of range: {0, 4} with n=4"},
+      {{kIns, 2, 2}, "self loop rejected: {2, 2}"},
+      {{kIns, 0, 1}, "duplicate edge: {0, 1} already exists"},
+      {{kIns, 1, 0}, "duplicate edge: {1, 0} already exists"},
+      {{kDel, 0, 3}, "no such edge: {0, 3}"},
+      {{kDel, 3, 0}, "no such edge: {3, 0}"},
+      {{kDel, 2, 2}, "no such edge: {2, 2}"},
+  };
+  for (const auto& [mut, message] : cases) {
+    Graph out = sentinel;
+    const Status st = SpliceEdge(g, mut, &out);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << message;
+    EXPECT_EQ(st.message(), message);
+    ExpectGraphBitwiseEqual(out, sentinel, message);
+  }
+  // The same endpoints in valid mutations go through.
+  Graph out;
+  ASSERT_TRUE(SpliceEdge(g, {kIns, 0, 3}, &out).ok());
+  EXPECT_TRUE(out.HasEdge(3, 0));
+  ASSERT_TRUE(SpliceEdge(g, {kDel, 1, 0}, &out).ok());
+  EXPECT_FALSE(out.HasEdge(0, 1));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // The dynamic-graph serving differential oracle: a session mutated
-// through {"op":"update"} requests (delta overlay + incremental bicomp
+// through {"op":"update"} requests (edge splice + incremental bicomp
 // repair + epoch swap) must answer every query bitwise identically to a
 // COLD session opened on a from-scratch re-conversion of the same edge
 // set. Pinned over a generator sweep (ER, BA, WS, road grid, SBM, and a
@@ -12,8 +12,8 @@
 // The oracle is deliberately expensive: after every mutation batch it
 // rebuilds the graph from the reference edge set, recomputes the full
 // decomposition, writes a fresh `.sgr`, and serves the workload on a cold
-// serial session. Whatever shortcut the dynamic path takes — overlay
-// materialization, incremental repair, derived indices, epoch-chained
+// serial session. Whatever shortcut the dynamic path takes — edge
+// splicing, incremental repair, derived indices, epoch-chained
 // memo keys, worker replay — must be invisible in the result bytes.
 
 #include <sys/socket.h>
@@ -439,39 +439,6 @@ TEST(MutationDifferentialTest, OverlayServingMatchesFromScratchReconvert) {
     if (core) {
       EXPECT_GE(merges, 1);
     }
-  }
-}
-
-TEST(MutationDifferentialTest, CompactionIsInvisibleInResultsAndFingerprints) {
-  Graph g = BarabasiAlbert(40, 2, 909);
-  const NodeId n = g.num_nodes();
-  GraphFiles files(g, "compact");
-  const std::vector<EdgeMutation> stream =
-      MakeStream(n, EdgesOf(g), 10, 6060);
-  const std::vector<QueryRequest> workload = Workload(n);
-
-  // compact_threshold 0 compacts on every update; the huge threshold
-  // never compacts. Same epochs, same fingerprints, same bytes.
-  SessionOptions always;
-  always.compact_threshold = 0;
-  SessionOptions never;
-  never.compact_threshold = 1u << 30;
-  std::unique_ptr<QuerySession> compacting, overlaying;
-  ASSERT_TRUE(QuerySession::Open(files.sgr_path, always, &compacting).ok());
-  ASSERT_TRUE(QuerySession::Open(files.sgr_path, never, &overlaying).ok());
-
-  for (size_t i = 0; i < stream.size(); ++i) {
-    UpdateOutcome a, b;
-    ASSERT_TRUE(compacting->ApplyUpdate(stream[i], &a).ok());
-    ASSERT_TRUE(overlaying->ApplyUpdate(stream[i], &b).ok());
-    EXPECT_TRUE(a.compacted);
-    EXPECT_FALSE(b.compacted);
-    ASSERT_EQ(a.epoch, b.epoch);
-    ASSERT_EQ(a.fingerprint, b.fingerprint) << "mutation " << i;
-  }
-  for (const QueryRequest& req : workload) {
-    ExpectBitwiseEqual(compacting->Run(req), overlaying->Run(req),
-                       "compaction sweep " + req.id);
   }
 }
 

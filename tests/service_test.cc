@@ -812,6 +812,58 @@ TEST(BatchSchedulerTest, UpdateRejectionsLeaveTheEpochAlone) {
   EXPECT_EQ(session->epoch(), 1u);
 }
 
+// Each rejected ApplyUpdate keeps its code and message text, and leaves the
+// session's epoch, fingerprint and query bytes as they were.
+TEST(QuerySessionTest, RejectedUpdatesChangeNothing) {
+  GraphFiles files(PaperFig2Graph());
+  std::unique_ptr<QuerySession> session;
+  ASSERT_TRUE(
+      QuerySession::Open(files.sgr_path, SessionOptions(), &session).ok());
+  const std::shared_ptr<const GraphSnapshot> snap = session->snapshot();
+  const Graph& g = snap->graph();
+  const NodeId n = g.num_nodes();
+  const NodeId pv = g.neighbors(0).front();
+  const auto [au, av] = FindAbsentEdge(g);
+  QueryRequest query;
+  query.estimator = EstimatorKind::kBc;
+  query.epsilon = 0.1;
+  query.seed = 3;
+  query.targets = {0, 2, 3, 8};
+  const QueryResult before = session->Run(query);
+  ASSERT_TRUE(before.status.ok()) << before.status.ToString();
+
+  auto edge = [](NodeId u, NodeId v) {
+    return "{" + std::to_string(u) + ", " + std::to_string(v) + "}";
+  };
+  const std::vector<std::pair<EdgeMutation, std::string>> cases = {
+      {{EdgeMutationKind::kInsert, 0, n},
+       "edge endpoint out of range: " + edge(0, n) +
+           " with n=" + std::to_string(n)},
+      {{EdgeMutationKind::kInsert, 3, 3}, "self loop rejected: " + edge(3, 3)},
+      {{EdgeMutationKind::kInsert, pv, 0},
+       "duplicate edge: " + edge(pv, 0) + " already exists"},
+      {{EdgeMutationKind::kDelete, au, av}, "no such edge: " + edge(au, av)},
+  };
+  for (const auto& [mut, message] : cases) {
+    UpdateOutcome outcome;
+    const Status st = session->ApplyUpdate(mut, &outcome);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << message;
+    EXPECT_EQ(st.message(), message);
+    EXPECT_EQ(outcome.epoch, 0u) << message;
+    EXPECT_EQ(session->snapshot(), snap) << message;
+    EXPECT_EQ(session->epoch(), 0u) << message;
+    EXPECT_EQ(session->fingerprint(), snap->fingerprint()) << message;
+    const QueryResult after = session->Run(query);
+    ASSERT_TRUE(after.status.ok()) << message;
+    ASSERT_EQ(after.nodes, before.nodes) << message;
+    ASSERT_EQ(after.estimates.size(), before.estimates.size()) << message;
+    EXPECT_EQ(std::memcmp(after.estimates.data(), before.estimates.data(),
+                          before.estimates.size() * sizeof(double)),
+              0)
+        << message;
+  }
+}
+
 /// Applies `mut` and checks the epoch it publishes: its index is already
 /// built, and equals a fresh IspIndex of its CSR field for field.
 void ApplyAndExpectFreshIndex(QuerySession* session, const EdgeMutation& mut,
@@ -1097,10 +1149,8 @@ TEST(QuerySessionTest, BridgeSplitAndCrossComponentUpdatesMatchAFreshIndex) {
 TEST(QuerySessionTest, SharedTablesOutliveEitherEpoch) {
   const Graph g = testing::BaCoreWithLeaves(200, 50, 13);
   SgrFile file(g, "lifetime");
-  SessionOptions sopts;
-  sopts.compact_threshold = 0;  // no overlay base pins an old epoch
   std::unique_ptr<QuerySession> session;
-  ASSERT_TRUE(QuerySession::Open(file.path, sopts, &session).ok());
+  ASSERT_TRUE(QuerySession::Open(file.path, SessionOptions(), &session).ok());
   const BiconnectedComponents& bcc = session->isp().bcc();
   // A non-edge inside node 0's block keeps the partition; joining leaf
   // 201 (degree 1) to another core node merges blocks; deleting leaf

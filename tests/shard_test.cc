@@ -637,6 +637,68 @@ TEST_F(ShardTest, HostileWaveFramesAreRejectedAndLeaveStateIntact) {
                    "wave after the hostile frames");
 }
 
+/// Send one insert update frame to a worker and return its reply.
+std::string InsertExchange(int fd, uint64_t u, uint64_t v,
+                           uint64_t fingerprint) {
+  const std::string frame =
+      "{\"type\":\"update\",\"graph\":\"\",\"action\":\"insert\",\"u\":" +
+      std::to_string(u) + ",\"v\":" + std::to_string(v) +
+      ",\"fingerprint\":" + std::to_string(fingerprint) + "}";
+  std::string reply;
+  EXPECT_TRUE(net::SendFrame(fd, frame, Deadline::AfterMillis(5000)).ok());
+  EXPECT_TRUE(net::RecvFrame(fd, &reply, Deadline::AfterMillis(5000)).ok());
+  return reply;
+}
+
+/// The first w > 5 with {5, w} not an edge of `g`.
+NodeId AbsentNeighborOf5(const Graph& g) {
+  for (NodeId w = 6; w < g.num_nodes(); ++w) {
+    if (!g.HasEdge(5, w)) return w;
+  }
+  SAPHYRA_CHECK(false && "node 5 is adjacent to every later node");
+  return kInvalidNode;
+}
+
+TEST_F(ShardTest, UpdateFrameEndpointBeyondNodeIdIsRejected) {
+  // u = 2^32 + 5 must be refused before it is narrowed to node 5, even
+  // when the frame carries the fingerprint inserting {5, w} would chain
+  // to. The valid frame that follows lands on epoch 1 and is no
+  // duplicate: the hostile one changed nothing.
+  ThreadLauncher launcher(files_.sgr_path);
+  net::UniqueFd conn;
+  ASSERT_TRUE(launcher.Launch(0, &conn).ok());
+  const NodeId w = AbsentNeighborOf5(session_->graph());
+  const uint64_t fp1 = ChainMutationFingerprint(
+      session_->fingerprint(), 1, EdgeMutationKind::kInsert, 5, w);
+
+  std::string reply = InsertExchange(conn.get(), (uint64_t{1} << 32) + 5, w,
+                                     fp1);
+  EXPECT_NE(reply.find("\"code\":\"INVALID_ARGUMENT\""), std::string::npos)
+      << reply;
+  reply = InsertExchange(conn.get(), 5, w, fp1);
+  EXPECT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
+  EXPECT_NE(reply.find("\"epoch\":1,"), std::string::npos) << reply;
+}
+
+TEST_F(ShardTest, DivergentUpdateFrameIsRefusedBeforeApplying) {
+  // A frame whose fingerprint the mutation would not chain to is refused
+  // before it is applied: the same mutation with the right fingerprint
+  // then lands on epoch 1 instead of failing as a duplicate.
+  ThreadLauncher launcher(files_.sgr_path);
+  net::UniqueFd conn;
+  ASSERT_TRUE(launcher.Launch(0, &conn).ok());
+  const NodeId w = AbsentNeighborOf5(session_->graph());
+  const uint64_t fp1 = ChainMutationFingerprint(
+      session_->fingerprint(), 1, EdgeMutationKind::kInsert, 5, w);
+
+  std::string reply = InsertExchange(conn.get(), 5, w, fp1 + 1);
+  EXPECT_NE(reply.find("\"code\":\"INTERNAL\""), std::string::npos) << reply;
+  EXPECT_NE(reply.find("fingerprint divergence"), std::string::npos) << reply;
+  reply = InsertExchange(conn.get(), 5, w, fp1);
+  EXPECT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
+  EXPECT_NE(reply.find("\"epoch\":1,"), std::string::npos) << reply;
+}
+
 /// In-process WorkerLauncher whose workers answer every wave with one
 /// scripted reply frame (and pings and quits like the real loop): a
 /// hostile or broken worker, seen from the coordinator.

@@ -153,7 +153,7 @@ else
   # Dynamic graphs: the mutation flags must stay parsed AND explained in
   # serving.md, the section itself must survive, and the update wire
   # fields must stay documented (clients build requests from this page).
-  for flag in --allow-updates --compact-threshold; do
+  for flag in --allow-updates; do
     if ! grep -qF -- "\"$flag\"" "$REPO_ROOT/tools/saphyra_serve.cc"; then
       echo "check_docs: tools/saphyra_serve.cc no longer parses $flag" >&2
       fail=1
@@ -163,6 +163,14 @@ else
       fail=1
     fi
   done
+  # Each epoch's CSR is spliced from its parent's; the delta overlay and
+  # its compaction knob are gone and must not come back.
+  if grep -rnE 'compact-threshold|delta_overlay' \
+       "$REPO_ROOT/tools" "$REPO_ROOT/src" "$REPO_ROOT/docs" \
+       | grep -v '^[^:]*/tools/check_docs\.sh:' >&2; then
+    echo "check_docs: the delta overlay or --compact-threshold reappeared (above)" >&2
+    fail=1
+  fi
   if ! grep -qF "Dynamic graphs" "$serving_doc"; then
     echo "check_docs: docs/serving.md lost the 'Dynamic graphs' section" >&2
     fail=1

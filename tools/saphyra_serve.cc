@@ -44,8 +44,6 @@
 //                                         0 = off, default 1000)
 //                 [--allow-updates]      (accept {"op":"update"} mutation
 //                                         requests; off = FAILED_PRECONDITION)
-//                 [--compact-threshold C] (overlay edges before compacting
-//                                          onto a clean CSR, default 4096)
 //                 [--no-cache] [--output FILE] [--stats-json FILE]
 //
 // Request lines (see docs/serving.md for the full schema):
@@ -136,7 +134,6 @@ struct Args {
   uint32_t retry_budget = 2;
   uint64_t heartbeat_ms = 1000;
   bool allow_updates = false;
-  uint64_t compact_threshold = 4096;
   bool no_cache = false;
   std::string output;
   std::string stats_json;
@@ -191,7 +188,7 @@ void Usage(const char* argv0) {
       "          [--memo-capacity M] [--memo-capacity-bytes B] [--repeat R]\n"
       "          [--default-deadline-ms D] [--max-queue Q] [--drain-ms D]\n"
       "          [--workers N] [--shard-socket SPEC] [--retry-budget R]\n"
-      "          [--heartbeat-ms H] [--allow-updates] [--compact-threshold C]\n"
+      "          [--heartbeat-ms H] [--allow-updates]\n"
       "          [--no-cache] [--output FILE] [--stats-json FILE]\n",
       argv0);
 }
@@ -210,8 +207,6 @@ bool Parse(int argc, char** argv, Args* args) {
       args->preload = true;
     } else if (key == "--allow-updates") {
       args->allow_updates = true;
-    } else if (key == "--compact-threshold" && (val = next())) {
-      args->compact_threshold = std::strtoull(val, nullptr, 10);
     } else if (key == "--graph" && (val = next())) {
       // NAME=PATH, or a bare PATH registered under its own spelling (the
       // single-graph invocation everyone already has in scripts).
@@ -303,7 +298,6 @@ int main(int argc, char** argv) {
   popts.session.load.format = args.format;
   popts.session.load.use_cache = !args.no_cache;
   popts.session.default_threads = std::max(1u, args.threads);
-  popts.session.compact_threshold = args.compact_threshold;
   popts.max_graphs = args.max_graphs;
   SessionPool pool(popts);
   for (const auto& [name, path] : args.graphs) {
@@ -422,8 +416,6 @@ int main(int argc, char** argv) {
     lopts.extra_args.push_back("--max-graphs");
     lopts.extra_args.push_back(std::to_string(args.max_graphs));
     if (args.no_cache) lopts.extra_args.push_back("--no-cache");
-    lopts.extra_args.push_back("--compact-threshold");
-    lopts.extra_args.push_back(std::to_string(args.compact_threshold));
     launcher = std::make_unique<ProcessWorkerLauncher>(std::move(lopts));
 
     ShardOptions sopts;

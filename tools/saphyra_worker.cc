@@ -46,7 +46,6 @@ struct Args {
   std::string format = "auto";
   size_t max_graphs = 4;
   size_t max_states = 32;
-  uint64_t compact_threshold = 4096;
   bool no_cache = false;
 };
 
@@ -86,8 +85,6 @@ bool Parse(int argc, char** argv, Args* args) {
       args->max_graphs = std::strtoull(val, nullptr, 10);
     } else if (key == "--max-states" && (val = next())) {
       args->max_states = std::strtoull(val, nullptr, 10);
-    } else if (key == "--compact-threshold" && (val = next())) {
-      args->compact_threshold = std::strtoull(val, nullptr, 10);
     } else {
       std::fprintf(stderr, "unknown or incomplete option: %s\n", key.c_str());
       return false;
@@ -114,7 +111,6 @@ int main(int argc, char** argv) {
   popts.session.load.use_cache = !args.no_cache;
   popts.session.default_threads = 1;  // striping happens on the engine,
                                       // not a thread pool, in a worker
-  popts.session.compact_threshold = args.compact_threshold;
   popts.max_graphs = args.max_graphs;
   SessionPool pool(popts);
   for (const auto& [name, path] : args.graphs) {
