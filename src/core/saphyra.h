@@ -201,8 +201,8 @@ SaphyraResult RunSaphyra(HypothesisRankingProblem* problem,
                          const SaphyraOptions& options);
 
 /// \brief Direct estimation baseline (§III-A): no partition, fixed sample
-/// size N = c/ε²(VC + ln 1/δ). Used by the ablation benchmarks to isolate
-/// the contribution of the sample-space partition.
+/// size N = c/ε²(VC + ln 1/δ). Isolates the contribution of the
+/// sample-space partition; saphyra_core_test is its only caller.
 SaphyraResult RunDirectEstimation(HypothesisRankingProblem* problem,
                                   const SaphyraOptions& options);
 

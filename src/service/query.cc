@@ -79,8 +79,8 @@ Status CanonicalizeQuery(NodeId num_nodes, QueryRequest* req) {
     if (req->edge_u > req->edge_v) std::swap(req->edge_u, req->edge_v);
     return Status::OK();
   }
-  if (!(req->epsilon > 0.0) || req->epsilon > 1.0) {
-    return Status::InvalidArgument("epsilon must be in (0, 1]");
+  if (!(req->epsilon > 0.0) || req->epsilon >= 1.0) {
+    return Status::InvalidArgument("epsilon must be in (0, 1)");
   }
   if (!(req->delta > 0.0) || req->delta >= 1.0) {
     return Status::InvalidArgument("delta must be in (0, 1)");

@@ -9,8 +9,7 @@
 /// — and answers a stream of heterogeneous queries without ever paying
 /// parse/decomposition again. This is what turns the per-process cost
 /// profile of `saphyra_rank` (load + index per query) into a per-session
-/// one (load + index once, then marginal sampling cost per query); the
-/// `serve_warm_speedup` benchmark metric measures exactly that gap.
+/// one (load + index once, then marginal sampling cost per query).
 ///
 /// Dynamic graphs. A session is a sequence of immutable epochs
 /// (GraphSnapshot): epoch 0 is the loaded graph, and each accepted

@@ -340,6 +340,31 @@ TEST(QuerySessionTest, LazyIndexAndErrors) {
           .ok());
 }
 
+// Every estimator's sampler requires ε < 1, so ε outside (0, 1) must come
+// back as an InvalidArgument result for all six, never reach an estimator.
+TEST(QuerySessionTest, EpsilonOutsideOpenUnitIntervalIsRejected) {
+  GraphFiles files(PaperFig2Graph());
+  std::unique_ptr<QuerySession> session;
+  ASSERT_TRUE(
+      QuerySession::Open(files.text_path, SessionOptions(), &session).ok());
+  for (EstimatorKind kind :
+       {EstimatorKind::kBc, EstimatorKind::kBcFull, EstimatorKind::kKPath,
+        EstimatorKind::kCloseness, EstimatorKind::kAbra,
+        EstimatorKind::kKadabra}) {
+    for (double epsilon : {0.0, 1.0, 1.5}) {
+      QueryRequest req;
+      req.estimator = kind;
+      req.epsilon = epsilon;
+      req.targets = {1, 2};
+      const QueryResult res = session->Run(req);
+      EXPECT_EQ(res.status.code(), StatusCode::kInvalidArgument)
+          << EstimatorKindName(kind) << " at epsilon " << epsilon;
+      EXPECT_EQ(res.status.message(), "epsilon must be in (0, 1)")
+          << EstimatorKindName(kind) << " at epsilon " << epsilon;
+    }
+  }
+}
+
 TEST(BatchSchedulerTest, MemoizationAndStats) {
   GraphFiles files(PaperFig2Graph());
   std::unique_ptr<QuerySession> session;

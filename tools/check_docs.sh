@@ -7,7 +7,8 @@
 #   3. The headline benchmark metrics stay documented in README.md.
 #   4. Every --flag a tools/*.cc binary parses appears in docs/cli.md.
 #   5. Every metric key in BENCH_micro.json appears somewhere in the docs
-#      (README.md, DESIGN.md, or docs/*.md).
+#      (README.md, DESIGN.md, or docs/*.md), and every *_speedup key the
+#      docs name is in BENCH_micro.json (retired keys cannot linger).
 #   6. The serving robustness contract holds: the deadline/backpressure
 #      flags stay parsed by saphyra_serve and documented in
 #      docs/serving.md, and the error-taxonomy wire codes stay in sync
@@ -46,8 +47,8 @@ for flag in --epsilon --delta --topk --strategy; do
 done
 
 # --- 3. headline metrics in README -----------------------------------------
-for metric in adaptive_sample_reduction path_sampling_speedup \
-              bfs_hybrid_speedup serve_warm_speedup; do
+for metric in adaptive_sample_reduction binary_load_speedup \
+              cached_preprocess_speedup; do
   if ! grep -qF "$metric" "$REPO_ROOT/README.md"; then
     echo "check_docs: README.md no longer documents the $metric metric" >&2
     fail=1
@@ -91,6 +92,13 @@ if [[ -f "$bench_json" ]]; then
     fi
   done < <(grep -oE '"[A-Za-z0-9_]+"[[:space:]]*:' "$bench_json" \
              | sed -E 's/"([A-Za-z0-9_]+)".*/\1/' | sort -u)
+  # The reverse: a *_speedup key named in the docs must still be emitted.
+  while IFS= read -r key; do
+    if ! grep -qF -- "\"$key\"" "$bench_json"; then
+      echo "check_docs: the docs name '$key' but BENCH_micro.json has no such key" >&2
+      fail=1
+    fi
+  done < <(grep -ohE '[A-Za-z0-9_]+_speedup' "${doc_files[@]}" | sort -u)
 else
   echo "check_docs: BENCH_micro.json is missing" >&2
   fail=1

@@ -2,9 +2,9 @@
 # Build Release and run the micro-kernel benchmark suite.
 #
 # Outputs:
-#   BENCH_micro.json (current directory) — curated optimization speedup
-#       ratios (machine-readable; path_sampling_speedup and
-#       bfs_hybrid_speedup are the tracked perf metrics,
+#   BENCH_micro.json (current directory) — curated ratios between
+#       production paths (machine-readable; binary_load_speedup and
+#       cached_preprocess_speedup are the tracked load-path metrics,
 #       adaptive_sample_reduction the tracked sample-cost metric). This is
 #       the only benchmark artifact kept under version control.
 #   $BUILD_DIR/BENCH_micro_gbench.json — full Google-benchmark results.
@@ -22,9 +22,8 @@ BUILD_DIR="${BUILD_DIR:-$REPO_ROOT/build-release}"
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target bench_micro_kernels
 
-# Host context next to the numbers: the hardware-bound ratios are only
-# interpretable against the machine they ran on, which the JSON records as
-# hardware_threads.
+# Host context next to the numbers: timings are only interpretable against
+# the machine they ran on, which the JSON records as hardware_threads.
 echo "bench host: $(uname -srm), $(nproc) hardware threads" >&2
 
 "$BUILD_DIR/bench_micro_kernels" \

@@ -87,6 +87,20 @@ void Usage(const char* argv0) {
       argv0);
 }
 
+/// Parses `val` as a probability-like flag value: the whole token must be a
+/// number strictly inside (0, 1).
+bool ParseOpenUnit(const char* flag, const char* val, double* out) {
+  char* end = nullptr;
+  const double x = std::strtod(val, &end);
+  if (end == val || *end != '\0' || !(x > 0.0 && x < 1.0)) {
+    std::fprintf(stderr, "%s must be a number in (0, 1), got '%s'\n", flag,
+                 val);
+    return false;
+  }
+  *out = x;
+  return true;
+}
+
 bool Parse(int argc, char** argv, Args* args) {
   for (int i = 1; i < argc; ++i) {
     std::string key = argv[i];
@@ -110,9 +124,9 @@ bool Parse(int argc, char** argv, Args* args) {
     } else if (key == "--algorithm" && (val = next())) {
       args->algorithm = val;
     } else if (key == "--epsilon" && (val = next())) {
-      args->epsilon = std::atof(val);
+      if (!ParseOpenUnit("--epsilon", val, &args->epsilon)) return false;
     } else if (key == "--delta" && (val = next())) {
-      args->delta = std::atof(val);
+      if (!ParseOpenUnit("--delta", val, &args->delta)) return false;
     } else if (key == "--topk" && (val = next())) {
       args->topk = std::strtoull(val, nullptr, 10);
     } else if (key == "--seed" && (val = next())) {
