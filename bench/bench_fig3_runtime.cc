@@ -35,7 +35,7 @@ int main() {
                 "SaPHyRa-full", "SaPHyRa (mean +- ci)");
     for (double eps : epsilons) {
       Timer t;
-      AbraOptions aopts;
+      SamplingOptions aopts;
       aopts.epsilon = eps;
       aopts.delta = delta;
       aopts.seed = 11;

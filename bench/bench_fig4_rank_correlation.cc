@@ -34,7 +34,7 @@ int main() {
     std::printf("%8s %18s %18s %18s %18s\n", "eps", "ABRA", "KADABRA",
                 "SaPHyRa-full", "SaPHyRa");
     for (double eps : epsilons) {
-      AbraOptions aopts;
+      SamplingOptions aopts;
       aopts.epsilon = eps;
       aopts.delta = delta;
       aopts.seed = 21;

@@ -30,7 +30,7 @@ int main() {
 
     // Baselines estimate the whole network once; their subset rankings are
     // read off the same output (exactly how the paper evaluates them).
-    AbraOptions aopts;
+    SamplingOptions aopts;
     aopts.epsilon = eps;
     aopts.delta = delta;
     aopts.seed = 31;

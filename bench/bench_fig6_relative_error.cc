@@ -69,7 +69,7 @@ int main() {
     IspIndex isp(net.graph);
     std::vector<double> truth = GroundTruth(net);
 
-    AbraOptions aopts;
+    SamplingOptions aopts;
     aopts.epsilon = eps;
     aopts.delta = delta;
     aopts.seed = 41;

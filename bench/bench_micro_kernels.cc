@@ -215,8 +215,7 @@ Speedup MeasureCachedPreprocess() {
 /// Adaptive vs. fixed-budget sampling at equal ε: the progressive
 /// scheduler's empirical-Bernstein rule stops as soon as every target
 /// meets ε, while a fixed-budget run must draw the full VC cap Nmax
-/// (which is what guarantees ε without adaptivity — RunDirectEstimation's
-/// schedule). The ratio Nmax / N_adaptive is the sample (and, for
+/// (which is what guarantees ε without adaptivity, Lemma 4). The ratio Nmax / N_adaptive is the sample (and, for
 /// BFS-dominated workloads, time) reduction the adaptive stopping buys.
 struct AdaptiveReduction {
   uint64_t adaptive_samples;

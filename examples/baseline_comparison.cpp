@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
 
   Timer t;
-  AbraOptions aopts;
+  SamplingOptions aopts;
   aopts.epsilon = eps;
   aopts.delta = delta;
   aopts.seed = 1;

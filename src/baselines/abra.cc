@@ -217,7 +217,7 @@ class RademacherRule : public StoppingRule {
 
 }  // namespace
 
-AbraResult RunAbra(const Graph& g, const AbraOptions& options) {
+AbraResult RunAbra(const Graph& g, const SamplingOptions& options) {
   SAPHYRA_CHECK(options.epsilon > 0.0 && options.epsilon < 1.0);
   Timer timer;
   const NodeId n = g.num_nodes();
@@ -226,16 +226,10 @@ AbraResult RunAbra(const Graph& g, const AbraOptions& options) {
   if (n < 2) return result;
 
   Rng rng = ProgressiveRunStream(options.seed, 0, 1);
-  const double eps = options.epsilon;
   const double vc = RiondatoVcBound(g);  // two BFS sweeps — compute once
   AbraProblem problem(g, vc);
-  ProgressiveOptions schedule =
-      MakeVcCappedSchedule(eps, options.delta, vc, options.vc_constant,
-                           options.max_wave, options.num_threads);
-  schedule.cancel = options.cancel;
-  if (options.wave_executor) schedule.executor = options.wave_executor(0);
-
-  ProgressiveSampler sampler(&problem, schedule, &rng);
+  ProgressiveSampler sampler(&problem, MakeVcCappedSchedule(options, vc),
+                             &rng);
   ProgressiveResult run;
   if (options.top_k > 0 && options.top_k < n) {
     // Top-k mode: empirical-Bernstein separation on the fractional
@@ -248,7 +242,7 @@ AbraResult RunAbra(const Graph& g, const AbraOptions& options) {
       result.epsilon_achieved = rule.EvaluateWorstHalfwidth(run.stats);
     }
   } else {
-    RademacherRule rule(eps, options.delta);
+    RademacherRule rule(options.epsilon, options.delta);
     run = sampler.Run(&rule);
     result.final_bound = rule.last_bound();
     if (run.degraded) {
@@ -266,6 +260,7 @@ AbraResult RunAbra(const Graph& g, const AbraOptions& options) {
   }
   result.samples_used = run.samples_used;
   result.epochs = run.checks_used;
+  result.stopped_early = run.stopped_early;
   result.degraded = run.degraded;
   result.degrade_reason = run.degrade_reason;
   result.seconds = timer.ElapsedSeconds();

@@ -2,64 +2,25 @@
 #define SAPHYRA_BASELINES_ABRA_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/saphyra.h"
 #include "graph/graph.h"
-#include "util/cancel.h"
 
 namespace saphyra {
 
-/// \brief Options for the ABRA baseline (Riondato & Upfal, KDD'16 [47]).
-struct AbraOptions {
-  double epsilon = 0.05;
-  double delta = 0.01;
-  uint64_t seed = 1;
-  /// Constant of the fallback sample-size cap.
-  double vc_constant = 0.5;
-  /// Worker threads for pair sampling (execution only — results are
-  /// bitwise identical for a fixed seed regardless of the thread count;
-  /// see core/progressive_sampler.h).
-  uint32_t num_threads = 1;
-  /// 0 = Rademacher sup-norm ε mode; >0 = stop once the top-k node set is
-  /// separated by per-node empirical-Bernstein intervals. A top_k covering
-  /// every node (≥ num_nodes) is a full ranking in disguise and falls
-  /// back to ε mode.
-  uint64_t top_k = 0;
-  /// Samples per engine wave (0 = one wave per stopping check); batching
-  /// granularity only, never affects results.
-  uint64_t max_wave = 0;
-  /// Optional cooperative cancellation/deadline (see util/cancel.h): on
-  /// expiry the run returns completed-wave estimates tagged degraded.
-  /// Borrowed; must outlive the run.
-  const CancelToken* cancel = nullptr;
-  /// Optional delegated wave execution (core/sample_engine.h): ABRA runs a
-  /// single progressive loop, so only ordinal 0 is requested. Empty =
-  /// local drawing.
-  std::function<WaveExecutor*(uint32_t ordinal)> wave_executor;
-};
-
-/// \brief Output of ABRA.
-struct AbraResult {
+/// \brief Output of ABRA. The inherited epsilon_achieved is the
+/// Rademacher bound (ε mode) or widest confidence half-width (top-k mode).
+struct AbraResult : RunOutcome {
   /// Estimated betweenness for all n nodes (ABRA cannot restrict itself to
   /// a subset — one of the paper's motivating observations).
   std::vector<double> bc;
-  uint64_t samples_used = 0;
   uint32_t epochs = 0;
   /// Last Rademacher deviation bound (ε mode), or the final top-k
   /// separation gap (top-k mode; ≥ 0 iff separation was reached).
   double final_bound = 0.0;
   double seconds = 0.0;
-  /// Deadline/cancel truncation: estimates cover completed waves only and
-  /// the (ε, δ) guarantee does NOT hold.
-  bool degraded = false;
-  StatusCode degrade_reason = StatusCode::kOk;
-  /// Only when degraded: the Rademacher bound (ε mode) or widest
-  /// confidence half-width (top-k mode) actually achieved; infinity when
-  /// truncation preceded any variance estimate.
-  double epsilon_achieved = 0.0;
 };
 
 /// \brief ABRA: progressive node-pair sampling with a Rademacher-average
@@ -75,8 +36,10 @@ struct AbraResult {
 /// schedule epoch. The run executes on the shared progressive scheduler
 /// (core/progressive_sampler.h): epochs double the sample size, δ is
 /// split evenly across the planned checks, and a Riondato–Kornaropoulos
-/// VC cap bounds the schedule.
-AbraResult RunAbra(const Graph& g, const AbraOptions& options);
+/// VC cap bounds the schedule. ABRA has no options of its own: with
+/// `top_k` set it stops once the top-k node set is separated by per-node
+/// empirical-Bernstein intervals instead.
+AbraResult RunAbra(const Graph& g, const SamplingOptions& options);
 
 /// \brief ABRA's pair-dependency sampling problem as a standalone object,
 /// for shard workers that replay stripe draws bit-for-bit. Identical RNG

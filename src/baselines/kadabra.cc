@@ -81,19 +81,13 @@ KadabraResult RunKadabra(const Graph& g, const KadabraOptions& options) {
   if (n < 2) return result;
 
   Rng rng = ProgressiveRunStream(options.seed, 0, 1);
-  const double eps = options.epsilon;
   const double vc = RiondatoVcBound(g);  // two BFS sweeps — compute once
   KadabraProblem problem(g, options.strategy, options.traversal, vc);
-  ProgressiveOptions schedule =
-      MakeVcCappedSchedule(eps, options.delta, vc, options.vc_constant,
-                           options.max_wave, options.num_threads);
-  schedule.cancel = options.cancel;
-  if (options.wave_executor) schedule.executor = options.wave_executor(0);
-
   // The adaptive scheme of [12] with its union-bound bookkeeping
   // simplified to uniform weights: δ split over n nodes, two tails, and
   // the planned doubling checks (the rules own that split).
-  ProgressiveSampler sampler(&problem, schedule, &rng);
+  ProgressiveSampler sampler(&problem, MakeVcCappedSchedule(options, vc),
+                             &rng);
   ProgressiveResult run;
   if (options.top_k > 0 && options.top_k < n) {
     TopKSeparationRule rule(options.top_k, options.delta, /*deltas=*/{},
@@ -103,7 +97,7 @@ KadabraResult RunKadabra(const Graph& g, const KadabraOptions& options) {
       result.epsilon_achieved = rule.EvaluateWorstHalfwidth(run.stats);
     }
   } else {
-    EpsilonGuaranteeRule rule(eps, options.delta, n);
+    EpsilonGuaranteeRule rule(options.epsilon, options.delta, n);
     run = sampler.Run(&rule);
     if (run.degraded) {
       result.epsilon_achieved = rule.EvaluateWorstEpsilon(run.stats);

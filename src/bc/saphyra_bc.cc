@@ -129,18 +129,8 @@ SaphyraBcResult RunSaphyraBc(const IspIndex& isp,
   // what makes personalization cheaper, smaller η ⇒ fewer samples.)
   const double eps_star = std::min(0.999, options.epsilon / ge);
 
-  SaphyraOptions fw;
+  SaphyraOptions fw{options};
   fw.epsilon = eps_star;
-  fw.delta = options.delta;
-  fw.vc_constant = options.vc_constant;
-  fw.seed = options.seed;
-  fw.min_initial_samples = options.min_initial_samples;
-  fw.num_threads = options.num_threads;
-  fw.top_k = options.top_k;
-  fw.max_wave = options.max_wave;
-  fw.traversal = options.traversal;
-  fw.cancel = options.cancel;
-  fw.wave_executor = options.wave_executor;
   if (options.top_k > 0) {
     // b̃c(v) = bc_a(v) + γη·ℓ_v: separation must rank by the final bc, so
     // the break-point mass enters the rule as an offset in ℓ units.
@@ -155,15 +145,12 @@ SaphyraBcResult RunSaphyraBc(const IspIndex& isp,
   SaphyraResult inner = RunSaphyra(&problem, fw);
   result.sampling_seconds = phase_timer.ElapsedSeconds();
 
+  static_cast<RunOutcome&>(result) = inner;
+  // b̃c = bc_a + γη·ℓ, so a deviation bound on ℓ scales by γη in bc units.
+  result.epsilon_achieved *= ge;
   result.lambda_hat = inner.lambda_hat;
   result.pilot_samples = inner.pilot_samples;
-  result.samples_used = inner.samples_used;
   result.max_samples = inner.max_samples;
-  result.stopped_early = inner.stopped_early;
-  result.degraded = inner.degraded;
-  result.degrade_reason = inner.degrade_reason;
-  // b̃c = bc_a + γη·ℓ, so a deviation bound on ℓ scales by γη in bc units.
-  if (inner.degraded) result.epsilon_achieved = ge * inner.epsilon_achieved;
   result.rejected_samples = problem.rejected();
   result.exact_seconds = problem.exact_seconds();
   result.sampling_seconds -= result.exact_seconds;

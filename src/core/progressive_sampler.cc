@@ -54,21 +54,22 @@ Rng ProgressiveRunStream(uint64_t seed, uint32_t ordinal,
   return ordinal == 0 ? pilot : rng;
 }
 
-ProgressiveOptions MakeVcCappedSchedule(double epsilon, double delta,
-                                        double vc_dimension,
-                                        double vc_constant,
-                                        uint64_t max_wave,
-                                        uint32_t num_threads) {
+ProgressiveOptions MakeVcCappedSchedule(const SamplingOptions& options,
+                                        double vc_dimension) {
+  const double eps = options.epsilon;
   ProgressiveOptions schedule;
   schedule.initial_samples = std::max<uint64_t>(
-      32, static_cast<uint64_t>(std::ceil(
-              vc_constant / (epsilon * epsilon) * std::log(2.0 / delta))));
+      kMinInitialSamples,
+      static_cast<uint64_t>(std::ceil(kVcSampleConstant / (eps * eps) *
+                                      std::log(2.0 / options.delta))));
   schedule.max_samples =
       std::max(schedule.initial_samples,
-               VcSampleBound(epsilon, delta, vc_dimension, vc_constant));
+               VcSampleBound(eps, options.delta, vc_dimension));
   schedule.growth = 2.0;
-  schedule.max_wave = max_wave;
-  schedule.num_threads = num_threads;
+  schedule.max_wave = options.max_wave;
+  schedule.num_threads = options.num_threads;
+  schedule.cancel = options.cancel;
+  if (options.wave_executor) schedule.executor = options.wave_executor(0);
   return schedule;
 }
 

@@ -46,10 +46,14 @@ namespace saphyra {
 /// stream partition and therefore the (equally valid) draw.
 inline constexpr uint32_t kDefaultSampleStripes = 16;
 
+/// Floor on the first checkpoint n0 of every adaptive schedule, so the
+/// stopping rule has a meaningful variance estimate even when ε is coarse.
+inline constexpr uint64_t kMinInitialSamples = 32;
+
 /// \brief Schedule and execution parameters of the progressive loop.
 struct ProgressiveOptions {
   /// First checkpoint n0 (clamped to ≥ 2 so variances are defined).
-  uint64_t initial_samples = 32;
+  uint64_t initial_samples = kMinInitialSamples;
   /// Hard sample budget Nmax (the VC bound); the loop never exceeds it and
   /// the guarantee of Lemma 4 holds unconditionally once it is reached.
   uint64_t max_samples = 0;
@@ -85,10 +89,9 @@ struct ProgressiveOptions {
 /// \brief The base RNG stream of a frontend's `ordinal`-th progressive run
 /// out of `num_runs`, derived from the query seed: the one stream plan
 /// that every frontend and the shard worker (service/shard_worker.h)
-/// share. A one-run estimator (ABRA, KADABRA, RunDirectEstimation) uses
-/// Rng(seed) itself; RunSaphyra's pilot (ordinal 0 of 2) uses
-/// Rng(seed).Split(), and its main loop (ordinal 1) what remains of
-/// Rng(seed).
+/// share. A one-run estimator (ABRA, KADABRA) uses Rng(seed) itself;
+/// RunSaphyra's pilot (ordinal 0 of 2) uses Rng(seed).Split(), and its
+/// main loop (ordinal 1) what remains of Rng(seed).
 Rng ProgressiveRunStream(uint64_t seed, uint32_t ordinal, uint32_t num_runs);
 
 /// \brief Number of stopping-rule checkpoints the schedule will evaluate:
@@ -98,14 +101,13 @@ uint32_t PlannedChecks(uint64_t initial_samples, uint64_t max_samples,
                        double growth);
 
 /// \brief The standard VC-capped doubling schedule shared by the whole-
-/// graph estimators (ABRA, KADABRA): n0 = c/ε²·ln(2/δ) floored at 32, and
-/// Nmax = max(n0, VcSampleBound(ε, δ, vc)). Keeps the three frontends'
-/// schedule parameters from drifting apart.
-ProgressiveOptions MakeVcCappedSchedule(double epsilon, double delta,
-                                        double vc_dimension,
-                                        double vc_constant,
-                                        uint64_t max_wave,
-                                        uint32_t num_threads);
+/// graph estimators (ABRA, KADABRA): n0 = c/ε²·ln(2/δ) floored at
+/// kMinInitialSamples, and Nmax = max(n0, VcSampleBound(ε, δ, vc)), with
+/// the execution fields (threads, wave cap, cancel token, and the ordinal-0
+/// delegated executor) taken from `options`. Keeps the two frontends'
+/// schedules from drifting apart.
+ProgressiveOptions MakeVcCappedSchedule(const SamplingOptions& options,
+                                        double vc_dimension);
 
 /// \brief A stopping criterion evaluated between sampling waves.
 ///

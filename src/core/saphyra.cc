@@ -21,7 +21,7 @@ void HypothesisRankingProblem::SampleWeightedLosses(
 
 namespace {
 
-ProgressiveOptions ScheduleFor(const SaphyraOptions& options, uint64_t n0,
+ProgressiveOptions ScheduleFor(const SamplingOptions& options, uint64_t n0,
                                uint64_t n_max, uint32_t ordinal) {
   ProgressiveOptions schedule;
   schedule.initial_samples = n0;
@@ -71,7 +71,7 @@ SaphyraResult RunSaphyra(HypothesisRankingProblem* problem,
   Rng pilot_rng = ProgressiveRunStream(options.seed, 0, 2);
   Rng rng = ProgressiveRunStream(options.seed, 1, 2);
 
-  const double c = options.vc_constant;
+  const double c = kVcSampleConstant;
   const double vc = problem->VcDimension();
   const double log_inv_delta = std::log(1.0 / options.delta);
   auto to_count = [](double x) {
@@ -79,7 +79,7 @@ SaphyraResult RunSaphyra(HypothesisRankingProblem* problem,
   };
   // Lines 6-7: initial and maximal sample sizes.
   uint64_t n0 = to_count(c / (eps_prime * eps_prime) * log_inv_delta);
-  n0 = std::max(n0, options.min_initial_samples);
+  n0 = std::max(n0, kMinInitialSamples);
   uint64_t n_max =
       to_count(c / (eps_prime * eps_prime) * (vc + log_inv_delta));
   n_max = std::max(n_max, n0);
@@ -166,45 +166,6 @@ SaphyraResult RunSaphyra(HypothesisRankingProblem* problem,
     result.approx_risks[i] = run.stats.mean(i);
     result.combined_risks[i] =
         result.exact_risks[i] + lambda * result.approx_risks[i];
-  }
-  return result;
-}
-
-SaphyraResult RunDirectEstimation(HypothesisRankingProblem* problem,
-                                  const SaphyraOptions& options) {
-  SAPHYRA_CHECK(options.epsilon > 0.0 && options.epsilon < 1.0);
-  const size_t k = problem->num_hypotheses();
-  SaphyraResult result;
-  result.exact_risks.assign(k, 0.0);
-  result.approx_risks.assign(k, 0.0);
-  result.combined_risks.assign(k, 0.0);
-  result.lambda_hat = 0.0;
-  result.lambda = 1.0;
-  result.epsilon_prime = options.epsilon;
-  if (k == 0) return result;
-
-  Rng rng = ProgressiveRunStream(options.seed, 0, 1);
-  const uint64_t n =
-      std::max(options.min_initial_samples,
-               VcSampleBound(options.epsilon, options.delta,
-                             problem->VcDimension(), options.vc_constant));
-  // One fixed-budget schedule: a single checkpoint at the VC bound.
-  ProgressiveSampler sampler(problem, ScheduleFor(options, n, n, 0), &rng);
-  FixedBudgetRule rule;
-  ProgressiveResult run = sampler.Run(&rule);
-  result.samples_used = result.max_samples = run.samples_used;
-  result.rounds_used = run.checks_used;
-  result.waves_used = run.waves_used;
-  result.degraded = run.degraded;
-  result.degrade_reason = run.degrade_reason;
-  if (run.degraded) {
-    // Direct estimation's guarantee comes from the VC bound at the full
-    // budget; a truncated run claims nothing.
-    result.epsilon_achieved = std::numeric_limits<double>::infinity();
-  }
-  for (size_t i = 0; i < k; ++i) {
-    result.approx_risks[i] = run.stats.mean(i);
-    result.combined_risks[i] = result.approx_risks[i];
   }
   return result;
 }

@@ -95,21 +95,29 @@ class HypothesisRankingProblem {
   }
 };
 
-/// \brief Parameters of Algorithm 1.
-struct SaphyraOptions {
-  /// Target accuracy ε of the (ε,δ)-estimation (Eq. 7).
+/// \brief The run parameters every estimator honours: Algorithm 1's
+/// (ε, δ) and seed, the stopping mode, and the execution knobs. RunSaphyra,
+/// SaPHyRa_bc and the ABRA / KADABRA baselines all drive the same
+/// progressive loop (core/progressive_sampler.h) with these; their option
+/// structs below add only what their own sample generators need.
+struct SamplingOptions {
+  /// Target accuracy ε of the (ε,δ)-estimation (Eq. 7), in the estimator's
+  /// output units (SaPHyRa_bc: additive error on betweenness, Theorem 24).
   double epsilon = 0.05;
   /// Failure probability δ.
   double delta = 0.01;
-  /// Constant c of Lemma 4 ("approximately 0.5").
-  double vc_constant = 0.5;
-  /// RNG seed; pilot sampling uses an independent derived stream, as the
-  /// paper requires ("the samples here are independent with the samples
-  /// in x").
+  /// RNG seed; the whole run is deterministic given the seed. RunSaphyra's
+  /// pilot samples an independent derived stream, as the paper requires
+  /// ("the samples here are independent with the samples in x").
   uint64_t seed = 1;
-  /// Lower bound on the initial sample size, so the adaptive loop has a
-  /// meaningful variance estimate even when ε′ is huge.
-  uint64_t min_initial_samples = 32;
+  /// 0 = guaranteed-ε mode (stop when every hypothesis meets ε by the
+  /// estimator's deviation bound). >0 = top-k mode: stop as soon as the k
+  /// highest estimates are separated from the rest by their confidence
+  /// half-widths (per-hypothesis δ allocation as in Eq. 13); the ε budget
+  /// then only caps the sample schedule via the VC bound. A top_k covering
+  /// every hypothesis is a full ranking in disguise and falls back to ε
+  /// mode.
+  uint64_t top_k = 0;
   /// Worker threads for sample generation (1 = serial, running inline on
   /// the caller's thread; >1 executes on the persistent SharedThreadPool).
   /// Purely an execution choice: the logical sampling streams are striped
@@ -117,48 +125,70 @@ struct SaphyraOptions {
   /// for a given seed regardless of num_threads (see
   /// core/progressive_sampler.h, "Determinism").
   uint32_t num_threads = 1;
-  /// 0 = guaranteed-ε mode (stop when every hypothesis meets ε′ by the
-  /// empirical Bernstein bound). >0 = top-k mode: stop as soon as the k
-  /// highest combined estimates are separated from the rest by their
-  /// confidence half-widths (per-hypothesis δ allocation as in Eq. 13);
-  /// the ε budget then only caps the sample schedule via the VC bound.
-  uint64_t top_k = 0;
+  /// Cap on the number of samples per engine wave (0 = one wave per
+  /// stopping-rule checkpoint). Batching granularity only — never affects
+  /// results (see the ProgressiveSampler determinism contract).
+  uint64_t max_wave = 0;
+  /// Optional cooperative cancellation/deadline, polled at wave
+  /// boundaries of every progressive run (null = run to completion). On
+  /// expiry the run finalizes from completed waves and the result is
+  /// tagged degraded with the accuracy actually achieved — see
+  /// util/cancel.h and DESIGN.md, "Degradation contract". Borrowed; must
+  /// outlive the run.
+  const CancelToken* cancel = nullptr;
+  /// Optional delegated wave execution (core/sample_engine.h): called once
+  /// per progressive run the estimator builds — ordinal 0 is the pilot,
+  /// ordinal 1 the main estimation loop (the single-loop ABRA and KADABRA
+  /// baselines only use 0) — and must return a borrowed executor for that
+  /// run, or nullptr for local drawing. The sharded serving tier hooks its
+  /// ShardedEngine in here. Empty = always local. Never affects result
+  /// bytes while waves succeed.
+  std::function<WaveExecutor*(uint32_t ordinal)> wave_executor;
+};
+
+/// \brief Parameters of Algorithm 1.
+struct SaphyraOptions : SamplingOptions {
   /// Optional per-hypothesis additive constants (in combined-risk units)
   /// applied when evaluating top-k separation — exact mass the frontend
   /// adds *outside* this framework run, e.g. SaPHyRa_bc's break-point
   /// term bc_a(v)/(γη). Empty = no external offsets. Constants shift the
   /// estimates, not their confidence widths, so separation decisions
   /// match the frontend's final ranking.
-  std::vector<double> top_k_offsets;
-  /// Cap on the number of samples per engine wave (0 = one wave per
-  /// stopping-rule checkpoint). Batching granularity only — never affects
-  /// results (see the ProgressiveSampler determinism contract).
-  uint64_t max_wave = 0;
+  std::vector<double> top_k_offsets = {};
   /// How BFS-based sample generators expand their levels
   /// (graph/frontier.h): kAuto/kHybrid enable the direction-optimizing
   /// bottom-up pull, kTopDown forces the classic push. Execution choice
   /// only — results are bitwise identical either way (see DESIGN.md,
   /// "Direction-optimizing traversal").
   TraversalPolicy traversal = TraversalPolicy::kAuto;
-  /// Optional cooperative cancellation/deadline, polled at wave
-  /// boundaries of both the pilot and the main loop (null = run to
-  /// completion). On expiry the run finalizes from completed waves and
-  /// the result is tagged degraded with the accuracy actually achieved —
-  /// see util/cancel.h and DESIGN.md, "Degradation contract". Borrowed;
-  /// must outlive the run.
-  const CancelToken* cancel = nullptr;
-  /// Optional delegated wave execution (core/sample_engine.h): called once
-  /// per progressive run the algorithm builds — ordinal 0 is the pilot,
-  /// ordinal 1 the main estimation loop (single-loop callers like
-  /// RunDirectEstimation and the whole-graph baselines only use 0) — and
-  /// must return a borrowed executor for that run, or nullptr for local
-  /// drawing. The sharded serving tier hooks its ShardedEngine in here.
-  /// Empty = always local. Never affects result bytes while waves succeed.
-  std::function<WaveExecutor*(uint32_t ordinal)> wave_executor;
+};
+
+/// \brief How an estimator's run ended: the fields of the degradation
+/// contract (DESIGN.md, "Degradation contract") that every result carries.
+struct RunOutcome {
+  /// N of the main estimation loop.
+  uint64_t samples_used = 0;
+  /// True if the stopping rule (ε-guarantee, or top-k separation in top-k
+  /// mode) triggered before the VC cap Nmax.
+  bool stopped_early = false;
+  /// The cancel token fired first: estimates come from completed waves
+  /// only and the (ε, δ) guarantee does NOT hold. Deterministic for a
+  /// fixed (seed, samples_used).
+  bool degraded = false;
+  /// kDeadlineExceeded or kCancelled (token), or kUnavailable (delegated
+  /// wave execution lost its workers) when degraded; kOk otherwise.
+  StatusCode degrade_reason = StatusCode::kOk;
+  /// Only meaningful when degraded: the worst-case deviation bound the
+  /// truncated run actually achieves, in the estimator's output units —
+  /// ε mode: the deviation bound of its stopping rule over all hypotheses
+  /// (RunSaphyra: λ-scaled Bernstein; ABRA: Rademacher); top-k mode: the
+  /// widest confidence half-width. Infinity when truncation preceded the
+  /// second sample (no variance estimate yet).
+  double epsilon_achieved = 0.0;
 };
 
 /// \brief Diagnostics and output of Algorithm 1.
-struct SaphyraResult {
+struct SaphyraResult : RunOutcome {
   /// Combined estimates ℓ_i = ℓ̂_i + λ·ℓ̃_i (Eq. 8); the (ε,δ)-estimates of
   /// the expected risks R(h_i) (Theorem 6).
   std::vector<double> combined_risks;
@@ -171,26 +201,9 @@ struct SaphyraResult {
   double lambda = 1.0;         ///< Pr[x ∈ X̃] = 1 − λ̂
   double epsilon_prime = 0.0;  ///< ε′ = ε/λ
   uint64_t pilot_samples = 0;
-  uint64_t samples_used = 0;   ///< N of the main estimation loop
   uint64_t max_samples = 0;    ///< Nmax from the VC bound
   uint32_t rounds_used = 0;    ///< stopping-rule checkpoints evaluated
   uint32_t waves_used = 0;     ///< engine batches drawn (≥ rounds_used)
-  /// True if the stopping rule (Bernstein ε-guarantee, or top-k
-  /// separation in top-k mode) triggered before Nmax.
-  bool stopped_early = false;
-  /// The cancel token fired first: estimates come from completed waves
-  /// only and the (ε, δ) guarantee does NOT hold. Deterministic for a
-  /// fixed (seed, samples_used) — see DESIGN.md, "Degradation contract".
-  bool degraded = false;
-  /// kDeadlineExceeded or kCancelled (token), or kUnavailable (delegated
-  /// wave execution lost its workers) when degraded; kOk otherwise.
-  StatusCode degrade_reason = StatusCode::kOk;
-  /// Only meaningful when degraded: the worst-case deviation bound the
-  /// truncated run actually achieves, in combined-risk units (ε-mode: the
-  /// λ-scaled Bernstein bound over all hypotheses; top-k mode: the widest
-  /// confidence half-width). Infinity when truncation preceded the second
-  /// sample (no variance estimate yet).
-  double epsilon_achieved = 0.0;
 };
 
 /// \brief Run Algorithm 1 (SaPHyRa) on a problem instance.
@@ -199,12 +212,6 @@ struct SaphyraResult {
 /// 1 − δ, |R(h_i) − ℓ_i| < ε for every i (Theorem 6).
 SaphyraResult RunSaphyra(HypothesisRankingProblem* problem,
                          const SaphyraOptions& options);
-
-/// \brief Direct estimation baseline (§III-A): no partition, fixed sample
-/// size N = c/ε²(VC + ln 1/δ). Isolates the contribution of the
-/// sample-space partition; saphyra_core_test is its only caller.
-SaphyraResult RunDirectEstimation(HypothesisRankingProblem* problem,
-                                  const SaphyraOptions& options);
 
 }  // namespace saphyra
 

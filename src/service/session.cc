@@ -38,6 +38,19 @@ void ReportSubset(const std::vector<double>& bc,
   for (NodeId v : targets) res->estimates.push_back(bc[v]);
 }
 
+/// Copy an estimator's sample count and degradation into `res`. Degraded
+/// outcomes surface as results, not errors: the completed-wave estimates
+/// are still deterministic, so the client gets them plus the achieved
+/// bound (in the served estimates' units) and decides whether they are
+/// usable.
+void ReportOutcome(const RunOutcome& outcome, QueryResult* res) {
+  res->samples_used = outcome.samples_used;
+  if (!outcome.degraded) return;
+  res->degraded = true;
+  res->degrade_reason = outcome.degrade_reason;
+  res->epsilon_achieved = outcome.epsilon_achieved;
+}
+
 }  // namespace
 
 uint64_t ChainMutationFingerprint(uint64_t prev, uint64_t epoch,
@@ -158,53 +171,40 @@ QueryResult QuerySession::RunCanonical(const GraphSnapshot& snap,
   res.id = req.id;
   res.estimator = req.estimator;
   const Graph& graph = snap.graph();
-  const uint32_t threads =
-      req.num_threads != 0 ? req.num_threads : options_.default_threads;
 
+  // The run fields every estimator shares; each case below adds only its
+  // estimator's own.
+  SamplingOptions base;
+  base.epsilon = req.epsilon;
+  base.delta = req.delta;
+  base.seed = req.seed;
+  base.top_k = req.top_k;
+  base.num_threads =
+      req.num_threads != 0 ? req.num_threads : options_.default_threads;
+  base.cancel = cancel;
   // Non-null shard: delegate every sample wave to the worker tier. The
   // lambda outlives each estimator call below but not this frame, and the
   // executors it hands out live on `shard`, so borrowing is safe.
-  std::function<WaveExecutor*(uint32_t)> wave_executor;
   if (shard != nullptr) {
-    wave_executor = [shard](uint32_t ordinal) {
+    base.wave_executor = [shard](uint32_t ordinal) {
       return shard->ExecutorFor(ordinal);
     };
   }
-
-  // Degraded estimator outcomes surface as results, not errors: the
-  // completed-wave estimates are still deterministic, so the client gets
-  // them plus the achieved bound and decides whether they are usable.
-  auto mark_degraded = [&res](bool degraded, StatusCode reason,
-                              double eps_achieved) {
-    if (!degraded) return;
-    res.degraded = true;
-    res.degrade_reason = reason;
-    res.epsilon_achieved = eps_achieved;
-  };
 
   Timer timer;
   switch (req.estimator) {
     case EstimatorKind::kBc:
     case EstimatorKind::kBcFull: {
-      SaphyraBcOptions opts;
-      opts.epsilon = req.epsilon;
-      opts.delta = req.delta;
-      opts.seed = req.seed;
-      opts.top_k = req.top_k;
+      SaphyraBcOptions opts{base};
       opts.strategy = req.strategy;
       opts.traversal = req.traversal;
-      opts.num_threads = threads;
-      opts.cancel = cancel;
-      opts.wave_executor = wave_executor;
       if (req.estimator == EstimatorKind::kBcFull) {
         SaphyraBcResult r = RunSaphyraBcFull(snap.isp(), opts);
-        res.samples_used = r.samples_used;
-        mark_degraded(r.degraded, r.degrade_reason, r.epsilon_achieved);
+        ReportOutcome(r, &res);
         ReportSubset(r.bc, req.targets, &res);
       } else {
         SaphyraBcResult r = RunSaphyraBc(snap.isp(), req.targets, opts);
-        res.samples_used = r.samples_used;
-        mark_degraded(r.degraded, r.degrade_reason, r.epsilon_achieved);
+        ReportOutcome(r, &res);
         res.nodes = req.targets;
         res.estimates = std::move(r.bc);
       }
@@ -214,43 +214,25 @@ QueryResult QuerySession::RunCanonical(const GraphSnapshot& snap,
       // The problem-class path of EstimateKPathCentrality, inlined to keep
       // the sampling diagnostics. Walk sampling has no BFS, so the
       // traversal field does not apply here.
-      SaphyraOptions opts;
-      opts.epsilon = req.epsilon;
-      opts.delta = req.delta;
-      opts.seed = req.seed;
-      opts.top_k = req.top_k;
-      opts.num_threads = threads;
-      opts.cancel = cancel;
       std::vector<NodeId> targets =
           req.targets.empty() ? AllNodes(graph.num_nodes()) : req.targets;
-      opts.wave_executor = wave_executor;
       KPathProblem problem(graph, targets, req.k);
-      SaphyraResult r = RunSaphyra(&problem, opts);
-      res.samples_used = r.samples_used;
-      mark_degraded(r.degraded, r.degrade_reason, r.epsilon_achieved);
+      SaphyraResult r = RunSaphyra(&problem, SaphyraOptions{base});
+      ReportOutcome(r, &res);
       res.nodes = std::move(targets);
       res.estimates = std::move(r.combined_risks);
       break;
     }
     case EstimatorKind::kCloseness: {
-      SaphyraOptions opts;
-      opts.epsilon = req.epsilon;
-      opts.delta = req.delta;
-      opts.seed = req.seed;
-      opts.top_k = req.top_k;
-      opts.num_threads = threads;
-      opts.cancel = cancel;
       std::vector<NodeId> targets =
           req.targets.empty() ? AllNodes(graph.num_nodes()) : req.targets;
-      opts.wave_executor = wave_executor;
       HarmonicClosenessProblem problem(graph, targets);
       problem.set_traversal(req.traversal);
-      SaphyraResult r = RunSaphyra(&problem, opts);
-      res.samples_used = r.samples_used;
+      SaphyraResult r = RunSaphyra(&problem, SaphyraOptions{base});
       // RiskToCentrality is linear (×n/(n−1)), so the achieved risk bound
       // converts to centrality units through the same map.
-      mark_degraded(r.degraded, r.degrade_reason,
-                    problem.RiskToCentrality(r.epsilon_achieved));
+      r.epsilon_achieved = problem.RiskToCentrality(r.epsilon_achieved);
+      ReportOutcome(r, &res);
       res.nodes = std::move(targets);
       res.estimates.resize(r.combined_risks.size());
       for (size_t i = 0; i < res.estimates.size(); ++i) {
@@ -259,34 +241,17 @@ QueryResult QuerySession::RunCanonical(const GraphSnapshot& snap,
       break;
     }
     case EstimatorKind::kAbra: {
-      AbraOptions opts;
-      opts.epsilon = req.epsilon;
-      opts.delta = req.delta;
-      opts.seed = req.seed;
-      opts.top_k = req.top_k;
-      opts.num_threads = threads;
-      opts.cancel = cancel;
-      opts.wave_executor = wave_executor;
-      AbraResult r = RunAbra(graph, opts);
-      res.samples_used = r.samples_used;
-      mark_degraded(r.degraded, r.degrade_reason, r.epsilon_achieved);
+      AbraResult r = RunAbra(graph, base);
+      ReportOutcome(r, &res);
       ReportSubset(r.bc, req.targets, &res);
       break;
     }
     case EstimatorKind::kKadabra: {
-      KadabraOptions opts;
-      opts.epsilon = req.epsilon;
-      opts.delta = req.delta;
-      opts.seed = req.seed;
-      opts.top_k = req.top_k;
+      KadabraOptions opts{base};
       opts.strategy = req.strategy;
       opts.traversal = req.traversal;
-      opts.num_threads = threads;
-      opts.cancel = cancel;
-      opts.wave_executor = wave_executor;
       KadabraResult r = RunKadabra(graph, opts);
-      res.samples_used = r.samples_used;
-      mark_degraded(r.degraded, r.degrade_reason, r.epsilon_achieved);
+      ReportOutcome(r, &res);
       ReportSubset(r.bc, req.targets, &res);
       break;
     }

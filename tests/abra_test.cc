@@ -18,7 +18,7 @@ using testing::RandomConnectedGraph;
 TEST(Abra, EstimatesWithinEpsilonOnFig2) {
   Graph g = PaperFig2Graph();
   std::vector<double> truth = BrandesBetweenness(g);
-  AbraOptions opts;
+  SamplingOptions opts;
   opts.epsilon = 0.05;
   opts.delta = 0.05;
   opts.seed = 1;
@@ -34,7 +34,7 @@ class AbraRandomized : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(AbraRandomized, WithinEpsilonOnRandomGraphs) {
   Graph g = RandomConnectedGraph(30, 0.1, GetParam());
   std::vector<double> truth = BrandesBetweenness(g);
-  AbraOptions opts;
+  SamplingOptions opts;
   opts.epsilon = 0.05;
   opts.delta = 0.05;
   opts.seed = GetParam() + 10;
@@ -49,7 +49,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AbraRandomized,
 
 TEST(Abra, DeterministicForSeed) {
   Graph g = BarabasiAlbert(60, 2, 3);
-  AbraOptions opts;
+  SamplingOptions opts;
   opts.epsilon = 0.1;
   opts.seed = 4;
   AbraResult a = RunAbra(g, opts);
@@ -60,7 +60,7 @@ TEST(Abra, DeterministicForSeed) {
 
 TEST(Abra, StopsAtOrBeforeCap) {
   Graph g = BarabasiAlbert(80, 2, 5);
-  AbraOptions opts;
+  SamplingOptions opts;
   opts.epsilon = 0.1;
   AbraResult res = RunAbra(g, opts);
   EXPECT_GT(res.samples_used, 0u);
@@ -70,7 +70,7 @@ TEST(Abra, StopsAtOrBeforeCap) {
 
 TEST(Abra, ValuesAreProbabilities) {
   Graph g = RandomConnectedGraph(40, 0.07, 9);
-  AbraOptions opts;
+  SamplingOptions opts;
   opts.epsilon = 0.1;
   AbraResult res = RunAbra(g, opts);
   for (double x : res.bc) {
@@ -82,7 +82,7 @@ TEST(Abra, ValuesAreProbabilities) {
 TEST(Abra, DisconnectedGraphPairsWithoutPaths) {
   Graph g = MakeGraph(8, {{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {6, 7}});
   std::vector<double> truth = BrandesBetweenness(g);
-  AbraOptions opts;
+  SamplingOptions opts;
   opts.epsilon = 0.06;
   opts.seed = 2;
   AbraResult res = RunAbra(g, opts);
@@ -92,7 +92,7 @@ TEST(Abra, DisconnectedGraphPairsWithoutPaths) {
 }
 
 TEST(Abra, TinyGraphEdgeCases) {
-  AbraOptions opts;
+  SamplingOptions opts;
   opts.epsilon = 0.2;
   Graph g2 = MakeGraph(2, {{0, 1}});
   AbraResult res = RunAbra(g2, opts);

@@ -48,7 +48,7 @@ TEST(Integration, SubsetRankingPipeline) {
   sopts.seed = 1;
   SaphyraBcResult sres = RunSaphyraBc(isp, targets, sopts);
 
-  AbraOptions aopts;
+  SamplingOptions aopts;
   aopts.epsilon = eps;
   aopts.seed = 2;
   AbraResult ares = RunAbra(g, aopts);

@@ -5,7 +5,11 @@
 
 #include "core/progressive_sampler.h"
 
+#include <bit>
+#include <cstdio>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,8 +18,12 @@
 #include "baselines/kadabra.h"
 #include "bc/brandes.h"
 #include "bc/saphyra_bc.h"
+#include "closeness/closeness.h"
 #include "graph/generators.h"
+#include "kpath/kpath.h"
 #include "test_util.h"
+#include "util/cancel.h"
+#include "util/hash.h"
 
 namespace saphyra {
 namespace {
@@ -167,7 +175,7 @@ TEST(ProgressiveDeterminism, AbraWeightedBitwiseAcrossThreadsAndWaves) {
   Graph g = RandomConnectedGraph(50, 0.08, 5);
   std::vector<double> reference;
   for (const ExecutionVariant& v : kVariants) {
-    AbraOptions opts;
+    SamplingOptions opts;
     opts.epsilon = 0.08;
     opts.seed = 11;
     opts.num_threads = v.num_threads;
@@ -373,6 +381,138 @@ TEST(StoppingRules, TopKOffsetsChangeTheSelectedSet) {
   // With the offset, hypothesis 1's lower bound (≥ 5.0) dominates
   // hypothesis 0's upper bound (≤ 0.4 + width) from the first check.
   EXPECT_EQ(run.samples_used, 512u);
+}
+
+// ---------------------------------------------------------------------------
+// Golden outputs of all six estimators. Served bytes are a pure function of
+// the graph and the statistical parameters, so option plumbing, schedule
+// and stopping-rule refactors must leave every constant below alone. Each
+// estimator runs on the golden social graph of genbc_distribution_test
+// (BaCoreWithLeaves(300, 300, 11)) at one seed, in ε mode, in top-k mode,
+// and truncated by a CancelAfterPolls token (a degraded ε-mode run).
+// ---------------------------------------------------------------------------
+
+enum class GoldenMode { kEpsilon, kTopK, kDegraded };
+
+struct GoldenRun {
+  uint64_t digest = 0;        // FNV-1a over the estimate vector's bytes
+  uint64_t samples_used = 0;
+  uint64_t eps_bits = 0;      // bit pattern of epsilon_achieved
+  bool degraded = false;
+
+  bool operator==(const GoldenRun&) const = default;
+};
+
+void PrintTo(const GoldenRun& r, std::ostream* os) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "{0x%016llxULL, %llu, 0x%016llxULL, %s}",
+                static_cast<unsigned long long>(r.digest),
+                static_cast<unsigned long long>(r.samples_used),
+                static_cast<unsigned long long>(r.eps_bits),
+                r.degraded ? "true" : "false");
+  *os << buf;
+}
+
+template <typename Result>
+GoldenRun Fingerprint(const std::vector<double>& estimates, const Result& r) {
+  Fnv1a64 h;
+  h.Update(estimates.data(), estimates.size() * sizeof(double));
+  return {h.Digest(), r.samples_used,
+          std::bit_cast<uint64_t>(r.epsilon_achieved), r.degraded};
+}
+
+template <typename Options>
+Options GoldenOptions(GoldenMode mode, const CancelToken* token) {
+  Options o;
+  o.epsilon = 0.02;
+  o.delta = 0.1;
+  o.seed = 7;
+  if (mode == GoldenMode::kTopK) o.top_k = 1;
+  if (mode == GoldenMode::kDegraded) o.cancel = token;
+  return o;
+}
+
+struct GoldenRow {
+  const char* estimator;
+  GoldenRun epsilon_mode;
+  GoldenRun top_k_mode;
+  GoldenRun degraded;
+};
+
+TEST(EstimatorGoldenOutputs, SixEstimatorsOnTheGoldenSocialGraph) {
+  const Graph g = testing::BaCoreWithLeaves(300, 300, 11);
+  const IspIndex isp(g);
+  std::vector<NodeId> targets;
+  for (NodeId v = 0; v < g.num_nodes(); v += 5) targets.push_back(v);
+
+  auto run = [&](const std::string& estimator, GoldenMode mode) {
+    CancelToken token;
+    token.CancelAfterPolls(4);
+    if (estimator == "bc") {
+      SaphyraBcResult r = RunSaphyraBc(
+          isp, targets, GoldenOptions<SaphyraBcOptions>(mode, &token));
+      return Fingerprint(r.bc, r);
+    }
+    if (estimator == "bc-full") {
+      SaphyraBcResult r =
+          RunSaphyraBcFull(isp, GoldenOptions<SaphyraBcOptions>(mode, &token));
+      return Fingerprint(r.bc, r);
+    }
+    if (estimator == "kpath") {
+      KPathProblem problem(g, targets, 4);
+      SaphyraResult r =
+          RunSaphyra(&problem, GoldenOptions<SaphyraOptions>(mode, &token));
+      return Fingerprint(r.combined_risks, r);
+    }
+    if (estimator == "closeness") {
+      HarmonicClosenessProblem problem(g, targets);
+      SaphyraResult r =
+          RunSaphyra(&problem, GoldenOptions<SaphyraOptions>(mode, &token));
+      return Fingerprint(r.combined_risks, r);
+    }
+    if (estimator == "abra") {
+      AbraResult r = RunAbra(g, GoldenOptions<SamplingOptions>(mode, &token));
+      return Fingerprint(r.bc, r);
+    }
+    KadabraResult r =
+        RunKadabra(g, GoldenOptions<KadabraOptions>(mode, &token));
+    return Fingerprint(r.bc, r);
+  };
+
+  // Two degraded runs (bc, bc-full) are cut inside the pilot, before any
+  // main-loop sample: samples_used 0 and an infinite achieved bound.
+  const GoldenRow rows[] = {
+      {"bc",
+       {0x139507abff13e611ULL, 9502, 0x0000000000000000ULL, false},
+       {0xc770be9ddf4f77e2ULL, 10940, 0x0000000000000000ULL, false},
+       {0x3c0b8fda380df3a2ULL, 0, 0x7ff0000000000000ULL, true}},
+      {"bc-full",
+       {0x432e6f815eda43f9ULL, 17564, 0x0000000000000000ULL, false},
+       {0x1df2dd3231d90691ULL, 8782, 0x0000000000000000ULL, false},
+       {0x3de21b0478755818ULL, 0, 0x7ff0000000000000ULL, true}},
+      {"kpath",
+       {0x5c0ce7f79e3da350ULL, 3240, 0x0000000000000000ULL, false},
+       {0xfef6d0ffa1c24db8ULL, 3729, 0x0000000000000000ULL, false},
+       {0x717501894e05cedcULL, 1024, 0x3fa50a3f85a20ca9ULL, true}},
+      {"closeness",
+       {0x6f76137937c4422aULL, 3845, 0x0000000000000000ULL, false},
+       {0x6f76137937c4422aULL, 3845, 0x0000000000000000ULL, false},
+       {0x07534dc1539f71d6ULL, 1440, 0x3fa3017f19324fe0ULL, true}},
+      {"abra",
+       {0xf616ec69f831aa41ULL, 7879, 0x0000000000000000ULL, false},
+       {0x8edb121d937d1922ULL, 3745, 0x0000000000000000ULL, false},
+       {0x43520d7f6238ecdeULL, 3072, 0x3fbbfb85fd005ebeULL, true}},
+      {"kadabra",
+       {0x81fadafabbd8c89cULL, 7879, 0x0000000000000000ULL, false},
+       {0x4be02af97b8777a3ULL, 3745, 0x0000000000000000ULL, false},
+       {0x60671cf53e0e6029ULL, 3072, 0x3fa762c7e3125e4aULL, true}},
+  };
+  for (const GoldenRow& row : rows) {
+    SCOPED_TRACE(row.estimator);
+    EXPECT_EQ(run(row.estimator, GoldenMode::kEpsilon), row.epsilon_mode);
+    EXPECT_EQ(run(row.estimator, GoldenMode::kTopK), row.top_k_mode);
+    EXPECT_EQ(run(row.estimator, GoldenMode::kDegraded), row.degraded);
+  }
 }
 
 }  // namespace

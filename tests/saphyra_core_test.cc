@@ -169,27 +169,6 @@ TEST(RunSaphyra, EpsilonDeltaGuaranteeHolds) {
   EXPECT_LE(violations, static_cast<int>(trials * delta));
 }
 
-TEST(RunDirectEstimation, UnbiasedAndWithinEpsilon) {
-  SyntheticProblem p({0.0, 0.0}, {0.25, 0.4}, 0.0, 3.0);
-  SaphyraOptions opts;
-  opts.epsilon = 0.04;
-  opts.delta = 0.05;
-  SaphyraResult res = RunDirectEstimation(&p, opts);
-  EXPECT_NEAR(res.combined_risks[0], 0.25, opts.epsilon);
-  EXPECT_NEAR(res.combined_risks[1], 0.4, opts.epsilon);
-  EXPECT_EQ(res.samples_used, res.max_samples);
-}
-
-TEST(RunDirectEstimation, IgnoresExactSubspace) {
-  SyntheticProblem p({0.9}, {0.1}, 0.99, 1.0);
-  SaphyraOptions opts;
-  opts.epsilon = 0.1;
-  SaphyraResult res = RunDirectEstimation(&p, opts);
-  // Direct estimation samples the provided generator only.
-  EXPECT_NEAR(res.combined_risks[0], 0.1, 0.1);
-  EXPECT_DOUBLE_EQ(res.lambda, 1.0);
-}
-
 TEST(RunSaphyra, RankingQualityBeatsNoise) {
   // 10 hypotheses with closely spaced risks; with a generous exact part the
   // combined ranking should align with the truth.

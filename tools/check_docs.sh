@@ -15,6 +15,9 @@
 #      with src/util/status.cc.
 #   7. Every relative markdown link in the doc set resolves to a file
 #      that exists.
+#   8. Retired estimator options stay retired: the per-estimator Lemma 4
+#      constant and n0-floor knobs, ABRA's own options struct and the
+#      direct-estimation baseline do not reappear in src/, tools/ or docs/.
 
 set -euo pipefail
 
@@ -240,9 +243,19 @@ for doc in "${doc_files[@]}"; do
   done < <(grep -oE '\]\([^)]+\)' "$doc" | sed -E 's/^\]\(//; s/\)$//')
 done
 
+# --- 8. retired estimator options ------------------------------------------
+# Every estimator shares one SamplingOptions base; Lemma 4's constant and
+# the n0 floor are the constants kVcSampleConstant / kMinInitialSamples.
+# The names are split across quotes so this script does not match itself.
+if grep -rnwE 'vc_''constant|min_initial_''samples|Abra''Options|RunDirect''Estimation' \
+     "$REPO_ROOT/tools" "$REPO_ROOT/src" "$REPO_ROOT/docs" >&2; then
+  echo "check_docs: a retired estimator option reappeared (above)" >&2
+  fail=1
+fi
+
 if [[ "$fail" -ne 0 ]]; then
   exit 1
 fi
 echo "check_docs: README/ROADMAP tier-1 line, rank flags, headline metrics," \
      "tool flags vs docs/cli.md, BENCH_micro.json key coverage, serving" \
-     "error taxonomy and doc links all consistent"
+     "error taxonomy, doc links and retired options all consistent"

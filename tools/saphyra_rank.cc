@@ -44,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "flags.h"
 #include "baselines/abra.h"
 #include "baselines/kadabra.h"
 #include "bc/saphyra_bc.h"
@@ -109,6 +110,9 @@ bool Parse(int argc, char** argv, Args* args) {
       return argv[++i];
     };
     const char* val = nullptr;
+    auto parse_uint = [&](auto* out) {
+      return ParseUnsignedFlag(key.c_str(), val, out);
+    };
     if (key == "--lcc") {
       args->lcc = true;
     } else if (key == "--no-cache") {
@@ -120,7 +124,7 @@ bool Parse(int argc, char** argv, Args* args) {
     } else if (key == "--targets" && (val = next())) {
       args->targets_path = val;
     } else if (key == "--random-targets" && (val = next())) {
-      args->random_targets = std::strtoull(val, nullptr, 10);
+      if (!parse_uint(&args->random_targets)) return false;
     } else if (key == "--algorithm" && (val = next())) {
       args->algorithm = val;
     } else if (key == "--epsilon" && (val = next())) {
@@ -128,9 +132,9 @@ bool Parse(int argc, char** argv, Args* args) {
     } else if (key == "--delta" && (val = next())) {
       if (!ParseOpenUnit("--delta", val, &args->delta)) return false;
     } else if (key == "--topk" && (val = next())) {
-      args->topk = std::strtoull(val, nullptr, 10);
+      if (!parse_uint(&args->topk)) return false;
     } else if (key == "--seed" && (val = next())) {
-      args->seed = std::strtoull(val, nullptr, 10);
+      if (!parse_uint(&args->seed)) return false;
     } else if (key == "--strategy" && (val = next())) {
       if (!ParseTraversalPolicy(val, &args->traversal)) {
         std::fprintf(stderr, "unknown --strategy %s\n", val);
@@ -163,8 +167,14 @@ bool LoadTargets(const std::string& path, NodeId num_nodes,
   }
   std::string line;
   while (std::getline(in, line)) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty() || line[0] == '#') continue;
-    uint64_t id = std::strtoull(line.c_str(), nullptr, 10);
+    uint64_t id = 0;
+    if (!ParseUnsigned(line.c_str(), &id)) {
+      std::fprintf(stderr, "targets file %s: '%s' is not a node id\n",
+                   path.c_str(), line.c_str());
+      return false;
+    }
     if (id >= num_nodes) {
       std::fprintf(stderr, "target id %llu out of range (n=%u)\n",
                    static_cast<unsigned long long>(id), num_nodes);
@@ -238,6 +248,11 @@ int main(int argc, char** argv) {
                args.topk > 0 ? ", top-k separation mode" : "");
 
   timer.Restart();
+  SamplingOptions base;
+  base.epsilon = args.epsilon;
+  base.delta = args.delta;
+  base.seed = args.seed;
+  base.top_k = args.topk;
   std::vector<double> estimates;
   if (args.algorithm == "saphyra" || args.algorithm == "saphyra-full") {
     std::unique_ptr<IspIndex> isp_ptr =
@@ -245,11 +260,7 @@ int main(int argc, char** argv) {
             ? std::make_unique<IspIndex>(g, std::move(cache))
             : std::make_unique<IspIndex>(g);
     IspIndex& isp = *isp_ptr;
-    SaphyraBcOptions opts;
-    opts.epsilon = args.epsilon;
-    opts.delta = args.delta;
-    opts.seed = args.seed;
-    opts.top_k = args.topk;
+    SaphyraBcOptions opts{base};
     opts.traversal = args.traversal;
     SaphyraBcResult res =
         args.algorithm == "saphyra-full"
@@ -267,19 +278,10 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(res.max_samples), res.eta,
                  res.lambda_hat, res.vc_bound);
   } else if (args.algorithm == "abra") {
-    AbraOptions opts;
-    opts.epsilon = args.epsilon;
-    opts.delta = args.delta;
-    opts.seed = args.seed;
-    opts.top_k = args.topk;
-    AbraResult res = RunAbra(g, opts);
+    AbraResult res = RunAbra(g, base);
     for (NodeId v : targets) estimates.push_back(res.bc[v]);
   } else if (args.algorithm == "kadabra") {
-    KadabraOptions opts;
-    opts.epsilon = args.epsilon;
-    opts.delta = args.delta;
-    opts.seed = args.seed;
-    opts.top_k = args.topk;
+    KadabraOptions opts{base};
     opts.traversal = args.traversal;
     KadabraResult res = RunKadabra(g, opts);
     for (NodeId v : targets) estimates.push_back(res.bc[v]);

@@ -89,7 +89,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -99,6 +98,7 @@
 #include <utility>
 #include <vector>
 
+#include "flags.h"
 #include "net/socket.h"
 #include "service/json_util.h"
 #include "service/query.h"
@@ -201,6 +201,9 @@ bool Parse(int argc, char** argv, Args* args) {
       return argv[++i];
     };
     const char* val = nullptr;
+    auto parse_uint = [&](auto* out) {
+      return ParseUnsignedFlag(key.c_str(), val, out);
+    };
     if (key == "--no-cache") {
       args->no_cache = true;
     } else if (key == "--preload") {
@@ -208,45 +211,37 @@ bool Parse(int argc, char** argv, Args* args) {
     } else if (key == "--allow-updates") {
       args->allow_updates = true;
     } else if (key == "--graph" && (val = next())) {
-      // NAME=PATH, or a bare PATH registered under its own spelling (the
-      // single-graph invocation everyone already has in scripts).
-      const std::string spec = val;
-      const size_t eq = spec.find('=');
-      if (eq == std::string::npos) {
-        args->graphs.emplace_back(spec, spec);
-      } else {
-        args->graphs.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
-      }
+      args->graphs.push_back(SplitGraphSpec(val));
     } else if (key == "--format" && (val = next())) {
       args->format = val;
     } else if (key == "--max-graphs" && (val = next())) {
-      args->max_graphs = std::strtoull(val, nullptr, 10);
+      if (!parse_uint(&args->max_graphs)) return false;
     } else if (key == "--requests" && (val = next())) {
       args->requests_path = val;
     } else if (key == "--concurrency" && (val = next())) {
-      args->concurrency = static_cast<uint32_t>(std::strtoul(val, nullptr, 10));
+      if (!parse_uint(&args->concurrency)) return false;
     } else if (key == "--threads" && (val = next())) {
-      args->threads = static_cast<uint32_t>(std::strtoul(val, nullptr, 10));
+      if (!parse_uint(&args->threads)) return false;
     } else if (key == "--memo-capacity" && (val = next())) {
-      args->memo_capacity = std::strtoull(val, nullptr, 10);
+      if (!parse_uint(&args->memo_capacity)) return false;
     } else if (key == "--memo-capacity-bytes" && (val = next())) {
-      args->memo_capacity_bytes = std::strtoull(val, nullptr, 10);
+      if (!parse_uint(&args->memo_capacity_bytes)) return false;
     } else if (key == "--repeat" && (val = next())) {
-      args->repeat = static_cast<uint32_t>(std::strtoul(val, nullptr, 10));
+      if (!parse_uint(&args->repeat)) return false;
     } else if (key == "--default-deadline-ms" && (val = next())) {
-      args->default_deadline_ms = std::strtoull(val, nullptr, 10);
+      if (!parse_uint(&args->default_deadline_ms)) return false;
     } else if (key == "--max-queue" && (val = next())) {
-      args->max_queue = std::strtoull(val, nullptr, 10);
+      if (!parse_uint(&args->max_queue)) return false;
     } else if (key == "--drain-ms" && (val = next())) {
-      args->drain_ms = std::strtoull(val, nullptr, 10);
+      if (!parse_uint(&args->drain_ms)) return false;
     } else if (key == "--workers" && (val = next())) {
-      args->workers = static_cast<uint32_t>(std::strtoul(val, nullptr, 10));
+      if (!parse_uint(&args->workers)) return false;
     } else if (key == "--shard-socket" && (val = next())) {
       args->shard_socket = val;
     } else if (key == "--retry-budget" && (val = next())) {
-      args->retry_budget = static_cast<uint32_t>(std::strtoul(val, nullptr, 10));
+      if (!parse_uint(&args->retry_budget)) return false;
     } else if (key == "--heartbeat-ms" && (val = next())) {
-      args->heartbeat_ms = std::strtoull(val, nullptr, 10);
+      if (!parse_uint(&args->heartbeat_ms)) return false;
     } else if (key == "--output" && (val = next())) {
       args->output = val;
     } else if (key == "--stats-json" && (val = next())) {

@@ -24,12 +24,12 @@
 // end of a serving run), nonzero on startup errors.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "flags.h"
 #include "net/socket.h"
 #include "service/session_pool.h"
 #include "service/shard_worker.h"
@@ -65,26 +65,23 @@ bool Parse(int argc, char** argv, Args* args) {
       return argv[++i];
     };
     const char* val = nullptr;
+    auto parse_uint = [&](auto* out) {
+      return ParseUnsignedFlag(key.c_str(), val, out);
+    };
     if (key == "--no-cache") {
       args->no_cache = true;
     } else if (key == "--connect" && (val = next())) {
       args->connect = val;
     } else if (key == "--graph" && (val = next())) {
-      const std::string spec = val;
-      const size_t eq = spec.find('=');
-      if (eq == std::string::npos) {
-        args->graphs.emplace_back(spec, spec);
-      } else {
-        args->graphs.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
-      }
+      args->graphs.push_back(SplitGraphSpec(val));
     } else if (key == "--index" && (val = next())) {
-      args->index = static_cast<uint32_t>(std::strtoul(val, nullptr, 10));
+      if (!parse_uint(&args->index)) return false;
     } else if (key == "--format" && (val = next())) {
       args->format = val;
     } else if (key == "--max-graphs" && (val = next())) {
-      args->max_graphs = std::strtoull(val, nullptr, 10);
+      if (!parse_uint(&args->max_graphs)) return false;
     } else if (key == "--max-states" && (val = next())) {
-      args->max_states = std::strtoull(val, nullptr, 10);
+      if (!parse_uint(&args->max_states)) return false;
     } else {
       std::fprintf(stderr, "unknown or incomplete option: %s\n", key.c_str());
       return false;
